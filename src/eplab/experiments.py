@@ -3,20 +3,28 @@ around the conical degeneracy, chiral and non-chiral mode switching, and
 an adiabaticity monitor.
 
 Loops are closed curves (k1(t), k2(t)); the state is propagated with
-midpoint-sampled time-ordered products. The total phase is accumulated
-incrementally as i * sum(log of per-step overlap ratios), which keeps
-the complex logarithm on a continuous branch over arbitrarily long
-loops; the dynamical phase is the quadrature of the continuity-tracked
-instantaneous eigenvalue, and the geometric phase is their difference.
+midpoint-sampled time-ordered products by one chunked engine,
+`_propagate`. It walks the time grid in slices of at most CHUNK_STEPS
+steps, builds each slice's step propagators in one batch and carries the
+state vector from one slice to the next, so the working set is bounded
+by the slice length (a few tens of MB) whatever the loop duration; only
+the time grid itself, 8 bytes a step, grows with it. The total
+phase is accumulated incrementally as i * sum(log of per-step overlap
+ratios), which keeps the complex logarithm on a continuous branch over
+arbitrarily long loops; the dynamical phase is the quadrature of the
+instantaneous eigenvalue at the step midpoints, taken in closed form from
+the characteristic cubic, and the geometric phase is their difference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, discriminant, spectrum
+from .cubic import solve_real_cubics
+from .model import ModelParams, char_poly, discriminant, spectrum, sweep_tracked_spectra
 from .numerics import (
     NumericsError,
     ordered_product,
@@ -35,6 +43,11 @@ __all__ = [
 
 # slow-passage duration (model time) reproducing the adiabatic switching
 DEFAULT_SWITCH_TIME = 5.0e4
+
+# steps per slice of the propagation engine: long enough to amortize the
+# per-call cost of the batched kernels, short enough that a slice's
+# propagators and their temporaries stay at a few tens of MB
+CHUNK_STEPS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -136,10 +149,49 @@ def _start_eigenstate(loop: LoopSpec, eigenindex: int) -> tuple[np.ndarray, np.n
     return psi / np.linalg.norm(psi), sp.eigenvalues
 
 
-def _sorted_real_eigenvalues(h_batch: np.ndarray) -> np.ndarray:
-    """Descending-sorted real parts; valid on all-real-spectrum paths."""
-    vals = np.linalg.eigvals(h_batch)
-    return -np.sort(-vals.real, axis=1)
+def _time_grid(loop: LoopSpec, dt: float) -> np.ndarray:
+    """Uniform grid over [0, T] with steps of about dt (at least 8)."""
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    n = max(int(round(loop.T / dt)), 8)
+    return np.linspace(0.0, loop.T, n + 1)
+
+
+class _Slice(NamedTuple):
+    start: int  # grid index of times[0]
+    times: np.ndarray  # grid nodes of the slice, both ends included
+    k1: np.ndarray  # loop parameters at the step midpoints
+    k2: np.ndarray
+    states: np.ndarray  # state at each node of `times`, or at the last only
+
+
+def _propagate(loop: LoopSpec, psi0: np.ndarray, times: np.ndarray, *, trajectory: bool = True):
+    """Propagate psi0 around `loop` on `times`, one slice at a time.
+
+    Yields a _Slice per CHUNK_STEPS steps; the state at the end of one
+    slice starts the next. With trajectory=False each slice is reduced by
+    `ordered_product` and carries only its end state.
+    """
+    psi = psi0
+    for lo in range(0, times.size - 1, CHUNK_STEPS):
+        t = times[lo : lo + CHUNK_STEPS + 1]
+        k1, k2 = loop.params((t[:-1] + t[1:]) / 2.0)
+        props = step_propagators(_hamiltonian_batch(k1, k2), np.diff(t))
+        if trajectory:
+            states = prefix_states(props, psi)
+        else:
+            states = (ordered_product(props) @ psi)[np.newaxis]
+        psi = states[-1]
+        yield _Slice(lo, t, k1, k2, states)
+
+
+def _require_real_spectrum(k1, k2) -> None:
+    disc = discriminant(k1, k2)
+    if disc.min() < 0.0:
+        raise NumericsError(
+            f"loop spectrum is not all-real: discriminant reaches "
+            f"{disc.min():.3e} on the path"
+        )
 
 
 def geometric_phase(
@@ -155,32 +207,24 @@ def geometric_phase(
     adiabatic transport; excessive leakage out of the tracked eigenstate
     raises with the advice to slow the loop down.
     """
-    n = max(int(round(loop.T / dt)), 8)
-    times = np.linspace(0.0, loop.T, n + 1)
-    k1n, k2n = loop.params(times)
-    disc = discriminant(k1n, k2n)
-    if disc.min() < 0.0:
-        raise NumericsError(
-            f"loop spectrum is not all-real: discriminant reaches "
-            f"{disc.min():.3e} on the path"
-        )
+    times = _time_grid(loop, dt)
     psi0, _ = _start_eigenstate(loop, eigenindex)
-    mids = (times[:-1] + times[1:]) / 2.0
-    k1m, k2m = loop.params(mids)
-    h_mid = _hamiltonian_batch(k1m, k2m)
-    props = step_propagators(h_mid, np.diff(times))
-    states = prefix_states(props, psi0)
-
-    overlaps = states @ psi0.conj()
-    if np.abs(overlaps).min() < 1e-12:
-        raise NumericsError("state lost all overlap with the initial eigenstate")
-    total = 1j * np.sum(np.log(overlaps[1:] / overlaps[:-1]))
-
-    e_mid = _sorted_real_eigenvalues(h_mid)[:, eigenindex - 1]
-    dynamical = complex(np.sum(e_mid * np.diff(times)))
+    total = dynamical = 0.0
+    for piece in _propagate(loop, psi0, times):
+        # nodes and midpoints: the eigenvalues are taken at the midpoints
+        _require_real_spectrum(*loop.params(piece.times))
+        _require_real_spectrum(piece.k1, piece.k2)
+        overlaps = piece.states @ psi0.conj()
+        if np.abs(overlaps).min() < 1e-12:
+            raise NumericsError("state lost all overlap with the initial eigenstate")
+        total += np.sum(np.log(overlaps[1:] / overlaps[:-1]))
+        cp = char_poly(ModelParams(piece.k1, piece.k2))
+        e_mid = solve_real_cubics(cp.f3, cp.f2, cp.f1, cp.f0)[:, eigenindex - 1]
+        dynamical += np.sum(e_mid * np.diff(piece.times))
+    total, dynamical = complex(1j * total), complex(dynamical)
 
     # leakage check against the (identical) start-point eigenbasis at t=T
-    final = states[-1] / np.linalg.norm(states[-1])
+    final = piece.states[-1] / np.linalg.norm(piece.states[-1])
     leak = 1.0 - abs(np.vdot(psi0, final))
     if leak > leakage_tol:
         raise NumericsError(
@@ -188,9 +232,9 @@ def geometric_phase(
             "increase the loop duration T"
         )
     return PhaseReport(
-        total=complex(total),
+        total=total,
         dynamical=dynamical,
-        geometric=complex(total) - dynamical,
+        geometric=total - dynamical,
         eigenindex=eigenindex,
     )
 
@@ -201,7 +245,6 @@ def mode_switch(
     direction: str | None = None,
     *,
     dt: float = 0.1,
-    chunk: int = 100_000,
 ) -> SwitchReport:
     """Propagate a start eigenstate around a slow loop through the
     conical point and report which eigenstate it lands on.
@@ -216,18 +259,10 @@ def mode_switch(
             kind=loop.kind, center=loop.center, R=loop.R, T=loop.T,
             direction=direction, k1_of=loop.k1_of, k2_of=loop.k2_of,
         )
+    times = _time_grid(loop, dt)
     psi0, _ = _start_eigenstate(loop, start_index)
-    n = max(int(round(loop.T / dt)), 8)
-    times = np.linspace(0.0, loop.T, n + 1)
-    psi = psi0.copy()
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        mids = (times[lo:hi] + times[lo + 1 : hi + 1]) / 2.0
-        k1m, k2m = loop.params(mids)
-        props = step_propagators(
-            _hamiltonian_batch(k1m, k2m), np.diff(times[lo : hi + 1])
-        )
-        psi = ordered_product(props) @ psi
+    for piece in _propagate(loop, psi0, times, trajectory=False):
+        psi = piece.states[-1]
     efficiency = float(np.linalg.norm(psi) ** 2)  # psi0 is normalized
     psi_hat = psi / np.linalg.norm(psi)
 
@@ -260,28 +295,24 @@ def adiabaticity_check(
     Returns max over checkpoint times of 1 - |<phi_i(t)|psi(t)/||psi||>|
     with the eigenbasis continuity-tracked along the loop.
     """
-    n = max(int(round(loop.T / dt)), 8)
-    times = np.linspace(0.0, loop.T, n + 1)
+    times = _time_grid(loop, dt)
     psi0, _ = _start_eigenstate(loop, eigenindex)
-    mids = (times[:-1] + times[1:]) / 2.0
-    k1m, k2m = loop.params(mids)
-    props = step_propagators(_hamiltonian_batch(k1m, k2m), np.diff(times))
-    states = prefix_states(props, psi0)
+    idx = np.unique(np.linspace(0, times.size - 1, checkpoints + 1).round().astype(int))
+    states = np.empty((idx.size, psi0.size), dtype=complex)
+    for piece in _propagate(loop, psi0, times):
+        rel = idx - piece.start
+        inside = (rel >= 0) & (rel < piece.states.shape[0])
+        states[inside] = piece.states[rel[inside]]
 
-    idx = np.unique(np.linspace(0, n, checkpoints + 1).round().astype(int))
     k1c, k2c = loop.params(times[idx])
     path = [
         ModelParams(float(a), float(b))
         for a, b in zip(np.atleast_1d(k1c), np.atleast_1d(k2c))
     ]
-    tracked = None
-    from .model import sweep_tracked_spectra
-
-    tracked = sweep_tracked_spectra(path)
     worst = 0.0
-    for pos, sp in zip(idx, tracked):
+    for state, sp in zip(states, sweep_tracked_spectra(path)):
         v = sp.right_vectors[:, eigenindex - 1]
         v = v / np.linalg.norm(v)
-        s = states[pos] / np.linalg.norm(states[pos])
+        s = state / np.linalg.norm(state)
         worst = max(worst, 1.0 - abs(np.vdot(v, s)))
     return worst

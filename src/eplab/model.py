@@ -123,7 +123,10 @@ def build_tb_block(p: ModelParams) -> np.ndarray:
 
 
 def char_poly(p: ModelParams) -> CharPoly:
-    """P(E) = det[H - E] for the nearest 3x3 model, plus its discriminant."""
+    """P(E) = det[H - E] for the nearest 3x3 model, plus its discriminant.
+
+    Elementwise when p.k1 and p.k2 are arrays (as for `discriminant`).
+    """
     if p.variant != "nearest":
         raise ValueError("characteristic cubic is specific to variant='nearest'")
     f3, f2 = -1.0, 6.0

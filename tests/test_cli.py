@@ -134,3 +134,12 @@ def test_domain_error_exit_code(capsys):
     )
     assert code == EXIT_DOMAIN
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["geophase", "modeswitch"])
+@pytest.mark.parametrize("dt", ["0", "-1", "nan"])
+def test_bad_dt_is_a_domain_error(capsys, command, dt):
+    code, out, err = run(capsys, command, "--duration", "50", "--dt", dt)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: dt must be finite and positive")

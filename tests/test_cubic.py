@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from eplab.cubic import cubic_discriminant, solve_cubic
+from eplab.cubic import cubic_discriminant, solve_cubic, solve_real_cubics
+from eplab.experiments import LoopSpec
+from eplab.model import ModelParams, build_hamiltonian, char_poly
 
 
 def _sorted(roots):
@@ -70,8 +72,28 @@ def test_matches_numpy_roots(b, c, d, a):
 
 
 @given(st.floats(-3, 3), st.floats(-3, 3))
+@example(5e-324, 5e-324)
 @settings(max_examples=100, deadline=None)
 def test_residuals_vanish(p, q):
     roots = solve_cubic(1.0, 0.0, p, q)
     for r in roots:
         assert abs(r**3 + p * r + q) < 1e-8 * max(abs(r) ** 3, 1.0)
+
+
+def test_tiny_coefficients_scale_out():
+    got = _sorted(solve_cubic(1e-200, 0.0, -1e-200, 0.0))
+    assert np.allclose(got, [-1.0, 0.0, 1.0], atol=1e-15)
+
+
+def test_real_cubics_batch_matches_eigvals_on_loop():
+    # the criterion-9 loop around the conical point, at step midpoints
+    loop = LoopSpec(T=5000.0)
+    k1, k2 = loop.params(np.linspace(0.0, loop.T, 4001)[:-1] + loop.T / 8000.0)
+    cp = char_poly(ModelParams(k1, k2))
+    got = solve_real_cubics(cp.f3, cp.f2, cp.f1, cp.f0)
+    for a, b, row in zip(k1, k2, got):
+        ref = np.linalg.eigvals(build_hamiltonian(ModelParams(float(a), float(b))))
+        assert np.abs(row - np.sort(ref.real)[::-1]).max() < 1e-12
+        assert np.abs(ref.imag).max() < 1e-12
+    with pytest.raises(ValueError, match="complex roots"):
+        solve_real_cubics(1.0, 0.0, 1.0, 1.0)

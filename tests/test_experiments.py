@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eplab import experiments
 from eplab.experiments import (
     LoopSpec,
     PhaseReport,
@@ -112,3 +113,32 @@ def test_adiabaticity_scaling_with_duration():
     fast = adiabaticity_check(LoopSpec(T=20.0, **kwargs), 1, dt=0.01)
     assert slow < 1e-3
     assert fast > 10.0 * slow
+
+
+def test_bad_dt_rejected():
+    loop = LoopSpec(center=(0.3, 0.4), R=0.1, T=50.0)
+    for run in (geometric_phase, mode_switch, adiabaticity_check):
+        for dt in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt must be finite and positive"):
+                run(loop, 1, dt=dt)
+
+
+def test_slices_carry_the_state(monkeypatch):
+    # one slice (2000 steps) against many short ones with a remainder
+    loop = LoopSpec(center=(0.3, 0.4), R=0.1, T=50.0)
+    whole = (
+        geometric_phase(loop, 2),
+        mode_switch(loop, 2),
+        adiabaticity_check(loop, 2, checkpoints=50),
+    )
+    monkeypatch.setattr(experiments, "CHUNK_STEPS", 37)
+    sliced = (
+        geometric_phase(loop, 2),
+        mode_switch(loop, 2),
+        adiabaticity_check(loop, 2, checkpoints=50),
+    )
+    assert abs(sliced[0].total - whole[0].total) < 1e-11
+    assert abs(sliced[0].dynamical - whole[0].dynamical) < 1e-11
+    assert sliced[1].efficiency == pytest.approx(whole[1].efficiency, abs=1e-12)
+    assert np.allclose(sliced[1].overlaps, whole[1].overlaps, atol=1e-12)
+    assert sliced[2] == pytest.approx(whole[2], abs=1e-12)

@@ -74,25 +74,40 @@ def test_propagate_const_overflow_guard():
         propagate_const(1j * 1e4 * np.eye(2), np.array([1.0, 0.0]), 1.0)
 
 
+# batch sizes: trivial, a square, non-squares, and a remainder block
+SCAN_SIZES = [(n_steps, dim) for n_steps in (1, 2, 3, 13, 256, 257, 1000) for dim in (2, 3, 6)]
+
+
+def _unitary_steps(rng, n_steps, dim):
+    def herm():
+        a = _random_complex(rng, dim)
+        return a + a.conj().T
+
+    return np.stack([scipy_expm(-0.05j * herm()) for _ in range(n_steps)])
+
+
 def test_ordered_product_matches_loop():
     rng = np.random.default_rng(2)
-    props = np.stack([scipy_expm(-0.05j * _random_complex(rng, 3)) for _ in range(17)])
-    ref = np.eye(3, dtype=complex)
-    for u in props:
-        ref = u @ ref
-    assert np.allclose(ordered_product(props), ref, atol=1e-12)
+    for n_steps, dim in SCAN_SIZES:
+        props = _unitary_steps(rng, n_steps, dim)
+        ref = np.eye(dim, dtype=complex)
+        for u in props:
+            ref = u @ ref
+        assert np.abs(ordered_product(props) - ref).max() < 1e-12, (n_steps, dim)
 
 
 def test_prefix_states_matches_loop():
     rng = np.random.default_rng(3)
-    props = np.stack([scipy_expm(-0.05j * _random_complex(rng, 3)) for _ in range(13)])
-    psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    states = prefix_states(props, psi0)
-    ref = psi0.copy()
-    assert np.allclose(states[0], psi0)
-    for k, u in enumerate(props):
-        ref = u @ ref
-        assert np.allclose(states[k + 1], ref, atol=1e-12)
+    for n_steps, dim in SCAN_SIZES:
+        props = _unitary_steps(rng, n_steps, dim)
+        psi0 = _random_complex(rng, dim)[:, 0]
+        states = prefix_states(props, psi0)
+        ref = [psi0]
+        for u in props:
+            ref.append(u @ ref[-1])
+        assert states.shape == (n_steps + 1, dim)
+        assert np.abs(states - np.array(ref)).max() < 1e-12, (n_steps, dim)
+    assert np.array_equal(prefix_states(np.zeros((0, 3, 3)), np.ones(3)), np.ones((1, 3)))
 
 
 def test_step_propagators_accuracy():
@@ -102,6 +117,20 @@ def test_step_propagators_accuracy():
     props = step_propagators(hs, dts)
     for h, u in zip(hs, props):
         assert np.allclose(u, scipy_expm(-0.01j * h), atol=1e-12)
+
+
+def test_step_propagators_across_scaling_regimes():
+    # theta = max inf-norm of dt*H over the batch: zero, either side of the
+    # 1/2 where scaling-and-squaring starts, and many squarings
+    rng = np.random.default_rng(5)
+    for theta in (0.0, 0.5 * (1 - 1e-9), 0.5 * (1 + 1e-9), 16.0):
+        hs = np.stack([_random_complex(rng, 3) for _ in range(4)])
+        hs = hs + np.conj(np.swapaxes(hs, -1, -2))
+        dts = np.full(4, theta / max(np.abs(hs).sum(axis=-1).max(), 1e-300))
+        props = step_propagators(hs, dts)
+        for h, dt, u in zip(hs, dts, props):
+            assert np.abs(u - scipy_expm(-1j * dt * h)).max() < 1e-14, theta
+    assert step_propagators(np.zeros((0, 3, 3)), np.zeros(0)).shape == (0, 3, 3)
 
 
 def test_propagate_ordered_constant_hamiltonian():
