@@ -286,8 +286,11 @@ def _cmd_tomography(args) -> int:
     )
 
     cfg = _effective_config(args, ("k1", "k2", "eigenindex", "shots", "seed"))
+    index = int(cfg["eigenindex"]) - 1
+    if index not in (0, 1, 2):
+        raise ValueError("eigenindex must be 1, 2 or 3")
     sp = spectrum(ModelParams(float(cfg["k1"]), float(cfg["k2"])))
-    psi = sp.right_vectors[:, int(cfg["eigenindex"]) - 1]
+    psi = sp.right_vectors[:, index]
     psi = psi / np.linalg.norm(psi)
     rng = np.random.default_rng(int(cfg["seed"]))
     records = [
@@ -298,8 +301,7 @@ def _cmd_tomography(args) -> int:
     doc = {
         "density": json.loads(density_to_json(rho)),
         "fidelity_vs_pure_theory": fidelity(rho, np.outer(psi, psi.conj())),
-        "eigenvalue": [float(sp.eigenvalues[int(cfg["eigenindex"]) - 1].real),
-                       float(sp.eigenvalues[int(cfg["eigenindex"]) - 1].imag)],
+        "eigenvalue": [float(sp.eigenvalues[index].real), float(sp.eigenvalues[index].imag)],
         "shots": int(cfg["shots"]),
     }
     _write(args.output, _header(cfg) + json.dumps(doc, indent=2, sort_keys=True) + "\n")

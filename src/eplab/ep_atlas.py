@@ -24,6 +24,7 @@ __all__ = [
     "trace_exceptional_line",
     "classify_ep",
     "overlap_scaling",
+    "locate_line_degeneracies",
 ]
 
 
@@ -66,12 +67,44 @@ def _grad_disc(k1: float, k2: float) -> np.ndarray:
     return np.array([d1, d2])
 
 
-def _hess_disc(k1: float, k2: float, h: float = 1e-5) -> np.ndarray:
-    g = _grad_disc
-    d11 = (g(k1 + h, k2)[0] - g(k1 - h, k2)[0]) / (2 * h)
-    d22 = (g(k1, k2 + h)[1] - g(k1, k2 - h)[1]) / (2 * h)
-    d12 = (g(k1, k2 + h)[0] - g(k1, k2 - h)[0]) / (2 * h)
+def _hess_disc(k1: float, k2: float) -> np.ndarray:
+    """Exact Hessian of `discriminant`, differentiated from `_grad_disc`."""
+    a, b = k1 * k1, k2 * k2
+    d11 = (
+        30 * 256.0 * a**2
+        - 12 * 768.0 * a
+        + 2 * 2928.0
+        - 12 * 384.0 * a * b
+        - 2 * 1824.0 * b
+        + 2 * 192.0 * b**2
+    )
+    d22 = (
+        -2 * 384.0 * a**2
+        - 2 * 1824.0 * a
+        + 12 * 192.0 * a * b
+        - 2 * 168.0
+        + 12 * 132.0 * b
+        - 30 * 32.0 * b**2
+    )
+    d12 = k1 * k2 * (-8 * 384.0 * a - 4 * 1824.0 + 8 * 192.0 * b)
     return np.array([[d11, d12], [d12, d22]])
+
+
+def _gradient_newton(x: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+    """Newton on grad(delta) = 0 from x: at most 50 steps, stopping after
+    a step shorter than tol. Converges to a critical point of the
+    discriminant, such as the conical degeneracy, where the zero is
+    isolated and plain Newton on delta stalls."""
+    x = np.array(x, dtype=float)
+    for _ in range(50):
+        try:
+            step = np.linalg.solve(_hess_disc(*x), _grad_disc(*x))
+        except np.linalg.LinAlgError:
+            break
+        x = x - step
+        if np.linalg.norm(step) < tol:
+            break
+    return x
 
 
 def scan_discriminant(
@@ -108,15 +141,8 @@ def refine_degeneracy(seed: tuple[float, float], tol: float = 1e-10) -> np.ndarr
         gn = float(np.dot(g, g))
         if gn < 1e-12:
             # singular point: drive the gradient itself to zero
-            hess = _hess_disc(*x)
-            try:
-                step = np.linalg.solve(hess, g)
-            except np.linalg.LinAlgError:
-                break
-            x = x - step
-            if np.linalg.norm(step) < 1e-14:
-                break
-            continue
+            x = _gradient_newton(x, tol=1e-14)
+            break
         if abs(d) < tol:
             return x
         x = x - d * g / gn
@@ -159,16 +185,7 @@ def locate_conical_points(
             patch = vals[i - 1 : i + 2, j - 1 : j + 2]
             if vals[i, j] != patch.min() or vals[i, j] > 50.0:
                 continue
-            x = np.array([k1[i], k2[j]])
-            for _ in range(50):
-                g = _grad_disc(*x)
-                try:
-                    step = np.linalg.solve(_hess_disc(*x), g)
-                except np.linalg.LinAlgError:
-                    break
-                x = x - step
-                if np.linalg.norm(step) < 1e-13:
-                    break
+            x = _gradient_newton(np.array([k1[i], k2[j]]))
             if abs(float(discriminant(*x))) > 1e-12:
                 continue
             sig = np.linalg.eigvalsh(_hess_disc(*x))
@@ -193,15 +210,7 @@ def trace_exceptional_line(
     g = _grad_disc(*x)
     # a gradient-Newton polish that stays nearby flags a singular point
     # (the conical degeneracy is an isolated zero, not a regular curve)
-    xs = x.copy()
-    for _ in range(50):
-        try:
-            delta = np.linalg.solve(_hess_disc(*xs), _grad_disc(*xs))
-        except np.linalg.LinAlgError:
-            break
-        xs = xs - delta
-        if np.linalg.norm(delta) < 1e-13:
-            break
+    xs = _gradient_newton(x)
     singular_nearby = (
         np.linalg.norm(xs - x) < 1e-3
         and abs(float(discriminant(*xs))) < 1e-12

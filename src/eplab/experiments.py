@@ -24,7 +24,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .cubic import solve_real_cubics
-from .model import ModelParams, char_poly, discriminant, spectrum, sweep_tracked_spectra
+from .model import (
+    ModelParams,
+    build_hamiltonian,
+    char_poly,
+    discriminant,
+    spectrum,
+    sweep_tracked_spectra,
+)
 from .numerics import (
     NumericsError,
     ordered_product,
@@ -74,6 +81,8 @@ class LoopSpec:
             raise ValueError(f"unknown loop kind {self.kind!r}")
         if self.direction not in ("ccw", "cw"):
             raise ValueError("direction must be 'ccw' or 'cw'")
+        if not np.all(np.isfinite([self.T, self.R, *self.center])):
+            raise ValueError("loop duration, radius and center must be finite")
         if self.R < 0:
             raise ValueError("loop radius must be nonnegative")
         if self.T <= 0:
@@ -125,21 +134,6 @@ class SwitchReport:
     overlaps: tuple = ()  # against all three final eigenstates
 
 
-def _hamiltonian_batch(k1, k2) -> np.ndarray:
-    """Vectorized 3x3 Hamiltonians for parameter arrays."""
-    k1 = np.atleast_1d(np.asarray(k1, dtype=float))
-    k2 = np.atleast_1d(np.asarray(k2, dtype=float))
-    n = k1.size
-    h = np.zeros((n, 3, 3), dtype=complex)
-    h[:, 0, 0] = 3.0 + 2.0 * k1
-    h[:, 2, 2] = 3.0 - 2.0 * k1
-    h[:, 0, 1] = 1.0 - k2
-    h[:, 1, 2] = 1.0 - k2
-    h[:, 1, 0] = 1.0 + k2
-    h[:, 2, 1] = 1.0 + k2
-    return h
-
-
 def _start_eigenstate(loop: LoopSpec, eigenindex: int) -> tuple[np.ndarray, np.ndarray]:
     if eigenindex not in (1, 2, 3):
         raise ValueError("eigenindex must be 1, 2 or 3")
@@ -176,7 +170,7 @@ def _propagate(loop: LoopSpec, psi0: np.ndarray, times: np.ndarray, *, trajector
     for lo in range(0, times.size - 1, CHUNK_STEPS):
         t = times[lo : lo + CHUNK_STEPS + 1]
         k1, k2 = loop.params((t[:-1] + t[1:]) / 2.0)
-        props = step_propagators(_hamiltonian_batch(k1, k2), np.diff(t))
+        props = step_propagators(build_hamiltonian(ModelParams(k1, k2)), np.diff(t))
         if trajectory:
             states = prefix_states(props, psi)
         else:

@@ -91,17 +91,19 @@ class ConeDirection:
 
 
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
-    """3x3 nearest-truncation Hamiltonian (real, non-symmetric for k2 != 0)."""
+    """3x3 nearest-truncation Hamiltonian (real, non-symmetric for k2 != 0).
+
+    Broadcasts: shape (..., 3, 3) when p.k1 and p.k2 are arrays.
+    """
     if p.variant != "nearest":
         raise ValueError("closed-form 3x3 Hamiltonian exists for variant='nearest'")
     k1, k2 = p.k1, p.k2
-    return np.array(
-        [
-            [3.0 + 2.0 * k1, 1.0 - k2, 0.0],
-            [1.0 + k2, 0.0, 1.0 - k2],
-            [0.0, 1.0 + k2, 3.0 - 2.0 * k1],
-        ]
-    )
+    h = np.zeros((*np.broadcast(k1, k2).shape, 3, 3))
+    h[..., 0, 0] = 3.0 + 2.0 * k1
+    h[..., 2, 2] = 3.0 - 2.0 * k1
+    h[..., 0, 1] = h[..., 1, 2] = 1.0 - k2
+    h[..., 1, 0] = h[..., 2, 1] = 1.0 + k2
+    return h
 
 
 def build_tb_block(p: ModelParams) -> np.ndarray:
@@ -201,6 +203,19 @@ def cone_expansion(c: ConeDirection) -> tuple[float, float]:
     return (2.0 * (-s + root) / 3.0, 2.0 * (-s - root) / 3.0)
 
 
+def _eigenvector_polynomial(e, k1, k2) -> np.ndarray:
+    """Unnormalized right eigenvector of the 3x3 model for eigenvalue e,
+    a polynomial in (e, k1, k2); complex arguments are allowed."""
+    return np.array(
+        [
+            e * (e + 2.0 * k1 - 3.0) + k2**2 - 1.0,
+            (e + 2.0 * k1 - 3.0) * (1.0 + k2),
+            (1.0 + k2) ** 2,
+        ],
+        dtype=complex,
+    )
+
+
 def analytic_eigenstate(p: ModelParams, e: complex) -> np.ndarray:
     """Closed-form normalized eigenstate of the 3x3 model for eigenvalue e.
 
@@ -209,20 +224,12 @@ def analytic_eigenstate(p: ModelParams, e: complex) -> np.ndarray:
          (e + 2 k1 - 3) (1 + k2),
          (1 + k2)^2).
     """
-    k1, k2 = p.k1, p.k2
-    if abs(1.0 + k2) < 1e-12:
+    if abs(1.0 + p.k2) < 1e-12:
         raise ValueError(
             "closed-form eigenstate vanishes at k2 = -1; use numeric eigenvectors"
         )
     h = build_hamiltonian(p)
-    v = np.array(
-        [
-            e * (e + 2.0 * k1 - 3.0) + k2**2 - 1.0,
-            (e + 2.0 * k1 - 3.0) * (1.0 + k2),
-            (1.0 + k2) ** 2,
-        ],
-        dtype=complex,
-    )
+    v = _eigenvector_polynomial(e, p.k1, p.k2)
     v = v / np.linalg.norm(v)
     resid = np.linalg.norm(h @ v - e * v)
     if resid > 1e-8 * max(np.linalg.norm(h, 2), 1.0):

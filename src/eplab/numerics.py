@@ -5,6 +5,10 @@ eigendecomposition with a deterministic ordering, the principal PSD
 square root, matrix-exponential propagation and midpoint-sampled
 time-ordered evolution on a grid.
 
+There is one matrix exponential, `_expm_taylor`: scaling-and-squaring
+on a truncated Taylor series over a stack of matrices. `expm` is that
+kernel on a batch of one, and `step_propagators` runs it on a stack.
+
 The batched kernels take a stack of N step matrices, shape (N, n, n).
 `step_propagators` exponentiates the stack with one scaling and one Taylor
 degree chosen from its largest norm; `prefix_states` runs a two-level
@@ -35,10 +39,6 @@ __all__ = [
     "prefix_states",
     "propagate_ordered",
 ]
-
-# eigendecomposition route is trusted while cond(V) stays below this
-EIG_COND_LIMIT = 1e8
-
 
 class NumericsError(RuntimeError):
     """Raised when a kernel cannot certify its numerical contract."""
@@ -126,31 +126,12 @@ def psd_sqrt(m: np.ndarray, *, eig_floor: float = -1e-10) -> np.ndarray:
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """exp(m) for a small dense matrix.
+    """exp(m) for a small dense matrix: `_expm_taylor` on a batch of one.
 
-    Uses the eigendecomposition when the eigenvector matrix is well
-    conditioned, otherwise falls back to scaling-and-squaring on a
-    truncated Taylor series (which also covers defective matrices).
+    Scaling-and-squaring on a truncated Taylor series, which needs no
+    eigenvectors and so also covers defective matrices (at an EP).
     """
-    m = np.asarray(m, dtype=complex)
-    try:
-        vals, vecs = np.linalg.eig(m)
-        cond = np.linalg.cond(vecs)
-        if cond < EIG_COND_LIMIT:
-            cand = (vecs * np.exp(vals)) @ np.linalg.inv(vecs)
-            # residual check decides the fallback, not a defectiveness oracle
-            if _expm_residual_ok(m, cand):
-                return cand
-    except np.linalg.LinAlgError:
-        pass
-    return _expm_taylor(m[np.newaxis])[0]
-
-
-def _expm_residual_ok(m: np.ndarray, em: np.ndarray) -> bool:
-    """Check exp(m) against a short-step Taylor reference multiplicatively."""
-    ref = _expm_taylor(m[np.newaxis])[0]
-    scale = max(np.abs(ref).max(), 1.0)
-    return bool(np.abs(em - ref).max() <= 1e-11 * scale)
+    return _expm_taylor(np.asarray(m, dtype=complex)[np.newaxis])[0]
 
 
 # highest tabulated Taylor degree; after scaling to norm <= 1/2 the chosen

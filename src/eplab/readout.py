@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import ModelParams, build_hamiltonian
+from .model import ModelParams, _eigenvector_polynomial, build_hamiltonian
 from .numerics import NumericsError, expm, psd_sqrt
 
 __all__ = [
@@ -241,18 +241,6 @@ def _vieta_k(e1: complex, e2: complex, e3: complex) -> tuple[complex, complex]:
     return k1, k2
 
 
-def _closed_form_state(e: complex, k1: complex, k2: complex) -> np.ndarray:
-    """Unnormalized eigenstate polynomial in (E, k1, k2)."""
-    return np.array(
-        [
-            e * (e + 2.0 * k1 - 3.0) + k2**2 - 1.0,
-            (e + 2.0 * k1 - 3.0) * (1.0 + k2),
-            (1.0 + k2) ** 2,
-        ],
-        dtype=complex,
-    )
-
-
 def ratios_from_energies(
     energies: np.ndarray, settings=DEFAULT_SETTINGS
 ) -> np.ndarray:
@@ -264,7 +252,7 @@ def ratios_from_energies(
     k1, k2 = _vieta_k(e1, e2, e3)
     out = np.empty(3)
     for i, (e, s) in enumerate(zip((e1, e2, e3), settings)):
-        v = setting_unitary(s) @ _closed_form_state(e, k1, k2)
+        v = setting_unitary(s) @ _eigenvector_polynomial(e, k1, k2)
         p3 = abs(v[2]) ** 2
         if p3 <= 1e-300:
             raise ValueError(f"setting {i + 1} puts no weight on level 3")
@@ -463,7 +451,6 @@ def mle_reconstruct(records) -> np.ndarray:
         return f, grad
 
     x0 = np.zeros(12)
-    x0[:3] = 0.0
     x0[[0, 3, 5]] = 1.0 / np.sqrt(3.0)
     res = minimize(
         nll_grad, x0, jac=True, method="L-BFGS-B",

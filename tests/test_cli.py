@@ -143,3 +143,20 @@ def test_bad_dt_is_a_domain_error(capsys, command, dt):
     assert code == EXIT_DOMAIN
     assert out == ""
     assert err.startswith("error: dt must be finite and positive")
+
+
+@pytest.mark.parametrize("command", ["geophase", "modeswitch"])
+@pytest.mark.parametrize("duration", ["inf", "nan"])
+def test_bad_duration_is_a_domain_error(capsys, command, duration):
+    code, out, err = run(capsys, command, "--duration", duration)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: loop duration, radius and center must be finite")
+
+
+@pytest.mark.parametrize("index", ["0", "4"])
+def test_tomography_eigenindex_out_of_range(capsys, index):
+    code, out, err = run(capsys, "tomography", "--eigenindex", index)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err == "error: eigenindex must be 1, 2 or 3\n"

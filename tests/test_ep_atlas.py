@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eplab.ep_atlas import (
+    _hess_disc,
     classify_ep,
     locate_conical_points,
     locate_line_degeneracies,
@@ -31,6 +32,11 @@ def test_conical_points_found_exactly():
     assert len(pts) == 2
     assert np.hypot(pts[0][0], pts[0][1] + 1.0) < 1e-8
     assert np.hypot(pts[1][0], pts[1][1] - 1.0) < 1e-8
+
+
+def test_hessian_exact_at_conical_points():
+    for k2 in (1.0, -1.0):
+        assert np.array_equal(_hess_disc(0.0, k2), [[2592.0, 0.0], [0.0, 288.0]])
 
 
 def test_classify_conical_point():

@@ -25,6 +25,18 @@ def test_hamiltonian_entries():
     assert np.allclose(h, want)
 
 
+def test_batched_hamiltonian_matches_scalar_builds():
+    k1 = np.linspace(-1.0, 1.0, 7)
+    k2 = np.linspace(0.5, 1.5, 7)
+    batch = build_hamiltonian(ModelParams(k1, k2))
+    assert batch.shape == (7, 3, 3)
+    want = np.stack([build_hamiltonian(ModelParams(a, b)) for a, b in zip(k1, k2)])
+    assert np.array_equal(batch, want)
+    grid = build_hamiltonian(ModelParams(k1[:, None], k2[None, :3]))
+    assert grid.shape == (7, 3, 3, 3)
+    assert np.array_equal(grid[4, 2], build_hamiltonian(ModelParams(k1[4], k2[2])))
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(0.0, 0.0, variant="bogus")

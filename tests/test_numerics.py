@@ -57,9 +57,10 @@ def test_psd_sqrt_metric_violation():
 
 def test_expm_matches_scipy():
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        m = _random_complex(rng, 3)
-        assert np.allclose(expm(m), scipy_expm(m), atol=1e-10)
+    for n in (3, 2, 6):
+        for _ in range(10):
+            m = _random_complex(rng, n)
+            assert np.allclose(expm(m), scipy_expm(m), atol=1e-10)
 
 
 def test_expm_defective_matrix():
