@@ -3,13 +3,14 @@
 The non-unitary evolution generated by H is embedded into a unitary one
 on system (x) ancilla via the metric M(t) and the operator eta(t):
 
-    M(t)   = exp(-i H^dag t) M(0) exp(i H t)
+    M(t)   = exp(-i H^dag t) M(0) exp(i H t) = m0 E^dag E,  E = exp(i H t)
     eta(t) = [M(t) - I]^(1/2)          (gauge U(t) = I)
 
 The joint Hamiltonian is block-diagonal in the ancilla basis,
 Htot = Gamma (x) |1><1| + Lambda (x) |0><0|, with Gamma and Lambda built
 from H, eta and d(eta)/dt. Hermiticity of both blocks is the correctness
-certificate of the construction and is checked on every frame.
+certificate of the construction and is checked on every frame. Frames
+broadcast over t: an array of times gives stacks (*t.shape, n, n).
 
 Ancilla convention (used consistently by preparation, post-selection and
 pulse synthesis): levels 1-3 carry ancilla |1>, levels 4-6 carry |0>,
@@ -25,10 +26,10 @@ import numpy as np
 from .numerics import (
     NumericsError,
     Trajectory,
+    _dag,
     expm,
+    propagate_ordered,
     psd_sqrt,
-    step_propagators,
-    prefix_states,
 )
 
 __all__ = [
@@ -56,7 +57,7 @@ POSITIVITY_MARGIN = 1e-8
 
 @dataclass(frozen=True)
 class DilationFrame:
-    t: float
+    t: float | np.ndarray
     M: np.ndarray
     eta: np.ndarray
     Gamma: np.ndarray
@@ -71,25 +72,33 @@ class JointState:
     eta0: float
 
 
-def metric_M(h: np.ndarray, t: float, m0_scale: float = DEFAULT_M0_SCALE) -> np.ndarray:
-    """M(t) = exp(-i H^dag t) M(0) exp(i H t) with M(0) = m0_scale * I."""
-    if m0_scale <= 1.0:
-        raise ValueError("m0_scale must exceed 1 so that M(0) - I is positive")
-    h = np.asarray(h, dtype=complex)
-    left = expm(-1j * t * h.conj().T)
-    right = expm(1j * t * h)
-    m = m0_scale * (left @ right)
-    return (m + m.conj().T) / 2.0
+def metric_M(h: np.ndarray, t: float | np.ndarray, m0_scale: float = DEFAULT_M0_SCALE) -> np.ndarray:
+    """M(t) = m0_scale E^dag E with E = exp(i H t), since exp(-i H^dag t) = E^dag."""
+    _check_m0_scale(m0_scale)
+    e = expm(1j * np.asarray(t, dtype=float)[..., None, None] * np.asarray(h, dtype=complex))
+    m = m0_scale * (_dag(e) @ e)
+    return (m + _dag(m)) / 2.0
+
+
+def _check_m0_scale(m0_scale: float) -> None:
+    if not 1.0 < m0_scale < np.inf:
+        raise ValueError("m0_scale must be finite and exceed 1 so that M(0) - I is positive")
+
+
+def _window_lost(m: np.ndarray) -> np.ndarray:
+    """Per frame: whether M - I has an eigenvalue below -POSITIVITY_MARGIN."""
+    shifted = m - np.eye(m.shape[-1])
+    return np.linalg.eigvalsh((shifted + _dag(shifted)) / 2).min(axis=-1) < -POSITIVITY_MARGIN
 
 
 def eta_of_t(m: np.ndarray) -> np.ndarray:
-    """eta = principal square root of M - I (gauge U = I)."""
-    shifted = np.asarray(m, dtype=complex) - np.eye(m.shape[0])
-    if np.linalg.eigvalsh((shifted + shifted.conj().T) / 2).min() < -POSITIVITY_MARGIN:
+    """eta = principal square root of M - I (gauge U = I), frame by frame."""
+    m = np.asarray(m, dtype=complex)
+    if _window_lost(m).any():
         raise NumericsError(
             "dilation window exceeded: M - I lost positivity"
         )
-    return psd_sqrt(shifted)
+    return psd_sqrt(m - np.eye(m.shape[-1]))
 
 
 def eta_rate(h: np.ndarray, m: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -99,15 +108,16 @@ def eta_rate(h: np.ndarray, m: np.ndarray, eta: np.ndarray) -> np.ndarray:
     equation is solved exactly in the eigenbasis of eta.
     """
     h = np.asarray(h, dtype=complex)
-    dm = 1j * (m @ h - h.conj().T @ m)
+    dm = 1j * (m @ h - _dag(h) @ m)
     vals, vecs = np.linalg.eigh(eta)
-    if vals.min() < 1e-12:
+    bad = np.flatnonzero(vals.min(axis=-1) < 1e-12)
+    if bad.size:
         raise NumericsError(
-            "eta has a near-zero eigenvalue; Sylvester solve ill-posed"
+            f"eta has a near-zero eigenvalue in frame {bad[0]}; Sylvester solve ill-posed"
         )
-    rhs = vecs.conj().T @ dm @ vecs
-    x = rhs / (vals[:, None] + vals[None, :])
-    return vecs @ x @ vecs.conj().T
+    rhs = _dag(vecs) @ dm @ vecs
+    x = rhs / (vals[..., :, None] + vals[..., None, :])
+    return vecs @ x @ _dag(vecs)
 
 
 def gamma_lambda(
@@ -118,47 +128,52 @@ def gamma_lambda(
     Gamma = Lhat + Ghat, Lambda = Lhat - Ghat with
       Lhat = {H + [i deta + eta H] eta} M^-1
       Ghat = i [H eta - eta H - i deta] M^-1
-    Hermiticity within 1e-9 is enforced; it fails only if the inputs are
-    inconsistent.
+    Hermiticity within 1e-9 is enforced frame by frame; it fails only if
+    the inputs are inconsistent.
     """
     h = np.asarray(h, dtype=complex)
     minv = np.linalg.inv(m)
     lhat = (h + (1j * deta + eta @ h) @ eta) @ minv
     ghat = 1j * (h @ eta - eta @ h - 1j * deta) @ minv
-    gamma = lhat + ghat
-    lam = lhat - ghat
-    scale = max(np.abs(gamma).max(), np.abs(lam).max(), 1.0)
-    defect = max(
-        np.abs(gamma - gamma.conj().T).max(), np.abs(lam - lam.conj().T).max()
-    )
-    if defect > 1e-9 * scale:
+    blocks = np.stack([lhat + ghat, lhat - ghat])  # Gamma, Lambda
+    scale = np.maximum(np.abs(blocks).max(axis=(0, -2, -1)), 1.0)
+    defect = np.abs(blocks - _dag(blocks)).max(axis=(0, -2, -1))
+    bad = np.flatnonzero(defect > 1e-9 * scale)
+    if bad.size:
         raise NumericsError(
-            f"dilation blocks lost Hermiticity (defect {defect:.3e})"
+            f"dilation blocks lost Hermiticity in frame {bad[0]} (defect {defect.flat[bad[0]]:.3e})"
         )
-    gamma = (gamma + gamma.conj().T) / 2.0
-    lam = (lam + lam.conj().T) / 2.0
+    gamma, lam = (blocks + _dag(blocks)) / 2.0
     return gamma, lam
 
 
 def assemble_htot(gamma: np.ndarray, lam: np.ndarray, s: float = 1.0) -> np.ndarray:
     """s * (Gamma (x) |1><1| + Lambda (x) |0><0|), levels 1-3 then 4-6."""
-    n = gamma.shape[0]
-    htot = np.zeros((2 * n, 2 * n), dtype=complex)
-    htot[:n, :n] = gamma
-    htot[n:, n:] = lam
+    n = gamma.shape[-1]
+    htot = np.zeros((*gamma.shape[:-2], 2 * n, 2 * n), dtype=complex)
+    htot[..., :n, :n] = gamma
+    htot[..., n:, n:] = lam
     return s * htot
 
 
 def build_frame(
     h: np.ndarray,
-    t: float,
+    t: float | np.ndarray,
     *,
     m0_scale: float = DEFAULT_M0_SCALE,
     s: float = 1.0,
 ) -> DilationFrame:
-    """All time-local dilation objects for a constant H at model time t."""
+    """All time-local dilation objects for a constant H at model time(s) t."""
     m = metric_M(h, t, m0_scale)
-    eta = eta_of_t(m)
+    try:
+        eta = eta_of_t(m)
+    except NumericsError as exc:
+        lost = np.flatnonzero(_window_lost(m))
+        if lost.size:
+            raise NumericsError(
+                f"dilation window exceeded at model time {np.ravel(t)[lost[0]]:.6g}: {exc}"
+            ) from exc
+        raise
     deta = eta_rate(h, m, eta)
     gamma, lam = gamma_lambda(h, m, eta, deta)
     return DilationFrame(
@@ -198,21 +213,22 @@ def prepare_initial(psi0: np.ndarray, eta0: float) -> JointState:
     return JointState(amplitudes=joint / np.linalg.norm(joint), eta0=eta0)
 
 
-def postselect(joint: np.ndarray) -> tuple[np.ndarray, float]:
-    """Project onto the |-> ancilla subspace.
+def postselect(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project each joint state of a stack onto the |-> ancilla subspace.
 
-    Returns the renormalized 3-level state and the success probability.
+    Returns the renormalized 3-level states and the success probabilities.
     """
     joint = np.asarray(joint, dtype=complex)
-    n = joint.size // 2
+    n = joint.shape[-1] // 2
     minus, _ = _ancilla_minus_plus()
     # <-|Psi> with Psi = block1 (x) |1> + block0 (x) |0>
-    proj = np.conj(minus[0]) * joint[:n] + np.conj(minus[1]) * joint[n:]
-    norm = np.linalg.norm(proj)
-    prob = float(norm**2 / max(np.linalg.norm(joint) ** 2, 1e-300))
-    if norm < 1e-300:
-        raise NumericsError("post-selection failed: no |-> component")
-    return proj / norm, prob
+    proj = np.conj(minus[0]) * joint[..., :n] + np.conj(minus[1]) * joint[..., n:]
+    norm = np.linalg.norm(proj, axis=-1)
+    bad = np.flatnonzero(norm < 1e-300)
+    if bad.size:
+        raise NumericsError(f"post-selection failed in frame {bad[0]}: no |-> component")
+    prob = norm**2 / np.maximum(np.linalg.norm(joint, axis=-1) ** 2, 1e-300)
+    return proj / norm[..., None], prob
 
 
 def dilated_evolve(
@@ -231,29 +247,17 @@ def dilated_evolve(
     post-selection probabilities). Positivity of M - I is checked at
     every frame; the earliest failing time is reported.
     """
+    if steps < 1 or not 0.0 < total_time < np.inf:
+        raise ValueError("dilation needs steps >= 1 and a finite, positive total time")
+    _check_m0_scale(m0_scale)
     h = np.asarray(h, dtype=complex)
     if eta0 is None:
         eta0 = float(np.sqrt(m0_scale - 1.0))
     times = np.linspace(0.0, total_time, steps + 1)
-    mids = (times[:-1] + times[1:]) / 2.0
-    htot_mid = np.empty((steps, 6, 6), dtype=complex)
-    for idx, tm in enumerate(mids):
-        try:
-            frame = build_frame(h, tm, m0_scale=m0_scale, s=1.0)
-        except NumericsError as exc:
-            raise NumericsError(
-                f"dilation window exceeded at model time {tm:.6g}: {exc}"
-            ) from exc
-        htot_mid[idx] = frame.Htot
-    props = step_propagators(htot_mid, np.diff(times))
-    joint0 = prepare_initial(psi0, eta0).amplitudes
-    joint_states = prefix_states(props, joint0)
-    post = np.empty((steps + 1, 3), dtype=complex)
-    probs = np.empty(steps + 1)
-    for idx in range(steps + 1):
-        post[idx], probs[idx] = postselect(joint_states[idx])
-    return (
-        Trajectory(times=times, states=joint_states),
-        Trajectory(times=times, states=post),
-        probs,
+    joint = propagate_ordered(
+        lambda t: build_frame(h, t, m0_scale=m0_scale).Htot,
+        prepare_initial(psi0, eta0).amplitudes,
+        times,
     )
+    post, probs = postselect(joint.states)
+    return joint, Trajectory(times=times, states=post), probs

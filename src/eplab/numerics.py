@@ -6,8 +6,9 @@ square root, matrix-exponential propagation and midpoint-sampled
 time-ordered evolution on a grid.
 
 There is one matrix exponential, `_expm_taylor`: scaling-and-squaring
-on a truncated Taylor series over a stack of matrices. `expm` is that
-kernel on a batch of one, and `step_propagators` runs it on a stack.
+on a truncated Taylor series over a stack of matrices. `expm` and
+`psd_sqrt` take any stack (..., n, n), and `step_propagators` runs the
+kernel on a stack of steps. `propagate_ordered` serves `dilated_evolve`.
 
 The batched kernels take a stack of N step matrices, shape (N, n, n).
 `step_propagators` exponentiates the stack with one scaling and one Taylor
@@ -106,32 +107,47 @@ def eig(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=vals, right_vectors=vecs)
 
 
+def _dag(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack (..., n, n)."""
+    return np.swapaxes(m, -1, -2).conj()
+
+
 def psd_sqrt(m: np.ndarray, *, eig_floor: float = -1e-10) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
+    """Principal square root of each Hermitian PSD matrix in a stack.
 
     Eigenvalues in [eig_floor, 0) are clamped to zero; anything below
-    eig_floor signals a metric violation and raises.
+    eig_floor signals a metric violation and raises. Each matrix is held
+    to its own scale; an error names the earliest failing one.
     """
     m = np.asarray(m, dtype=complex)
-    herm_defect = np.abs(m - m.conj().T).max()
-    if herm_defect > 1e-9 * max(np.abs(m).max(), 1.0):
-        raise NumericsError(f"psd_sqrt input not Hermitian (defect {herm_defect:.3e})")
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if vals.min() < eig_floor * max(abs(vals.max()), 1.0):
+    defect = np.abs(m - _dag(m)).max(axis=(-2, -1))
+    bad = np.flatnonzero(defect > 1e-9 * np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0))
+    if bad.size:
         raise NumericsError(
-            f"metric violation: eigenvalue {vals.min():.3e} below PSD floor"
+            f"psd_sqrt input not Hermitian in frame {bad[0]} (defect {defect.flat[bad[0]]:.3e})"
         )
-    root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    return (root + root.conj().T) / 2.0
+    vals, vecs = np.linalg.eigh((m + _dag(m)) / 2.0)
+    low = vals.min(axis=-1)
+    bad = np.flatnonzero(low < eig_floor * np.maximum(np.abs(vals.max(axis=-1)), 1.0))
+    if bad.size:
+        raise NumericsError(
+            f"metric violation in frame {bad[0]}: eigenvalue {low.flat[bad[0]]:.3e} below PSD floor"
+        )
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ _dag(vecs)
+    return (root + _dag(root)) / 2.0
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """exp(m) for a small dense matrix: `_expm_taylor` on a batch of one.
+    """exp(m) for a stack of small dense matrices (..., n, n): `_expm_taylor`
+    on the flattened stack, which shares one scaling.
 
     Scaling-and-squaring on a truncated Taylor series, which needs no
     eigenvectors and so also covers defective matrices (at an EP).
     """
-    return _expm_taylor(np.asarray(m, dtype=complex)[np.newaxis])[0]
+    m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
+    return _expm_taylor(m.reshape(-1, *m.shape[-2:])).reshape(m.shape)
 
 
 # highest tabulated Taylor degree; after scaling to norm <= 1/2 the chosen
@@ -300,8 +316,8 @@ def propagate_ordered(
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing grid")
     dts = np.diff(times)
-    h_nodes = np.asarray(h_of_t(times), dtype=complex)
     if step_tol is not None:
+        h_nodes = np.asarray(h_of_t(times), dtype=complex)
         drift = np.abs(np.diff(h_nodes, axis=0)).max(axis=(1, 2)) * dts
         worst = int(np.argmax(drift))
         if drift[worst] > step_tol:

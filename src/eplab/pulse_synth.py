@@ -183,13 +183,9 @@ def synthesize_pulses(
         raw_arg = np.angle(target)
         # hold the phase through zero-amplitude samples before unwrapping
         live = amp > 1e-300
-        if not live.all() and live.any():
-            last = raw_arg[np.argmax(live)]
-            for idx in range(raw_arg.size):
-                if live[idx]:
-                    last = raw_arg[idx]
-                else:
-                    raw_arg[idx] = last
+        if live.any():
+            held = np.where(live, np.arange(amp.size), np.argmax(live))
+            raw_arg = raw_arg[np.maximum.accumulate(held)]
         phi = sgn * np.unwrap(raw_arg) - integrals[label]
         channels.append(
             PulseChannel(
@@ -324,10 +320,11 @@ def model_htot_path(
     from .dilation import build_frame
     from .model import ModelParams, build_hamiltonian
 
+    if not (0.0 < s < np.inf and 0.0 < t_model_span < np.inf and n_samples >= 1):
+        raise ValueError(
+            "pulse path needs a finite, positive rate and span and at least one sample"
+        )
     h = build_hamiltonian(ModelParams(k1, k2)).astype(complex)
     taus = np.linspace(0.0, t_model_span, n_samples)
-    times = taus / (2.0 * np.pi * s)
-    htot = np.empty((n_samples, 6, 6), dtype=complex)
-    for idx, tau in enumerate(taus):
-        htot[idx] = build_frame(h, tau, m0_scale=m0_scale).Htot
-    return times, htot * (2.0 * np.pi * s)
+    rate = 2.0 * np.pi * s
+    return taus / rate, build_frame(h, taus, m0_scale=m0_scale, s=rate).Htot

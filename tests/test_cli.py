@@ -160,3 +160,28 @@ def test_tomography_eigenindex_out_of_range(capsys, index):
     assert code == EXIT_DOMAIN
     assert out == ""
     assert err == "error: eigenindex must be 1, 2 or 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("dilate", "--steps", "0"), "steps >= 1"),
+        (("dilate", "--steps", "-1"), "steps >= 1"),
+        (("dilate", "--time", "inf"), "finite, positive total time"),
+        (("dilate", "--time", "nan"), "finite, positive total time"),
+        (("dilate", "--m0-scale", "nan"), "m0_scale must be finite"),
+        (("dilate", "--m0-scale", "inf"), "m0_scale must be finite"),
+        (("dilate", "--m0-scale", "0.5"), "m0_scale must be finite"),
+        (("dilate", "--k1", "nan"), "non-finite entries"),
+        (("pulses", "--scale", "0"), "finite, positive rate"),
+        (("pulses", "--scale", "-1"), "finite, positive rate"),
+        (("pulses", "--span", "nan"), "finite, positive rate and span"),
+        (("pulses", "--samples", "0"), "at least one sample"),
+    ],
+)
+def test_bad_dilation_inputs_are_domain_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

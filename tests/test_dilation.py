@@ -81,6 +81,29 @@ def test_gamma_lambda_rejects_inconsistent_inputs():
     bad_rate = np.ones((3, 3))  # not the actual d(eta)/dt
     with pytest.raises(NumericsError, match="Hermiticity"):
         gamma_lambda(H_REF, m, eta, 1j * bad_rate + bad_rate @ m)
+    # a stack of consistent frames with one bad frame in the middle
+    frames = build_frame(H_REF, np.array([0.2, 0.4, 0.6]), m0_scale=6.0)
+    deta = eta_rate(H_REF, frames.M, frames.eta)
+    gamma_lambda(H_REF, frames.M, frames.eta, deta)
+    deta[1] = 1j * bad_rate + bad_rate @ frames.M[1]
+    with pytest.raises(NumericsError, match="Hermiticity in frame 1"):
+        gamma_lambda(H_REF, frames.M, frames.eta, deta)
+
+
+@pytest.mark.parametrize(
+    "h, m0_scale, ts",
+    [
+        (H_REF, 6.0, np.linspace(0.0, 0.7, 8)),
+        (build_hamiltonian(ModelParams(0.0, 1.0)), 12.0, np.linspace(0.0, 2.0, 9)),
+    ],
+)
+def test_frame_over_times_matches_scalar_frames(h, m0_scale, ts):
+    stacked = build_frame(h, ts, m0_scale=m0_scale, s=2.0)
+    singles = [build_frame(h, t, m0_scale=m0_scale, s=2.0) for t in ts]
+    for name in ("M", "eta", "Gamma", "Lambda", "Htot"):
+        want = np.stack([getattr(f, name) for f in singles])
+        assert getattr(stacked, name).shape == want.shape
+        assert np.abs(getattr(stacked, name) - want).max() < 1e-12, name
 
 
 def test_prepare_and_postselect_roundtrip():
@@ -94,6 +117,17 @@ def test_prepare_and_postselect_roundtrip():
     assert prob == pytest.approx(1.0 / (1.0 + 0.7**2))
     with pytest.raises(ValueError):
         prepare_initial(psi, 0.0)
+
+
+def test_postselect_stack_matches_rows():
+    rng = np.random.default_rng(5)
+    joint = rng.normal(size=(7, 6)) + 1j * rng.normal(size=(7, 6))
+    states, probs = postselect(joint)
+    assert states.shape == (7, 3) and probs.shape == (7,)
+    for row, state, prob in zip(joint, states, probs):
+        want_state, want_prob = postselect(row)
+        assert np.abs(state - want_state).max() < 1e-15
+        assert prob == pytest.approx(want_prob, rel=1e-15)
 
 
 def test_postselect_no_minus_component():
@@ -133,5 +167,5 @@ def test_dilated_evolution_hermitian_h_constant_probability():
 def test_dilation_window_exceeded_reports_time():
     h = build_hamiltonian(ModelParams(0.0, 1.3))
     psi0 = np.array([0.0, 1.0, 0.0])
-    with pytest.raises(NumericsError, match="model time"):
+    with pytest.raises(NumericsError, match="model time 0.0375"):
         dilated_evolve(psi0, h, 5.0, m0_scale=1.05, steps=200)

@@ -53,6 +53,14 @@ def test_psd_sqrt_metric_violation():
         psd_sqrt(np.diag([1.0, -0.5]))
     with pytest.raises(NumericsError, match="not Hermitian"):
         psd_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # each matrix of a stack is held to its own scale: a large one next
+    # to it must not hide the defect of a small one
+    stack = np.array([1e12 * np.eye(2), [[1.0, 1e-3], [0.0, 1.0]], np.eye(2)])
+    with pytest.raises(NumericsError, match="not Hermitian in frame 1"):
+        psd_sqrt(stack)
+    stack[1] = np.diag([1.0, -0.5])
+    with pytest.raises(NumericsError, match="metric violation in frame 1"):
+        psd_sqrt(stack)
 
 
 def test_expm_matches_scipy():
@@ -61,6 +69,10 @@ def test_expm_matches_scipy():
         for _ in range(10):
             m = _random_complex(rng, n)
             assert np.allclose(expm(m), scipy_expm(m), atol=1e-10)
+        # a stack (k, n, n) shares one scaling; each matrix still matches
+        stack = np.stack([_random_complex(rng, n) * 2.0**-j for j in range(6)])
+        want = np.stack([scipy_expm(m) for m in stack])
+        assert np.allclose(expm(stack), want, atol=1e-10)
 
 
 def test_expm_defective_matrix():
@@ -158,6 +170,21 @@ def test_propagate_ordered_step_tolerance():
         propagate_ordered(
             h_of_t, np.array([1.0, 0.0]), np.linspace(0, 1, 5), step_tol=1e-3
         )
+
+
+def test_propagate_ordered_evaluates_nodes_only_for_step_tol():
+    calls = []
+
+    def h_of_t(t):
+        calls.append(np.shape(t))
+        return np.broadcast_to(np.diag([1.0, 2.0]), (*np.shape(t), 2, 2))
+
+    times = np.linspace(0.0, 1.0, 11)
+    propagate_ordered(h_of_t, np.array([1.0, 0.0]), times)
+    assert calls == [(10,)]
+    calls.clear()
+    propagate_ordered(h_of_t, np.array([1.0, 0.0]), times, step_tol=1.0)
+    assert calls == [(11,), (10,)]
 
 
 def test_trajectory_validation():

@@ -124,6 +124,18 @@ def test_phase_continuity_across_sign_flip():
     assert err < 1e-9 * 1e5
 
 
+def test_phase_held_through_zero_amplitude_runs():
+    # leading zeros take the first live phase, later zeros the last live one
+    times = np.arange(8) * 1e-9
+    htot = np.zeros((8, 6, 6), dtype=complex)
+    htot[:, 0, 1] = 1e5 * np.array([0, 0, 1j, 1j, 0, 0, -1, 0])
+    htot[:, 1, 0] = htot[:, 0, 1].conj()
+    channels, _ = synthesize_pulses(htot, times, nv_levels())
+    mw2 = next(ch for ch in channels if ch.label == "MW2")
+    held = np.pi * np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0, 1.0])
+    assert np.allclose(mw2.phase_samples, -held, atol=1e-12)
+
+
 def test_carrier_mismatch_detected():
     rng = np.random.default_rng(9)
     htot = _random_block_htot(rng, 4)
