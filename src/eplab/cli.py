@@ -68,6 +68,8 @@ def _parse_range(text: str) -> np.ndarray:
         lo, hi, step = (float(v) for v in text.split(":"))
     except Exception as exc:
         raise ValueError(f"range must be lo:hi:step, got {text!r}") from exc
+    if not all(np.isfinite((lo, hi, step))):
+        raise ValueError("range must be finite lo:hi:step")
     if step <= 0 or hi < lo:
         raise ValueError(f"bad range {text!r}")
     n = int(round((hi - lo) / step))
@@ -115,20 +117,20 @@ def _cmd_spectrum(args) -> int:
     cfg = _effective_config(args, ("k1", "k2", "k1_range", "k2_range"))
     if cfg["k1_range"]:
         sweep_vals = _parse_range(cfg["k1_range"])
-        path = [ModelParams(float(v), float(cfg["k2"])) for v in sweep_vals]
+        path = ModelParams(sweep_vals, float(cfg["k2"]))
         axis = "k1"
     elif cfg["k2_range"]:
         sweep_vals = _parse_range(cfg["k2_range"])
-        path = [ModelParams(float(cfg["k1"]), float(v)) for v in sweep_vals]
+        path = ModelParams(float(cfg["k1"]), sweep_vals)
         axis = "k2"
     else:
         raise ValueError("spectrum needs --k1-range or --k2-range")
     spectra = sweep_tracked_spectra(path)
     lines = [_header(cfg)]
     lines.append(f"{axis},E1_re,E1_im,E2_re,E2_im,E3_re,E3_im\n")
-    for v, sp in zip(sweep_vals, spectra):
+    for v, vals in zip(sweep_vals, spectra.eigenvalues):
         row = [_fmt(v)]
-        for e in sp.eigenvalues:
+        for e in vals:
             row += [_fmt(e.real), _fmt(e.imag)]
         lines.append(",".join(row) + "\n")
     _write(args.output, "".join(lines))
@@ -159,23 +161,29 @@ def _cmd_atlas(args) -> int:
     return EXIT_OK
 
 
+def _cone_sheets(c) -> np.ndarray:
+    """Real parts of the spectrum at (0, 1) + dk (cos theta, sin theta),
+    one descending row per direction of `c`."""
+    from .model import ModelParams, spectrum
+
+    return -np.sort(-spectrum(ModelParams(c.dk1, 1.0 + c.dk2)).eigenvalues.real)
+
+
 def _cmd_cone(args) -> int:
-    from .model import ConeDirection, ModelParams, cone_expansion, spectrum
+    from .model import ConeDirection, cone_expansion
 
     cfg = _effective_config(args, ("angles", "dk"))
+    if int(cfg["angles"]) < 1:
+        raise ValueError("angles must be >= 1")
     thetas = np.linspace(0.0, 2.0 * np.pi, int(cfg["angles"]), endpoint=False)
+    c = ConeDirection(thetas, float(cfg["dk"]))
+    sp, sm = cone_expansion(c)
+    vals = _cone_sheets(c)
+    fd_p = (vals[:, 0] - 3.0) / c.dk
+    fd_m = (vals[:, 1] - 3.0) / c.dk
     lines = [_header(cfg), "theta,slope_plus,slope_minus,slope_plus_fd,slope_minus_fd\n"]
-    for th in thetas:
-        c = ConeDirection(float(th), float(cfg["dk"]))
-        sp, sm = cone_expansion(c)
-        vals = np.sort(
-            spectrum(ModelParams(c.dk1, 1.0 + c.dk2)).eigenvalues.real
-        )[::-1]
-        fd_p = (vals[0] - 3.0) / c.dk
-        fd_m = (vals[1] - 3.0) / c.dk
-        lines.append(
-            ",".join(_fmt(v) for v in (th, sp, sm, fd_p, fd_m)) + "\n"
-        )
+    for row in zip(thetas, sp, sm, fd_p, fd_m):
+        lines.append(",".join(_fmt(v) for v in row) + "\n")
     _write(args.output, "".join(lines))
     return EXIT_OK
 
@@ -356,26 +364,21 @@ def _cmd_verify(args) -> int:
     if suite in ("line_spectra", "all"):
         from .model import ModelParams, line_spectrum, spectrum
 
-        worst = 0.0
-        for k1 in np.linspace(-1, 1, 41):
-            p = ModelParams(float(k1), 1.0)
-            got = np.sort(spectrum(p).eigenvalues.real)[::-1]
-            want = np.sort(line_spectrum(p))[::-1]
-            worst = max(worst, float(np.abs(got - want).max()))
+        k1s = np.linspace(-1, 1, 41)
+        got = -np.sort(-spectrum(ModelParams(k1s, 1.0)).eigenvalues.real)
+        want = -np.sort(-np.array([line_spectrum(ModelParams(float(k1), 1.0)) for k1 in k1s]))
+        worst = float(np.abs(got - want).max())
         checks.append(("line_spectra", worst < 1e-9, f"max dev {worst:.3e}"))
     if suite in ("cone", "all"):
-        from .model import ConeDirection, ModelParams, cone_expansion, spectrum
+        from .model import ConeDirection, cone_expansion
 
-        worst = 0.0
-        for th in np.linspace(0, 2 * np.pi, 16, endpoint=False):
-            c = ConeDirection(float(th), 1e-4)
-            sp, sm = cone_expansion(c)
-            vals = np.sort(spectrum(ModelParams(c.dk1, 1 + c.dk2)).eigenvalues.real)[::-1]
-            worst = max(
-                worst,
-                abs((vals[0] - 3) / c.dk - sp) / max(abs(sp), 1e-3),
-                abs((vals[1] - 3) / c.dk - sm) / max(abs(sm), 1e-3),
-            )
+        c = ConeDirection(np.linspace(0, 2 * np.pi, 16, endpoint=False), 1e-4)
+        sp, sm = cone_expansion(c)
+        vals = _cone_sheets(c)
+        worst = float(max(
+            (abs((vals[:, 0] - 3) / c.dk - sp) / np.maximum(abs(sp), 1e-3)).max(),
+            (abs((vals[:, 1] - 3) / c.dk - sm) / np.maximum(abs(sm), 1e-3)).max(),
+        ))
         checks.append(("cone", worst < 0.01, f"max rel dev {worst:.3e}"))
     if suite in ("dilation", "all"):
         from .dilation import dilated_evolve

@@ -238,7 +238,6 @@ def dilated_evolve(
     *,
     eta0: float | None = None,
     m0_scale: float = DEFAULT_M0_SCALE,
-    s: float = 1.0,
     steps: int = 4000,
 ) -> tuple[Trajectory, Trajectory, np.ndarray]:
     """Joint unitary evolution under Htot(t) for a constant model H.

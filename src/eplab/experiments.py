@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cubic import solve_real_cubics
+from .cubic import solve_cubic
 from .model import (
     ModelParams,
     build_hamiltonian,
@@ -213,7 +213,7 @@ def geometric_phase(
             raise NumericsError("state lost all overlap with the initial eigenstate")
         total += np.sum(np.log(overlaps[1:] / overlaps[:-1]))
         cp = char_poly(ModelParams(piece.k1, piece.k2))
-        e_mid = solve_real_cubics(cp.f3, cp.f2, cp.f1, cp.f0)[:, eigenindex - 1]
+        e_mid = solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0)[:, eigenindex - 1].real
         dynamical += np.sum(e_mid * np.diff(piece.times))
     total, dynamical = complex(1j * total), complex(dynamical)
 
@@ -299,14 +299,9 @@ def adiabaticity_check(
         states[inside] = piece.states[rel[inside]]
 
     k1c, k2c = loop.params(times[idx])
-    path = [
-        ModelParams(float(a), float(b))
-        for a, b in zip(np.atleast_1d(k1c), np.atleast_1d(k2c))
-    ]
-    worst = 0.0
-    for state, sp in zip(states, sweep_tracked_spectra(path)):
-        v = sp.right_vectors[:, eigenindex - 1]
-        v = v / np.linalg.norm(v)
-        s = state / np.linalg.norm(state)
-        worst = max(worst, 1.0 - abs(np.vdot(v, s)))
-    return worst
+    sp = sweep_tracked_spectra(ModelParams(np.atleast_1d(k1c), np.atleast_1d(k2c)))
+    v = sp.right_vectors[:, :, eigenindex - 1]
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    s = states / np.linalg.norm(states, axis=-1, keepdims=True)
+    leak = 1.0 - np.abs(np.sum(v.conj() * s, axis=-1))
+    return max(0.0, float(leak.max()))

@@ -14,6 +14,7 @@ expansion and closed-form eigenstates are all available analytically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """A point (k1, k2) of the parameter plane plus the truncation variant."""
+    """A point (k1, k2) of the parameter plane plus the truncation variant.
+
+    k1 and k2 may be arrays (a path or a grid of points) wherever a
+    function says it broadcasts; they must be finite."""
 
     k1: float
     k2: float
@@ -47,6 +51,8 @@ class ModelParams:
     block: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        if not (np.all(np.isfinite(self.k1)) and np.all(np.isfinite(self.k2))):
+            raise ValueError("model parameters k1, k2 have non-finite entries")
         if self.variant not in ("nearest", "next_nearest"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.block is None:
@@ -72,14 +78,18 @@ class CharPoly:
 
 @dataclass(frozen=True)
 class ConeDirection:
-    """Radial approach direction to the conical degeneracy at (0, 1)."""
+    """Radial approach direction to the conical degeneracy at (0, 1).
+
+    theta may be an array of directions; dk1 and dk2 follow its shape."""
 
     theta: float
     dk: float = 1e-4
 
     def __post_init__(self):
-        if self.dk <= 0:
-            raise ValueError("dk must be positive")
+        if not np.all(np.isfinite(self.theta)):
+            raise ValueError("theta must be finite")
+        if not (np.isfinite(self.dk) and self.dk > 0):
+            raise ValueError("dk must be finite and positive")
 
     @property
     def dk1(self) -> float:
@@ -161,16 +171,20 @@ def spectrum(p: ModelParams) -> Spectrum:
     The cubic route keeps full accuracy at (near-)degeneracies where a
     generic eigensolver only delivers ~sqrt(machine epsilon). Vectors
     are matched to the cubic roots by nearest eigenvalue.
+
+    Broadcasts over array p.k1, p.k2: one `solve_cubic` and one stacked
+    `eig` call give eigenvalues (..., 3) in descending real part (ties by
+    descending imaginary part) and vectors (..., 3, 3) in the columns. A
+    scalar point gives shapes (3,) and (3, 3).
     """
     cp = char_poly(p)
     vals = solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0)
-    order = np.lexsort((-vals.imag, -vals.real))
-    vals = vals[order]
     numeric = eig(build_hamiltonian(p))
-    cols = []
-    for v in vals:
-        cols.append(numeric.right_vectors[:, int(np.argmin(np.abs(numeric.eigenvalues - v)))])
-    return Spectrum(eigenvalues=vals, right_vectors=np.column_stack(cols))
+    # column j of the result is the numeric vector nearest to vals[..., j]
+    gap = np.abs(numeric.eigenvalues[..., None, :] - vals[..., :, None])
+    nearest = np.argmin(gap, axis=-1)
+    vecs = np.take_along_axis(numeric.right_vectors, nearest[..., None, :], axis=-1)
+    return Spectrum(eigenvalues=vals, right_vectors=vecs)
 
 
 def line_spectrum(p: ModelParams) -> np.ndarray:
@@ -237,40 +251,46 @@ def analytic_eigenstate(p: ModelParams, e: complex) -> np.ndarray:
     return v
 
 
-def _greedy_match(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
+def _greedy_match(prev: list, new: list) -> list:
     """Permutation of `new` minimizing total distance to `prev`, greedily.
 
     Ties within 1e-12 in the per-step cost are broken by the lower prior
-    index, which keeps sweeps deterministic.
+    index, which keeps sweeps deterministic. Works on Python scalars: a
+    sweep calls it once per point.
     """
-    n = prev.size
-    perm = np.full(n, -1, dtype=int)
-    taken = np.zeros(n, dtype=bool)
-    for i in range(n):
-        dists = np.abs(new - prev[i])
-        dists[taken] = np.inf
-        best = np.flatnonzero(dists <= dists.min() + 1e-12)[0]
-        perm[i] = best
-        taken[best] = True
+    perm = []
+    for target in prev:
+        dists = [abs(e - target) if j not in perm else math.inf for j, e in enumerate(new)]
+        low = min(dists) + 1e-12
+        perm.append(next(j for j, dist in enumerate(dists) if dist <= low))
     return perm
 
 
-def sweep_tracked_spectra(path: list[ModelParams]) -> list[Spectrum]:
-    """Spectra along a parameter path with continuity-tracked ordering."""
-    if not path:
-        return []
-    for a, b in zip(path, path[1:]):
-        if np.hypot(a.k1 - b.k1, a.k2 - b.k2) > 0.05 + 1e-12:
-            raise ValueError("consecutive path points farther than 0.05 apart")
-    out = [spectrum(path[0])]
-    for p in path[1:]:
-        sp = spectrum(p)
-        perm = _greedy_match(out[-1].eigenvalues, sp.eigenvalues)
-        out.append(
-            Spectrum(
-                eigenvalues=sp.eigenvalues[perm],
-                right_vectors=sp.right_vectors[:, perm],
-                ordering_tag="sweep-tracked",
-            )
-        )
-    return out
+def sweep_tracked_spectra(path: ModelParams) -> Spectrum:
+    """Spectra along a parameter path with continuity-tracked ordering.
+
+    `path` holds the points as 1-D arrays k1, k2 (a scalar broadcasts),
+    at most 0.05 apart. The spectra come from one `spectrum` call; each
+    point's eigenvalues and vectors are then permuted to follow on from
+    the previous point's by greedy nearest matching. Returns one stacked
+    Spectrum tagged "sweep-tracked", eigenvalues (N, 3), vectors (N, 3, 3).
+    """
+    k1, k2 = np.broadcast_arrays(path.k1, path.k2)
+    if k1.ndim != 1:
+        raise ValueError("a sweep path is one-dimensional")
+    if np.any(np.hypot(np.diff(k1), np.diff(k2)) > 0.05 + 1e-12):
+        raise ValueError("consecutive path points farther than 0.05 apart")
+    sp = spectrum(path)
+    vals = sp.eigenvalues.tolist()
+    perms = []
+    prev = vals[0] if vals else []  # the first point keeps its own order
+    for row in vals:
+        perm = _greedy_match(prev, row)
+        prev = [row[j] for j in perm]
+        perms.append(perm)
+    perms = np.array(perms, dtype=int).reshape(-1, 3)
+    return Spectrum(
+        eigenvalues=np.take_along_axis(sp.eigenvalues, perms, axis=-1),
+        right_vectors=np.take_along_axis(sp.right_vectors, perms[:, None, :], axis=-1),
+        ordering_tag="sweep-tracked",
+    )

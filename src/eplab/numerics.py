@@ -49,7 +49,10 @@ class NumericsError(RuntimeError):
 class Spectrum:
     """Eigenvalues and unit right eigenvectors (columns), plus optional
     left eigenvectors. `ordering_tag` records whether the order is the
-    local deterministic one or continuity-tracked by a sweep."""
+    local deterministic one or continuity-tracked by a sweep.
+
+    A stack of spectra keeps the leading axes: eigenvalues (..., n),
+    right_vectors (..., n, n) with the vectors in the last axis' columns."""
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
@@ -74,19 +77,19 @@ class Trajectory:
             )
 
 
-def _local_order(vals: np.ndarray) -> np.ndarray:
-    """Descending real part, ties broken by descending imaginary part."""
-    return np.lexsort((-vals.imag, -vals.real))
-
-
 def eig(m: np.ndarray) -> Spectrum:
-    """Eigendecomposition with residual certificate.
+    """Eigendecomposition of a matrix or a stack (..., n, n) of them, in
+    one LAPACK call, with a residual certificate per matrix.
 
-    Raises NumericsError (echoing the matrix) if LAPACK fails to converge
-    or any residual ||m v - E v|| exceeds 1e-10 * ||m||.
+    Eigenvalues (..., n) are in descending real part, ties broken by
+    descending imaginary part; the unit right eigenvectors are the
+    columns of (..., n, n). Raises NumericsError (echoing the matrix) if
+    LAPACK fails to converge or if a residual ||m v - E v|| exceeds
+    1e-10 * ||m||_2 of its own matrix; the error names the earliest
+    failing frame of the flattened stack (frame 0 for a single matrix).
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
@@ -94,15 +97,19 @@ def eig(m: np.ndarray) -> Spectrum:
         vals, vecs = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigendecomposition failed for:\n{m!r}") from exc
-    order = _local_order(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    scale = max(np.linalg.norm(m, 2), 1e-300)
-    resid = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
-    if np.any(resid > 1e-10 * scale):
+    order = np.lexsort((-vals.imag, -vals.real), axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    vecs = vecs / np.linalg.norm(vecs, axis=-2, keepdims=True)
+    # ||m||_2 is the largest singular value, the first one LAPACK returns
+    scale = np.maximum(np.linalg.svd(m, compute_uv=False)[..., 0], 1e-300)
+    resid = np.linalg.norm(m @ vecs - vecs * vals[..., None, :], axis=-2).max(axis=-1)
+    bad = resid > 1e-10 * scale
+    if bad.any():
+        frame = np.flatnonzero(bad)[0]
         raise NumericsError(
-            f"eigen residual {resid.max():.3e} exceeds tolerance for:\n{m!r}"
+            f"eigen residual {resid.flat[frame]:.3e} exceeds tolerance in frame {frame} "
+            f"for:\n{m.reshape(-1, *m.shape[-2:])[frame]!r}"
         )
     return Spectrum(eigenvalues=vals, right_vectors=vecs)
 

@@ -185,3 +185,32 @@ def test_bad_dilation_inputs_are_domain_errors(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("sweep", ["0:inf:0.05", "nan:1:0.05", "0:0.1:inf"])
+def test_non_finite_range_is_a_domain_error(capsys, sweep):
+    code, out, err = run(capsys, "spectrum", "--k2", "1", "--k1-range", sweep)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err == "error: range must be finite lo:hi:step\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("dilate", "--k1", "inf"), "non-finite entries"),
+        (("dilate", "--k2", "inf"), "non-finite entries"),
+        (("pulses", "--k1", "inf"), "non-finite entries"),
+        (("spectrum", "--k2", "nan", "--k1-range", "0:1:0.5"), "non-finite entries"),
+        (("cone", "--dk", "inf"), "dk must be finite and positive"),
+        (("cone", "--dk", "nan"), "dk must be finite and positive"),
+        (("cone", "--angles", "0"), "angles must be >= 1"),
+        (("cone", "--angles", "-3"), "angles must be >= 1"),
+    ],
+)
+def test_bad_model_inputs_are_domain_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

@@ -142,16 +142,57 @@ def test_next_nearest_degenerate_spectrum():
 
 
 def test_sweep_tracking_continuity():
-    path = [ModelParams(float(k1), 1.0) for k1 in np.arange(-0.3, 0.31, 0.02)]
+    path = ModelParams(np.arange(-0.3, 0.31, 0.02), 1.0)
     spectra = sweep_tracked_spectra(path)
-    branches = np.array([sp.eigenvalues.real for sp in spectra])
+    branches = spectra.eigenvalues.real
+    assert branches.shape == (31, 3)
+    assert spectra.right_vectors.shape == (31, 3, 3)
     # tracked branches are continuous (no jumps larger than the step scale)
     assert np.abs(np.diff(branches, axis=0)).max() < 0.1
-    assert spectra[1].ordering_tag == "sweep-tracked"
+    assert spectra.ordering_tag == "sweep-tracked"
     with pytest.raises(ValueError):
-        sweep_tracked_spectra(
-            [ModelParams(0.0, 0.0), ModelParams(0.2, 0.0)]
-        )
+        sweep_tracked_spectra(ModelParams(np.array([0.0, 0.2]), 0.0))
+
+
+def _residual(p, vals, vecs):
+    h = build_hamiltonian(p)
+    return np.abs(h @ vecs - vecs * vals).max()
+
+
+def test_stacked_spectrum_matches_point_by_point():
+    rng = np.random.default_rng(5)
+    k1 = np.concatenate([
+        rng.uniform(-1.5, 1.5, 40),
+        [0.0, 0.0],  # the conical points (0, +-1)
+        rng.uniform(-1.0, 1.0, 5),  # on the k2 = -1 line
+        [0.0, 0.05, -0.02],  # complex-pair region near k1 = 0, k2 > 1.46
+    ])
+    k2 = np.concatenate([
+        rng.uniform(-1.5, 1.5, 40), [1.0, -1.0], np.full(5, -1.0), [1.6, 1.5, 1.8],
+    ])
+    assert (discriminant(k1[-3:], k2[-3:]) < 0).all()
+    batch = spectrum(ModelParams(k1, k2))
+    assert batch.eigenvalues.shape == (50, 3) and batch.right_vectors.shape == (50, 3, 3)
+    for a, b, vals, vecs in zip(k1, k2, batch.eigenvalues, batch.right_vectors):
+        p = ModelParams(float(a), float(b))
+        one = spectrum(p)
+        assert np.abs(vals - one.eigenvalues).max() <= 1e-12
+        assert np.abs(vecs - one.right_vectors).max() <= 1e-12
+        assert _residual(p, vals, vecs) < 1e-8
+    grid = spectrum(ModelParams(k1[:6, None], k2[None, :4]))
+    assert grid.eigenvalues.shape == (6, 4, 3) and grid.right_vectors.shape == (6, 4, 3, 3)
+
+
+@pytest.mark.parametrize("k1, k2", [(np.inf, 0.0), (0.0, np.nan), (np.array([0.1, np.inf]), 1.0)])
+def test_params_reject_non_finite(k1, k2):
+    with pytest.raises(ValueError, match="non-finite entries"):
+        ModelParams(k1, k2)
+
+
+@pytest.mark.parametrize("theta, dk", [(np.nan, 1e-4), (0.0, np.inf), (0.0, np.nan), (0.0, 0.0)])
+def test_cone_direction_rejects_bad_inputs(theta, dk):
+    with pytest.raises(ValueError):
+        ConeDirection(theta, dk)
 
 
 @given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))

@@ -32,6 +32,37 @@ def test_eig_ordering_and_residual():
         assert np.linalg.norm(m @ v - sp.eigenvalues[k] * v) < 1e-12
 
 
+def test_eig_stack_matches_single_calls():
+    rng = np.random.default_rng(3)
+    ms = rng.normal(size=(2, 5, 4, 4)) + 1j * rng.normal(size=(2, 5, 4, 4))
+    sp = eig(ms)
+    assert sp.eigenvalues.shape == (2, 5, 4)
+    assert sp.right_vectors.shape == (2, 5, 4, 4)
+    for i in range(2):
+        for j in range(5):
+            one = eig(ms[i, j])
+            assert np.array_equal(sp.eigenvalues[i, j], one.eigenvalues)
+            assert np.array_equal(sp.right_vectors[i, j], one.right_vectors)
+
+
+def test_eig_names_the_failing_frame(monkeypatch):
+    # LAPACK is backward stable, so a bad residual is simulated: frame 1's
+    # eigenvalues are shifted by 1e-8 of the matrix scale, frames 0 and 2 kept
+    lapack_eig = np.linalg.eig
+
+    def shifted(m):
+        vals, vecs = lapack_eig(m)
+        vals[1] += 1e-8
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eig", shifted)
+    stack = np.stack([np.diag([1.0, 2.0, 3.0])] * 3)
+    with pytest.raises(NumericsError, match="in frame 1 for"):
+        eig(stack)
+    stack[1] *= 1e12  # the same shift is within 1e-10 of a 1e12-scale frame
+    assert eig(stack).eigenvalues.shape == (3, 3)
+
+
 def test_eig_rejects_nonfinite_and_nonsquare():
     with pytest.raises(ValueError):
         eig(np.array([[1.0, np.nan], [0.0, 1.0]]))
