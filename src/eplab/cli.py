@@ -63,6 +63,11 @@ def _effective_config(args, keys) -> dict:
     return cfg
 
 
+# most points a --k1-range/--k2-range sweep may have; a sweep holds a few
+# complex 3x3 matrices per point
+MAX_RANGE_POINTS = 10**5
+
+
 def _parse_range(text: str) -> np.ndarray:
     try:
         lo, hi, step = (float(v) for v in text.split(":"))
@@ -72,7 +77,12 @@ def _parse_range(text: str) -> np.ndarray:
         raise ValueError("range must be finite lo:hi:step")
     if step <= 0 or hi < lo:
         raise ValueError(f"bad range {text!r}")
-    n = int(round((hi - lo) / step))
+    steps = (hi - lo) / step
+    if not steps <= MAX_RANGE_POINTS - 1:
+        raise ValueError(
+            f"range {text!r} has {steps + 1:.6g} points, more than the {MAX_RANGE_POINTS} allowed"
+        )
+    n = int(round(steps))
     return lo + step * np.arange(n + 1)
 
 

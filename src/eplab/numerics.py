@@ -5,16 +5,25 @@ eigendecomposition with a deterministic ordering, the principal PSD
 square root, matrix-exponential propagation and midpoint-sampled
 time-ordered evolution on a grid.
 
-There is one matrix exponential, `_expm_taylor`: scaling-and-squaring
-on a truncated Taylor series over a stack of matrices. `expm` and
-`psd_sqrt` take any stack (..., n, n), and `step_propagators` runs the
-kernel on a stack of steps. `propagate_ordered` serves `dilated_evolve`.
+There are two matrix exponentials, both scaling-and-squaring on the
+truncated Taylor series with one scaling per stack.
+`_expm_taylor` sums the series as matrices, for any n; `expm` and
+`psd_sqrt` take any stack (..., n, n) and use it. `step_propagators`
+uses it too, except on 3x3 steps whose exponents dt H all have inf-norm
+at most 1: those take `_expm3_closed_form`, which reduces the same
+series with Cayley-Hamilton to three scalar coefficients per step
+(Moler and Van Loan, "Nineteen dubious ways to compute the exponential
+of a matrix, twenty-five years later", SIAM Rev. 45, 3, 2003). For the
+traceless part G of H, G^k = a_k I + b_k G + c_k G^2 with
+(a, b, c) -> (c det G, a - c s, b) and s = -tr(G^2)/2, so
+exp(-i dt H) = e^{-i dt tr(H)/3} (A I + B G + C G^2).
+`propagate_ordered` serves `dilated_evolve`.
 
 The batched kernels take a stack of N step matrices, shape (N, n, n).
-`step_propagators` exponentiates the stack with one scaling and one Taylor
-degree chosen from its largest norm; `prefix_states` runs a two-level
-blocked scan over the ordered product and `ordered_product` reduces it by
-a pairwise tree. Each needs memory of a small multiple of the stack, so
+`prefix_states` runs a two-level blocked scan over the ordered product
+and `ordered_product` reduces it by a pairwise tree; their 3x3 products
+are broadcast multiply-adds, since `np.matmul` makes one BLAS call per
+small matrix. Each needs memory of a small multiple of the stack, so
 callers that propagate over long grids (the loop experiments) feed them
 fixed-length slices and carry the state vector from slice to slice,
 which bounds memory by the slice length instead of the grid length.
@@ -157,9 +166,10 @@ def expm(m: np.ndarray) -> np.ndarray:
     return _expm_taylor(m.reshape(-1, *m.shape[-2:])).reshape(m.shape)
 
 
-# highest tabulated Taylor degree; after scaling to norm <= 1/2 the chosen
-# degree never exceeds 14
-_TAYLOR_MAX_ORDER = 16
+# highest tabulated Taylor degree. After scaling to norm <= 1/2 the degree
+# of `_expm_taylor` never exceeds 14; the traceless part summed by
+# `_expm3_closed_form` has up to twice that norm, which needs degree 18.
+_TAYLOR_MAX_ORDER = 18
 _INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(_TAYLOR_MAX_ORDER + 1))
 # largest scaled norm theta for which degree m keeps the first dropped term,
 # theta^(m+1)/(m+1)!, within the unit roundoff 2^-53
@@ -195,6 +205,16 @@ _PS_COEFFS = {m: _paterson_stockmeyer(m) for m in range(2, _TAYLOR_MAX_ORDER + 1
 _TAYLOR_PASS_BYTES = 1 << 16
 
 
+def _squarings(max_norm: float) -> int:
+    """Number of squarings s that brings max_norm / 2^s to at most 1/2."""
+    return max(0, int(np.ceil(np.log2(max(max_norm, 1e-300) / 0.5))))
+
+
+def _taylor_degree(theta: float) -> int:
+    """Smallest degree m >= 2 with theta^(m+1)/(m+1)! <= 2^-53."""
+    return max(2, int(np.searchsorted(_TAYLOR_THETA, theta)))
+
+
 def _taylor_polynomial(x: np.ndarray, m: int) -> np.ndarray:
     """sum_{k<=m} x^k / k! (m >= 2) by Paterson-Stockmeyer, batched over
     (N, n, n): s - 1 batched matmuls for the powers, one product with the
@@ -227,8 +247,8 @@ def _expm_taylor(ms: np.ndarray) -> np.ndarray:
     """
     ms = np.asarray(ms, dtype=complex)
     max_norm = float(np.abs(ms).sum(axis=-1).max()) if ms.size else 0.0
-    squarings = max(0, int(np.ceil(np.log2(max(max_norm, 1e-300) / 0.5))))
-    order = max(2, int(np.searchsorted(_TAYLOR_THETA, max_norm / 2.0**squarings)))
+    squarings = _squarings(max_norm)
+    order = _taylor_degree(max_norm / 2.0**squarings)
     rows = max(1, _TAYLOR_PASS_BYTES // ms[:1].nbytes) if ms.size else 1
     result = np.empty(ms.shape, dtype=complex)
     for lo in range(0, ms.shape[0], rows):
@@ -252,10 +272,107 @@ def propagate_const(h: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
     return expm(-1j * dt * h) @ np.asarray(psi, dtype=complex)
 
 
+# largest inf-norm of a 3x3 step exponent dt H that takes the closed form:
+# at most one squaring; beyond it the {I, G, G^2} basis loses accuracy
+_CLOSED_FORM_MAX_NORM = 1.0
+# rows per pass of the closed form, which holds about ten (rows, 3, 3)
+# temporaries; passes keep them near 3 MB whatever the stack length
+_CLOSED_FORM_PASS_ROWS = 1 << 12
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over stacks (..., n, n). For n = 3 it is three broadcast
+    multiply-adds: `np.matmul` makes one BLAS call per small matrix,
+    about 0.37 us each."""
+    if a.shape[-1] != 3:
+        return np.matmul(a, b)
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    out += a[..., :, 1, None] * b[..., None, 1, :]
+    out += a[..., :, 2, None] * b[..., None, 2, :]
+    return out
+
+
+def _max_scaled_norm(m: np.ndarray, scale: np.ndarray) -> float:
+    """max_j |scale_j| ||m_j||_inf over 3x3 matrices stored matrix axes
+    first, (3, 3, N)."""
+    if not scale.size:
+        return 0.0
+    a = np.abs(m)
+    return float(((a[:, 0] + a[:, 1] + a[:, 2]) * np.abs(scale)).max())
+
+
+def _expm3_closed_form(h: np.ndarray, z: np.ndarray, squarings: int) -> np.ndarray:
+    """exp(z_j H_j), shape (N, 3, 3), for 3x3 matrices stored matrix axes
+    first, h (3, 3, N), and scalars z (N,): e^{z tr H / 3} (A I + B G + C G^2)
+    with G the traceless part of H.
+
+    The Taylor series of Y = z G / 2^s is truncated at the degree
+    `_taylor_degree` gives for the largest ||Y||_inf of each pass of
+    `_CLOSED_FORM_PASS_ROWS` rows and reduced with Cayley-Hamilton,
+    Y^3 = det(Y) I - sigma Y with sigma = -tr(Y^2)/2, so that
+    Y^k = a_k I + b_k Y + c_k Y^2 with (a, b, c) -> (c det Y, a - c sigma, b).
+    Horner's rule on that recurrence and the s squarings run on N-length
+    coefficient arrays; the only matrix product is one G^2 per step. With
+    the stack on the last axis every operation runs along it; numpy's
+    loops over a length-3 last axis cost several times more.
+    """
+    y = z / 2.0**squarings
+    result = np.empty((z.size, 3, 3), dtype=complex)
+    for lo in range(0, z.size, _CLOSED_FORM_PASS_ROWS):
+        part = slice(lo, lo + _CLOSED_FORM_PASS_ROWS)
+        gp = np.array(h[..., part], dtype=np.result_type(h, float), order="C")
+        third = (gp[0, 0] + gp[1, 1] + gp[2, 2]) / 3.0
+        for i in range(3):
+            gp[i, i] -= third
+        yp = y[part]
+        inv_fact = _INV_FACTORIAL[: _taylor_degree(_max_scaled_norm(gp, yp)) + 1]
+        g2 = gp[:, 0, None] * gp[0] + gp[:, 1, None] * gp[1] + gp[:, 2, None] * gp[2]
+        sigma = -(g2[0, 0] + g2[1, 1] + g2[2, 2]) / 2.0 * yp**2
+        det = yp**3 * (
+            gp[0, 0] * (gp[1, 1] * gp[2, 2] - gp[1, 2] * gp[2, 1])
+            - gp[0, 1] * (gp[1, 0] * gp[2, 2] - gp[1, 2] * gp[2, 0])
+            + gp[0, 2] * (gp[1, 0] * gp[2, 1] - gp[1, 1] * gp[2, 0])
+        )
+        # Horner from the top: the three highest terms need no reduction
+        a, b, c = inv_fact[-3], inv_fact[-2], inv_fact[-1]
+        for coeff in inv_fact[-4::-1]:
+            a, b, c = c * det + coeff, a - c * sigma, b
+        for _ in range(squarings):
+            a, b, c = (
+                a * a + 2.0 * b * c * det,
+                2.0 * a * b - 2.0 * b * c * sigma + c * c * det,
+                b * b + 2.0 * a * c - c * c * sigma,
+            )
+        phase = np.exp(z[part] * third)
+        out = (b * yp * phase) * gp
+        out += (c * yp**2 * phase) * g2
+        for i in range(3):
+            out[i, i] += a * phase
+        result[part] = np.moveaxis(out, -1, 0)
+    return result
+
+
 def step_propagators(h_mid: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """Batched exp(-i H_j dt_j) from midpoint-sampled Hamiltonians."""
-    phases = -1j * np.asarray(dts)[:, None, None] * np.asarray(h_mid, dtype=complex)
-    return _expm_taylor(phases)
+    """Batched exp(-i H_j dt_j) from midpoint-sampled Hamiltonians.
+
+    The stack shares one scaling 2^-s, from its largest theta =
+    ||dt_j H_j||_inf as in `_expm_taylor`. A 3x3 stack with theta <= 1
+    (so s <= 1) takes the closed form `_expm3_closed_form`: the same
+    Taylor series, reduced with Cayley-Hamilton (Moler and Van Loan, SIAM
+    Rev. 45, 3, 2003) through G^k = a_k I + b_k G + c_k G^2 and
+    (a, b, c) -> (c det G, a - c s, b), s = -tr(G^2)/2, for the traceless
+    part G of H. Every other stack, the 6x6 dilation or a 3x3 stack with
+    theta > 1, where the {I, G, G^2} basis loses accuracy, stays on
+    `_expm_taylor`. Real and complex H take the same path.
+    """
+    h = np.asarray(h_mid)
+    dts = np.asarray(dts)
+    if h.shape[-1] == 3:
+        h_last = np.moveaxis(h, 0, -1)
+        theta = _max_scaled_norm(h_last, dts)
+        if theta <= _CLOSED_FORM_MAX_NORM:
+            return _expm3_closed_form(h_last, -1j * dts, _squarings(theta))
+    return _expm_taylor(-1j * dts[:, None, None] * np.asarray(h, dtype=complex))
 
 
 def ordered_product(props: np.ndarray) -> np.ndarray:
@@ -264,7 +381,7 @@ def ordered_product(props: np.ndarray) -> np.ndarray:
     while acc.shape[0] > 1:
         n = acc.shape[0]
         half = n // 2
-        paired = np.matmul(acc[1 : 2 * half : 2], acc[0 : 2 * half : 2])
+        paired = _matmul(acc[1 : 2 * half : 2], acc[0 : 2 * half : 2])
         acc = np.concatenate([paired, acc[2 * half :]]) if n % 2 else paired
     return acc[0]
 
@@ -296,7 +413,7 @@ def prefix_states(props: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     prefix[n:] = np.eye(dim)
     prefix = prefix.reshape(blocks, block, dim, dim)
     for j in range(1, block):
-        np.matmul(prefix[:, j], prefix[:, j - 1], out=prefix[:, j])
+        prefix[:, j] = _matmul(prefix[:, j], prefix[:, j - 1])
     carried = np.empty((blocks, dim), dtype=complex)
     carried[0] = psi0
     for k in range(1, blocks):

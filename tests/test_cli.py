@@ -145,6 +145,26 @@ def test_bad_dt_is_a_domain_error(capsys, command, dt):
     assert err.startswith("error: dt must be finite and positive")
 
 
+@pytest.mark.parametrize("command, dt", [("geophase", "1e-12"), ("modeswitch", "1e-300")])
+def test_loop_step_count_is_bounded(capsys, command, dt):
+    # at the parent these were a MemoryError traceback and numpy's
+    # "Maximum allowed size exceeded"
+    code, out, err = run(capsys, command, "--dt", dt)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith(f"error: dt {dt} gives ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sweep", ["0:1e300:1e-300", "0:1:1e-6"])
+def test_range_point_count_is_bounded(capsys, sweep):
+    # the first overflowed int(round(inf)); the second is a finite count
+    # over the bound
+    code, out, err = run(capsys, "spectrum", "--k2", "1", "--k1-range", sweep)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith(f"error: range {sweep!r} has ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["geophase", "modeswitch"])
 @pytest.mark.parametrize("duration", ["inf", "nan"])
 def test_bad_duration_is_a_domain_error(capsys, command, duration):

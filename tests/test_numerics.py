@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
+from eplab import numerics
+from eplab.model import ModelParams, build_hamiltonian
 from eplab.numerics import (
     NumericsError,
     Spectrum,
@@ -175,6 +179,75 @@ def test_step_propagators_across_scaling_regimes():
         for h, dt, u in zip(hs, dts, props):
             assert np.abs(u - scipy_expm(-1j * dt * h)).max() < 1e-14, theta
     assert step_propagators(np.zeros((0, 3, 3)), np.zeros(0)).shape == (0, 3, 3)
+
+
+def _closed_form_error(monkeypatch, hs, dts):
+    """Largest entry difference between step_propagators, which must take
+    the closed form, and `_expm_taylor` on the same exponents."""
+    want = numerics._expm_taylor(-1j * dts[:, None, None] * np.asarray(hs, dtype=complex))
+
+    def forbidden(ms):
+        raise AssertionError("the closed form fell back to _expm_taylor")
+
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "_expm_taylor", forbidden)
+        got = step_propagators(hs, dts)
+    return np.abs(got - want).max()
+
+
+def test_closed_form_matches_taylor_kernel(monkeypatch):
+    # model Hamiltonians at the conical points (0, +-1), on the exceptional
+    # line (0, sqrt(17/8)) and in the complex-pair region beyond it, at the
+    # geophase and modeswitch steps and at dt = 1e-9
+    k1, k2 = np.zeros(4), np.array([1.0, -1.0, math.sqrt(17 / 8), 1.6])
+    model = build_hamiltonian(ModelParams(k1, k2))
+    for dt in (0.025, 0.1, 1e-9):
+        assert _closed_form_error(monkeypatch, model, np.full(4, dt)) < 1e-14, dt
+    # theta = max ||dt H||_inf: small, either side of the 1/2 where one
+    # squaring starts, and just under the closed form's limit of 1; per-row
+    # dt, real and complex stacks
+    rng = np.random.default_rng(6)
+    stacks = [
+        model,
+        rng.normal(size=(64, 3, 3)),
+        rng.normal(size=(64, 3, 3)) + 1j * rng.normal(size=(64, 3, 3)),
+    ]
+    for hs in stacks:
+        spread = rng.uniform(0.5, 1.0, len(hs))
+        norms = np.abs(hs).sum(axis=-1).max(axis=-1) * spread
+        for theta in (1e-3, 0.3, 0.5 * (1 - 1e-9), 0.5 * (1 + 1e-9), 1.0 - 1e-12):
+            dts = spread * theta / norms.max()
+            assert _closed_form_error(monkeypatch, hs, dts) < 1e-14, (hs.dtype, theta)
+
+
+def test_step_propagators_dispatch(monkeypatch):
+    # 3x3 stacks with theta <= 1 take the closed form; theta just over 1
+    # and any other n stay on _expm_taylor
+    calls = []
+    taylor = numerics._expm_taylor
+    monkeypatch.setattr(numerics, "_expm_taylor", lambda ms: calls.append(ms.shape) or taylor(ms))
+    rng = np.random.default_rng(7)
+    h3 = rng.normal(size=(5, 3, 3))
+    norm = np.abs(h3).sum(axis=-1).max()
+    step_propagators(h3, np.full(5, (1.0 - 1e-12) / norm))
+    assert calls == []
+    props = step_propagators(h3, np.full(5, (1.0 + 1e-9) / norm))
+    assert calls == [(5, 3, 3)]
+    for h, u in zip(h3, props):
+        assert np.abs(u - scipy_expm(-1j * (1.0 + 1e-9) / norm * h)).max() < 1e-14
+    step_propagators(rng.normal(size=(5, 6, 6)), np.full(5, 0.01))
+    assert calls == [(5, 3, 3), (5, 6, 6)]
+
+
+def test_three_by_three_products_match_matmul():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(257, 3, 3)) + 1j * rng.normal(size=(257, 3, 3))
+    b = rng.normal(size=(257, 3, 3)) + 1j * rng.normal(size=(257, 3, 3))
+    assert np.abs(numerics._matmul(a, b) - np.matmul(a, b)).max() < 1e-14
+    assert np.abs(numerics._matmul(a.real, b) - np.matmul(a.real, b)).max() < 1e-14
+    blocks = a[:256].reshape(16, 16, 3, 3)
+    got = numerics._matmul(blocks[:, 3], blocks[:, 2])
+    assert np.abs(got - np.matmul(blocks[:, 3], blocks[:, 2])).max() < 1e-14
 
 
 def test_propagate_ordered_constant_hamiltonian():
