@@ -63,8 +63,9 @@ def _effective_config(args, keys) -> dict:
     return cfg
 
 
-# most points a --k1-range/--k2-range sweep may have; a sweep holds a few
-# complex 3x3 matrices per point
+# most points a --k1-range/--k2-range sweep or a cone's --angles may have;
+# either holds a few complex 3x3 matrices per point, about 800 bytes
+# (80 MB here)
 MAX_RANGE_POINTS = 10**5
 
 
@@ -183,9 +184,12 @@ def _cmd_cone(args) -> int:
     from .model import ConeDirection, cone_expansion
 
     cfg = _effective_config(args, ("angles", "dk"))
-    if int(cfg["angles"]) < 1:
+    angles = int(cfg["angles"])
+    if angles < 1:
         raise ValueError("angles must be >= 1")
-    thetas = np.linspace(0.0, 2.0 * np.pi, int(cfg["angles"]), endpoint=False)
+    if angles > MAX_RANGE_POINTS:
+        raise ValueError(f"angles {angles} exceed the {MAX_RANGE_POINTS} allowed")
+    thetas = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
     c = ConeDirection(thetas, float(cfg["dk"]))
     sp, sm = cone_expansion(c)
     vals = _cone_sheets(c)

@@ -54,6 +54,12 @@ DEFAULT_TIME_SCALE = 5.0e4  # physical rate in Hz; configurable 3e4..5e4
 # minimum eigenvalue of M - I before the dilation window is declared lost
 POSITIVITY_MARGIN = 1e-8
 
+# most steps `dilated_evolve` takes: its joint and post-selected
+# trajectories, probabilities and norms grow with the step count, about
+# 160 bytes a step (160 MB here), on top of about 60 MB for one slice of
+# 6x6 frames and propagators
+MAX_DILATION_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class DilationFrame:
@@ -248,15 +254,19 @@ def dilated_evolve(
     """
     if steps < 1 or not 0.0 < total_time < np.inf:
         raise ValueError("dilation needs steps >= 1 and a finite, positive total time")
+    if steps > MAX_DILATION_STEPS:
+        raise ValueError(f"dilation steps {steps} exceed the {MAX_DILATION_STEPS} allowed")
     _check_m0_scale(m0_scale)
     h = np.asarray(h, dtype=complex)
     if eta0 is None:
         eta0 = float(np.sqrt(m0_scale - 1.0))
     times = np.linspace(0.0, total_time, steps + 1)
-    joint = propagate_ordered(
+    slices = propagate_ordered(
         lambda t: build_frame(h, t, m0_scale=m0_scale).Htot,
         prepare_initial(psi0, eta0).amplitudes,
         times,
     )
-    post, probs = postselect(joint.states)
-    return joint, Trajectory(times=times, states=post), probs
+    # each slice repeats the previous one's end state as its first row
+    states = np.concatenate([piece[1:] if start else piece for start, _, piece in slices])
+    post, probs = postselect(states)
+    return Trajectory(times=times, states=states), Trajectory(times=times, states=post), probs

@@ -2,14 +2,12 @@
 around the conical degeneracy, chiral and non-chiral mode switching, and
 an adiabaticity monitor.
 
-Loops are closed curves (k1(t), k2(t)); the state is propagated with
-midpoint-sampled time-ordered products by one chunked engine,
-`_propagate`. It walks the time grid in slices of at most CHUNK_STEPS
-steps, builds each slice's step propagators in one batch and carries the
-state vector from one slice to the next, so the working set is bounded
-by the slice length whatever the loop duration (tracemalloc peaks of
-21 MB for a default modeswitch and 23-24 MB for geophase at T = 5000 and
-10000); only the time grid itself, 8 bytes a step, grows with it. The total
+Loops are closed curves (k1(t), k2(t)); the state is propagated by
+`numerics.propagate_ordered`, which walks the time grid in slices and
+carries the state from one slice to the next, so the working set is
+bounded by the slice length whatever the loop duration; only the time
+grid itself, 8 bytes a step, grows with it. Each study here does its
+loop-specific work slice by slice as the engine yields them. The total
 phase is accumulated incrementally as i * sum(log of per-step overlap
 ratios), which keeps the complex logarithm on a continuous branch over
 arbitrarily long loops; the dynamical phase is the quadrature of the
@@ -19,8 +17,7 @@ the characteristic cubic, and the geometric phase is their difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,12 +30,9 @@ from .model import (
     spectrum,
     sweep_tracked_spectra,
 )
-from .numerics import (
-    NumericsError,
-    ordered_product,
-    prefix_states,
-    step_propagators,
-)
+from .numerics import NumericsError, propagate_ordered
+# re-exported: bench/tests/test_harness.py calls experiments.step_propagators
+from .numerics import step_propagators  # noqa: F401
 
 __all__ = [
     "LoopSpec",
@@ -51,11 +45,6 @@ __all__ = [
 
 # slow-passage duration (model time) reproducing the adiabatic switching
 DEFAULT_SWITCH_TIME = 5.0e4
-
-# steps per slice of the propagation engine: long enough to amortize the
-# per-call cost of the batched kernels, short enough that a slice's
-# propagators take 4.7 MB and the kernels' temporaries up to 8 MB more
-CHUNK_STEPS = 1 << 15
 
 # most steps a loop's time grid may have: the grid is the one array that
 # grows with the step count, 8 bytes a step (80 MB here), and a loop this
@@ -117,6 +106,11 @@ class LoopSpec:
             return -0.2 - 0.2 * np.cos(w), 1.0 + 0.2 * np.sin(w)
         return np.asarray(self.k1_of(u)), np.asarray(self.k2_of(u))
 
+    def hamiltonian(self, t):
+        """Model Hamiltonian at the loop point of model time t; an array
+        of times gives a stack (..., 3, 3)."""
+        return build_hamiltonian(ModelParams(*self.params(t)))
+
 
 @dataclass(frozen=True)
 class PhaseReport:
@@ -140,13 +134,13 @@ class SwitchReport:
     overlaps: tuple = ()  # against all three final eigenstates
 
 
-def _start_eigenstate(loop: LoopSpec, eigenindex: int) -> tuple[np.ndarray, np.ndarray]:
+def _start_eigenstate(loop: LoopSpec, eigenindex: int) -> np.ndarray:
     if eigenindex not in (1, 2, 3):
         raise ValueError("eigenindex must be 1, 2 or 3")
     k1, k2 = loop.params(0.0)
     sp = spectrum(ModelParams(float(k1), float(k2)))
     psi = sp.right_vectors[:, eigenindex - 1]
-    return psi / np.linalg.norm(psi), sp.eigenvalues
+    return psi / np.linalg.norm(psi)
 
 
 def _time_grid(loop: LoopSpec, dt: float) -> np.ndarray:
@@ -162,34 +156,6 @@ def _time_grid(loop: LoopSpec, dt: float) -> np.ndarray:
         )
     n = max(int(round(steps)), 8)
     return np.linspace(0.0, loop.T, n + 1)
-
-
-class _Slice(NamedTuple):
-    start: int  # grid index of times[0]
-    times: np.ndarray  # grid nodes of the slice, both ends included
-    k1: np.ndarray  # loop parameters at the step midpoints
-    k2: np.ndarray
-    states: np.ndarray  # state at each node of `times`, or at the last only
-
-
-def _propagate(loop: LoopSpec, psi0: np.ndarray, times: np.ndarray, *, trajectory: bool = True):
-    """Propagate psi0 around `loop` on `times`, one slice at a time.
-
-    Yields a _Slice per CHUNK_STEPS steps; the state at the end of one
-    slice starts the next. With trajectory=False each slice is reduced by
-    `ordered_product` and carries only its end state.
-    """
-    psi = psi0
-    for lo in range(0, times.size - 1, CHUNK_STEPS):
-        t = times[lo : lo + CHUNK_STEPS + 1]
-        k1, k2 = loop.params((t[:-1] + t[1:]) / 2.0)
-        props = step_propagators(build_hamiltonian(ModelParams(k1, k2)), np.diff(t))
-        if trajectory:
-            states = prefix_states(props, psi)
-        else:
-            states = (ordered_product(props) @ psi)[np.newaxis]
-        psi = states[-1]
-        yield _Slice(lo, t, k1, k2, states)
 
 
 def _require_real_spectrum(k1, k2) -> None:
@@ -215,23 +181,24 @@ def geometric_phase(
     raises with the advice to slow the loop down.
     """
     times = _time_grid(loop, dt)
-    psi0, _ = _start_eigenstate(loop, eigenindex)
+    psi0 = _start_eigenstate(loop, eigenindex)
     total = dynamical = 0.0
-    for piece in _propagate(loop, psi0, times):
+    for _, t, states in propagate_ordered(loop.hamiltonian, psi0, times):
         # nodes and midpoints: the eigenvalues are taken at the midpoints
-        _require_real_spectrum(*loop.params(piece.times))
-        _require_real_spectrum(piece.k1, piece.k2)
-        overlaps = piece.states @ psi0.conj()
+        k1, k2 = loop.params((t[:-1] + t[1:]) / 2.0)
+        _require_real_spectrum(*loop.params(t))
+        _require_real_spectrum(k1, k2)
+        overlaps = states @ psi0.conj()
         if np.abs(overlaps).min() < 1e-12:
             raise NumericsError("state lost all overlap with the initial eigenstate")
         total += np.sum(np.log(overlaps[1:] / overlaps[:-1]))
-        cp = char_poly(ModelParams(piece.k1, piece.k2))
+        cp = char_poly(ModelParams(k1, k2))
         e_mid = solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0)[:, eigenindex - 1].real
-        dynamical += np.sum(e_mid * np.diff(piece.times))
+        dynamical += np.sum(e_mid * np.diff(t))
     total, dynamical = complex(1j * total), complex(dynamical)
 
     # leakage check against the (identical) start-point eigenbasis at t=T
-    final = piece.states[-1] / np.linalg.norm(piece.states[-1])
+    final = states[-1] / np.linalg.norm(states[-1])
     leak = 1.0 - abs(np.vdot(psi0, final))
     if leak > leakage_tol:
         raise NumericsError(
@@ -262,14 +229,11 @@ def mode_switch(
     ordered by descending eigenvalue.
     """
     if direction is not None and direction != loop.direction:
-        loop = LoopSpec(
-            kind=loop.kind, center=loop.center, R=loop.R, T=loop.T,
-            direction=direction, k1_of=loop.k1_of, k2_of=loop.k2_of,
-        )
+        loop = replace(loop, direction=direction)
     times = _time_grid(loop, dt)
-    psi0, _ = _start_eigenstate(loop, start_index)
-    for piece in _propagate(loop, psi0, times, trajectory=False):
-        psi = piece.states[-1]
+    psi0 = _start_eigenstate(loop, start_index)
+    for _, _, states in propagate_ordered(loop.hamiltonian, psi0, times, trajectory=False):
+        psi = states[-1]
     efficiency = float(np.linalg.norm(psi) ** 2)  # psi0 is normalized
     psi_hat = psi / np.linalg.norm(psi)
 
@@ -303,13 +267,13 @@ def adiabaticity_check(
     with the eigenbasis continuity-tracked along the loop.
     """
     times = _time_grid(loop, dt)
-    psi0, _ = _start_eigenstate(loop, eigenindex)
+    psi0 = _start_eigenstate(loop, eigenindex)
     idx = np.unique(np.linspace(0, times.size - 1, checkpoints + 1).round().astype(int))
     states = np.empty((idx.size, psi0.size), dtype=complex)
-    for piece in _propagate(loop, psi0, times):
-        rel = idx - piece.start
-        inside = (rel >= 0) & (rel < piece.states.shape[0])
-        states[inside] = piece.states[rel[inside]]
+    for start, _, piece in propagate_ordered(loop.hamiltonian, psi0, times):
+        rel = idx - start
+        inside = (rel >= 0) & (rel < piece.shape[0])
+        states[inside] = piece[rel[inside]]
 
     k1c, k2c = loop.params(times[idx])
     sp = sweep_tracked_spectra(ModelParams(np.atleast_1d(k1c), np.atleast_1d(k2c)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubic import cubic_discriminant, solve_cubic
+from .cubic import solve_cubic
 from .numerics import Spectrum, eig
 
 __all__ = [
@@ -67,13 +67,12 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Coefficients of the characteristic cubic P(E) and its discriminant."""
+    """Coefficients of the characteristic cubic P(E)."""
 
     f3: float
     f2: float
     f1: float
     f0: float
-    discriminant: float
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def build_tb_block(p: ModelParams) -> np.ndarray:
 
 
 def char_poly(p: ModelParams) -> CharPoly:
-    """P(E) = det[H - E] for the nearest 3x3 model, plus its discriminant.
+    """P(E) = det[H - E] for the nearest 3x3 model.
 
     Elementwise when p.k1 and p.k2 are arrays (as for `discriminant`).
     """
@@ -144,7 +143,7 @@ def char_poly(p: ModelParams) -> CharPoly:
     f3, f2 = -1.0, 6.0
     f1 = 4.0 * p.k1**2 - 2.0 * p.k2**2 - 7.0
     f0 = 6.0 * (p.k2**2 - 1.0)
-    return CharPoly(f3, f2, f1, f0, cubic_discriminant(f3, f2, f1, f0))
+    return CharPoly(f3, f2, f1, f0)
 
 
 def discriminant(k1, k2):

@@ -40,6 +40,11 @@ __all__ = [
     "model_htot_path",
 ]
 
+# most samples `model_htot_path` takes: a pulse run holds the dilation
+# frames, channels and waveform text of every sample at once, about 2 KB
+# a sample (200 MB here)
+MAX_PULSE_SAMPLES = 10**5
+
 
 @dataclass(frozen=True)
 class NVConstants:
@@ -324,6 +329,8 @@ def model_htot_path(
         raise ValueError(
             "pulse path needs a finite, positive rate and span and at least one sample"
         )
+    if n_samples > MAX_PULSE_SAMPLES:
+        raise ValueError(f"pulse samples {n_samples} exceed the {MAX_PULSE_SAMPLES} allowed")
     h = build_hamiltonian(ModelParams(k1, k2)).astype(complex)
     taus = np.linspace(0.0, t_model_span, n_samples)
     rate = 2.0 * np.pi * s

@@ -165,6 +165,22 @@ def test_range_point_count_is_bounded(capsys, sweep):
     assert err.startswith(f"error: range {sweep!r} has ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("dilate", "--steps", "10000000000000"), "dilation steps 10000000000000 exceed"),
+        (("pulses", "--samples", "10000000000000"), "pulse samples 10000000000000 exceed"),
+        (("cone", "--angles", "10000000000000"), "angles 10000000000000 exceed"),
+    ],
+)
+def test_sample_counts_are_bounded(capsys, argv, message):
+    # unbounded, each ended in an _ArrayMemoryError traceback (72.8 TiB)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["geophase", "modeswitch"])
 @pytest.mark.parametrize("duration", ["inf", "nan"])
 def test_bad_duration_is_a_domain_error(capsys, command, duration):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eplab import numerics
 from eplab.dilation import (
     JointState,
     assemble_htot,
@@ -169,3 +170,28 @@ def test_dilation_window_exceeded_reports_time():
     psi0 = np.array([0.0, 1.0, 0.0])
     with pytest.raises(NumericsError, match="model time 0.0375"):
         dilated_evolve(psi0, h, 5.0, m0_scale=1.05, steps=200)
+
+
+def test_dilation_window_error_found_in_a_later_slice(monkeypatch):
+    # one step per slice: the failing frame is in the second slice
+    monkeypatch.setattr(numerics, "CHUNK_STEPS", 1)
+    h = build_hamiltonian(ModelParams(0.0, 1.3))
+    psi0 = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(NumericsError, match="model time 0.0375"):
+        dilated_evolve(psi0, h, 5.0, m0_scale=1.05, steps=200)
+
+
+def test_dilation_slices_carry_the_state(monkeypatch):
+    # one slice (500 steps) against many short ones with a remainder
+    h = build_hamiltonian(ModelParams(0.3, 1.0))
+    psi0 = np.array([0.0, 1.0, 0.0])
+    whole = dilated_evolve(psi0, h, 2.0, m0_scale=12.0, steps=500)
+    monkeypatch.setattr(numerics, "CHUNK_STEPS", 37)
+    sliced = dilated_evolve(psi0, h, 2.0, m0_scale=12.0, steps=500)
+    assert np.array_equal(sliced[0].times, whole[0].times)
+    for got, want in zip(
+        (sliced[0].states, sliced[1].states, sliced[2]),
+        (whole[0].states, whole[1].states, whole[2]),
+    ):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eplab import experiments
+from eplab import numerics
 from eplab.experiments import (
     LoopSpec,
     PhaseReport,
@@ -131,7 +131,7 @@ def test_slices_carry_the_state(monkeypatch):
         mode_switch(loop, 2),
         adiabaticity_check(loop, 2, checkpoints=50),
     )
-    monkeypatch.setattr(experiments, "CHUNK_STEPS", 37)
+    monkeypatch.setattr(numerics, "CHUNK_STEPS", 37)
     sliced = (
         geometric_phase(loop, 2),
         mode_switch(loop, 2),

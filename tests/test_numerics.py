@@ -15,7 +15,6 @@ from eplab.numerics import (
     expm,
     ordered_product,
     prefix_states,
-    propagate_const,
     propagate_ordered,
     psd_sqrt,
     step_propagators,
@@ -114,12 +113,6 @@ def test_expm_defective_matrix():
     m = np.array([[3.0, 1.0], [0.0, 3.0]])  # Jordan block
     want = np.exp(3.0) * np.array([[1.0, 1.0], [0.0, 1.0]])
     assert np.allclose(expm(m), want, atol=1e-10)
-
-
-def test_propagate_const_overflow_guard():
-    h = np.diag([100.0j * 1j, 0.0])  # large negative real -> huge Im(E)
-    with pytest.raises(NumericsError, match="overflow"):
-        propagate_const(1j * 1e4 * np.eye(2), np.array([1.0, 0.0]), 1.0)
 
 
 # batch sizes: trivial, a square, non-squares, and a remainder block
@@ -253,42 +246,36 @@ def test_three_by_three_products_match_matmul():
 def test_propagate_ordered_constant_hamiltonian():
     h = np.diag([1.0, 2.0, 3.0]).astype(complex)
     times = np.linspace(0.0, 1.0, 101)
-    traj = propagate_ordered(
+    [(start, t, states)] = propagate_ordered(
         lambda t: np.broadcast_to(h, (np.atleast_1d(t).size, 3, 3)),
         np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0),
         times,
     )
+    assert start == 0 and np.array_equal(t, times)
     want = np.exp(-1j * np.diag(h)) / np.sqrt(3.0)
-    assert np.allclose(traj.states[-1], want, atol=1e-10)
-    assert np.allclose(traj.norms, 1.0, atol=1e-12)
+    assert np.allclose(states[-1], want, atol=1e-10)
+    assert np.allclose(np.linalg.norm(states, axis=-1), 1.0, atol=1e-12)
 
 
-def test_propagate_ordered_step_tolerance():
-    def h_of_t(t):
-        t = np.atleast_1d(t)
-        h = np.zeros((t.size, 2, 2), dtype=complex)
-        h[:, 0, 0] = 100.0 * t
-        return h
-
-    with pytest.raises(NumericsError, match="step-size tolerance"):
-        propagate_ordered(
-            h_of_t, np.array([1.0, 0.0]), np.linspace(0, 1, 5), step_tol=1e-3
-        )
-
-
-def test_propagate_ordered_evaluates_nodes_only_for_step_tol():
+def test_propagate_ordered_evaluates_nodes_only_for_step_tol(monkeypatch):
+    # H is sampled at the step midpoints only, in one call per slice
     calls = []
 
     def h_of_t(t):
-        calls.append(np.shape(t))
+        calls.append(t.copy())
         return np.broadcast_to(np.diag([1.0, 2.0]), (*np.shape(t), 2, 2))
 
     times = np.linspace(0.0, 1.0, 11)
-    propagate_ordered(h_of_t, np.array([1.0, 0.0]), times)
-    assert calls == [(10,)]
+    mids = (times[:-1] + times[1:]) / 2.0
+    list(propagate_ordered(h_of_t, np.array([1.0, 0.0]), times))
+    assert len(calls) == 1 and np.array_equal(calls[0], mids)
     calls.clear()
-    propagate_ordered(h_of_t, np.array([1.0, 0.0]), times, step_tol=1.0)
-    assert calls == [(11,), (10,)]
+    monkeypatch.setattr(numerics, "CHUNK_STEPS", 4)
+    slices = list(propagate_ordered(h_of_t, np.array([1.0, 0.0]), times, trajectory=False))
+    assert [start for start, _, _ in slices] == [0, 4, 8]
+    assert [c.size for c in calls] == [4, 4, 2]
+    assert np.array_equal(np.concatenate(calls), mids)
+    assert all(states.shape == (1, 2) for _, _, states in slices)
 
 
 def test_trajectory_validation():
