@@ -266,12 +266,18 @@ def _cmd_eigensolve(args) -> int:
     from .model import ModelParams, analytic_eigenstate, spectrum
     from .readout import (
         DEFAULT_SETTINGS,
+        K_MAX,
         ratios_from_energies,
         simulate_counts,
         solve_eigenvalues,
     )
 
     cfg = _effective_config(args, ("k1", "k2", "shots", "seed"))
+    if not max(abs(float(cfg["k1"])), abs(float(cfg["k2"]))) <= K_MAX:
+        raise ValueError(
+            f"eigensolve needs |k1|, |k2| <= {K_MAX}, the window the readout "
+            f"solver searches; got k1={cfg['k1']}, k2={cfg['k2']}"
+        )
     sp = spectrum(ModelParams(float(cfg["k1"]), float(cfg["k2"])))
     truth = sp.eigenvalues.real
     if int(cfg["shots"]) == 0:
@@ -287,6 +293,12 @@ def _cmd_eigensolve(args) -> int:
             simulate_counts(st, s, int(cfg["shots"]), rng=rng).populations
             for st, s in zip(states, DEFAULT_SETTINGS)
         ]
+        for i, p in enumerate(ps):
+            if p[2] == 0.0:
+                raise ValueError(
+                    f"setting {i + 1} recorded no level-3 counts in "
+                    f"{int(cfg['shots'])} shots, so its ratio P2/P3 is undefined"
+                )
         ratios = np.array([p[1] / p[2] for p in ps])
         tol = 1e6
     recovered = solve_eigenvalues(ratios, residual_tol=tol)
@@ -531,10 +543,21 @@ def build_parser() -> _TrackingParser:
     return p
 
 
+_PARSER: _TrackingParser | None = None
+
+
+def _parser() -> _TrackingParser:
+    """The parser, built once per process: building it costs about 25x a
+    parse. Each parse returns a fresh namespace with its own `_explicit`."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

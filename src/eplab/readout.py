@@ -8,6 +8,13 @@ choices of g select different eigenstates. Eigenvalues are recovered by
 inverting the closed-form population-ratio model under the trace
 constraint E1 + E2 + E3 = 6, which also eliminates the model parameters
 through 12 k1^2 = 27 - 3*sigma2 + sigma3 and 6 k2^2 = sigma3 + 6.
+
+There is one forward model, `_ratio_map`, vectorized over stacks of
+triples, with the three setting unitaries built once per call of
+`ratios_from_energies` (its one-triple wrapper) or `solve_eigenvalues`.
+The solver runs its Gauss-Newton starts in lockstep, two map calls per
+iteration: one for the residuals and finite-difference Jacobian columns
+of every live start, one for all of their line-search candidates.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import ModelParams, _eigenvector_polynomial, build_hamiltonian
+from .model import ModelParams, _eigenvector_polynomial, build_hamiltonian, spectrum
 from .numerics import NumericsError, expm, psd_sqrt
 
 __all__ = [
@@ -28,6 +35,7 @@ __all__ = [
     "SteadyStateResult",
     "DEFAULT_SETTINGS",
     "TOMOGRAPHY_SETTINGS",
+    "K_MAX",
     "rotation_u",
     "rotation_v",
     "setting_unitary",
@@ -241,6 +249,29 @@ def _vieta_k(e1: complex, e2: complex, e3: complex) -> tuple[complex, complex]:
     return k1, k2
 
 
+def _setting_unitaries(settings) -> np.ndarray:
+    """The (3, 3, 3) stack of readout unitaries, one per eigenstate."""
+    us = [setting_unitary(s) for s in settings]
+    if len(us) != 3:
+        raise ValueError(f"eigenvalue readout needs 3 settings, got {len(us)}")
+    return np.stack(us)
+
+
+def _ratio_map(es: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward model on an (N, 3) stack of triples: F^(i) = P2/P3 of
+    eigenstate i rotated by us[i]. Returns the (N, 3) ratios and the
+    (N, 3) mask of entries whose level-3 weight is at most 1e-300 (ratio
+    set to inf)."""
+    k1, k2 = _vieta_k(es[:, 0], es[:, 1], es[:, 2])
+    vec = _eigenvector_polynomial(
+        es, k1[:, None], np.broadcast_to(k2[:, None], es.shape)
+    )  # (component, N, setting)
+    rows = us[:, 1:, :].transpose(2, 1, 0)[:, :, None, :]  # (component, level, 1, setting)
+    p2, p3 = np.abs((rows * vec[:, None]).sum(axis=0)) ** 2
+    dead = p3 <= 1e-300
+    return np.divide(p2, p3, out=np.full_like(p2, np.inf), where=~dead), dead
+
+
 def ratios_from_energies(
     energies: np.ndarray, settings=DEFAULT_SETTINGS
 ) -> np.ndarray:
@@ -249,15 +280,22 @@ def ratios_from_energies(
     e1, e2, e3 = energies
     if abs((e1 + e2 + e3) - 6.0) > 1e-9:
         raise ValueError("eigenvalue triple must sum to 6")
-    k1, k2 = _vieta_k(e1, e2, e3)
-    out = np.empty(3)
-    for i, (e, s) in enumerate(zip((e1, e2, e3), settings)):
-        v = setting_unitary(s) @ _eigenvector_polynomial(e, k1, k2)
-        p3 = abs(v[2]) ** 2
-        if p3 <= 1e-300:
-            raise ValueError(f"setting {i + 1} puts no weight on level 3")
-        out[i] = abs(v[1]) ** 2 / p3
-    return out
+    out, dead = _ratio_map(np.array([[e1, e2, e3]]), _setting_unitaries(settings))
+    if dead.any():
+        raise ValueError(f"setting {int(dead[0].argmax()) + 1} puts no weight on level 3")
+    return out[0]
+
+
+def _ratio_residuals(x: np.ndarray, ratios: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Residuals F(E1, E2, 6 - E1 - E2) - ratios for an (N, 2) stack of
+    (E1, E2). A row the forward model rejects (a level-3 weight at most
+    1e-300, or a triple that misses sum 6 by more than 1e-9) gets 1e6 in
+    every entry."""
+    es = np.column_stack([x[:, 0], x[:, 1], 6.0 - x[:, 0] - x[:, 1]])
+    f, dead = _ratio_map(es, us)
+    r = f - ratios
+    r[dead.any(axis=1) | (np.abs(es.sum(axis=1) - 6.0) > 1e-9)] = 1e6
+    return r
 
 
 # deterministic coarse-simplex starts for the (E1, E2) search
@@ -266,25 +304,104 @@ _STARTS = (
     (5.0, 0.5), (4.5, 2.0), (2.5, 1.0), (3.8, 2.2),
 )
 
+# largest |k1|, |k2| of the solver's operating window
+K_MAX = 1.5
+
+# a start stops once its residual norm is at most this times
+# max(||ratios||, 1): below it a step only trades rounding errors
+_ROUNDING_STOP = 64 * np.finfo(float).eps
+
+# a first-round fit with a residual norm above this times max(||ratios||, 1)
+# is retried from more starts even when `residual_tol` would accept it:
+# shot noise gives at most 0.013 at 1e5 shots and 0.075 at 2000 shots
+# (200 random points over the window each), while a start stuck outside
+# the root's basin leaves 0.1 to 0.7
+_RETRY_RESIDUAL = 0.1
+
+# line-search step fractions 1, 1/2, ..., 2^-19: every halving above 1e-6
+_LAMBDAS = 0.5 ** np.arange(20)
+
+
+def _descend(
+    starts: np.ndarray, ratios: np.ndarray, us: np.ndarray, stop: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Gauss-Newton from every (E1, E2) row of `starts` in lockstep.
+
+    Each iteration evaluates the residual and its two forward-difference
+    Jacobian columns (step 1e-7) for every live start in one call of the
+    vectorized map, and all 20 line-search candidates x + lam * step,
+    lam = 1, 1/2, ..., 2^-19, in a second call. A start takes the
+    minimum-norm least-squares step and the first candidate that lowers
+    its residual norm. It stops after 60 iterations, when its Jacobian is
+    not finite, when no candidate lowers the norm, when the accepted step
+    is shorter than 1e-13, or when its residual norm is at most `stop`.
+    Returns the end points and their residual norms.
+    """
+    eps = 1e-7
+    probes = np.array([[0.0, 0.0], [eps, 0.0], [0.0, eps]])[:, None]  # x, x + eps e_k
+    x = np.array(starts, dtype=float)
+    rnorm = np.empty(len(x))  # residual norm at x
+    live = np.arange(len(x))
+    for _ in range(60):
+        xl = x[live]
+        r = _ratio_residuals((xl + probes).reshape(-1, 2), ratios, us)
+        r = r.reshape(3, len(live), 3)
+        rnorm[live] = np.linalg.norm(r[0], axis=1)
+        jac = ((r[1:] - r[0]) / eps).transpose(1, 2, 0)  # (live, 3, 2)
+        # a non-finite Jacobian has no least-squares step: the start stops
+        go = np.isfinite(jac).all(axis=(1, 2))
+        live, xl, r0, jac = live[go], xl[go], r[0][go], jac[go]
+        if not len(live):
+            break
+        step = -(np.linalg.pinv(jac, rtol=None) @ r0[:, :, None])[:, :, 0]
+        cand = xl + _LAMBDAS[:, None, None] * step  # (20, live, 2)
+        cnorm = np.linalg.norm(
+            _ratio_residuals(cand.reshape(-1, 2), ratios, us), axis=1
+        ).reshape(len(_LAMBDAS), len(live))
+        lower = cnorm < rnorm[live]
+        first = lower.argmax(axis=0)
+        moved = lower.any(axis=0)
+        cols = np.arange(len(live))[moved]
+        live, first = live[moved], first[moved]
+        x[live] = cand[first, cols]
+        rnorm[live] = cnorm[first, cols]
+        short = np.linalg.norm(_LAMBDAS[first, None] * step[cols], axis=1) < 1e-13
+        live = live[~short & (rnorm[live] > stop)]
+        if not len(live):
+            break
+    return x, rnorm
+
 
 def solve_eigenvalues(
     ratios: np.ndarray,
     settings=DEFAULT_SETTINGS,
     *,
     residual_tol: float = 1e-6,
-    k_max: float = 1.5,
+    k_max: float = K_MAX,
 ) -> np.ndarray:
     """Invert three measured ratios to the eigenvalue triple.
 
     Damped Gauss-Newton over (E1, E2) with E3 = 6 - E1 - E2 from eight
-    deterministic starts. The ratio map is not globally injective:
-    distant triples corresponding to |k1| of several units can fit the
-    same ratios, so roots are restricted to the operating window
-    k1^2, k2^2 in [0, k_max^2]. Among feasible roots the one with the
-    smallest residual wins. The trace constraint is built in, so the
-    returned triple sums to 6 exactly.
+    deterministic starts, run in lockstep by `_descend`; a start also
+    stops once its residual norm is at rounding level (`_ROUNDING_STOP`).
+    Only if none of them fits within `residual_tol`, or within
+    `_RETRY_RESIDUAL` (more than shot noise leaves at 2000 or more
+    shots), a second lockstep round starts from the spectra of a 3x3 grid
+    over (0, k_max]^2 and competes with the first. Non-finite ratios
+    raise ValueError.
+
+    The ratio map is not globally injective: distant triples
+    corresponding to |k1| of several units can fit the same ratios, so
+    roots are restricted to the operating window k1^2, k2^2 in
+    [0, k_max^2]. Among feasible roots the one with the smallest residual
+    wins, ties going to the earlier start. The trace constraint is built
+    in, so the returned triple sums to 6 exactly.
     """
     ratios = np.asarray(ratios, dtype=float)
+    if not np.isfinite(ratios).all():
+        raise ValueError(f"ratios must be finite, got {ratios}")
+    us = _setting_unitaries(settings)
+    scale = max(np.linalg.norm(ratios), 1.0)
 
     def feasible(x):
         es = np.array([x[0], x[1], 6.0 - x[0] - x[1]])
@@ -298,61 +415,39 @@ def solve_eigenvalues(
             and abs(k2) <= k_max + 1e-9
         )
 
-    def resid(x):
-        es = np.array([x[0], x[1], 6.0 - x[0] - x[1]])
-        try:
-            return ratios_from_energies(es, settings) - ratios
-        except ValueError:
-            return np.full(3, 1e6)
+    def pick(x, rnorm):
+        best = None
+        best_any = None
+        for i in range(len(x)):
+            if best_any is None or rnorm[i] < best_any[1]:
+                best_any = (x[i], rnorm[i])
+            if feasible(x[i]) and (best is None or rnorm[i] < best[1]):
+                best = (x[i], rnorm[i])
+        return best if best is not None else best_any
 
-    def jac(x, r0):
-        eps = 1e-7
-        cols = []
-        for k in range(2):
-            xp = x.copy()
-            xp[k] += eps
-            cols.append((resid(xp) - r0) / eps)
-        return np.column_stack(cols)
-
-    best = None
-    best_any = None
-    landscape = []
-    for start in _STARTS:
-        x = np.array(start, dtype=float)
-        for _ in range(60):
-            r = resid(x)
-            j = jac(x, r)
-            try:
-                step = np.linalg.lstsq(j, -r, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                break
-            lam = 1.0
-            base = np.linalg.norm(r)
-            while lam > 1e-6:
-                cand = x + lam * step
-                if np.linalg.norm(resid(cand)) < base:
-                    break
-                lam /= 2.0
-            else:
-                break
-            x = x + lam * step
-            if np.linalg.norm(lam * step) < 1e-13:
-                break
-        rnorm = float(np.linalg.norm(resid(x)))
-        landscape.append((start, rnorm))
-        if best_any is None or rnorm < best_any[1]:
-            best_any = (x, rnorm)
-        if feasible(x) and (best is None or rnorm < best[1]):
-            best = (x, rnorm)
-    x, rnorm = best if best is not None else best_any
-    scale = max(np.linalg.norm(ratios), 1.0)
-    if rnorm > residual_tol * scale:
-        lines = ", ".join(f"start {s} -> residual {r:.3e}" for s, r in landscape)
+    stop = _ROUNDING_STOP * scale
+    starts = list(_STARTS)
+    x, rnorm = _descend(_STARTS, ratios, us, stop)
+    xb, rb = pick(x, rnorm)
+    if not rb <= min(residual_tol, _RETRY_RESIDUAL) * scale:
+        # all eight can end outside the root's basin (e.g. at (k1, k2) =
+        # (0.0923, 0.3114) noiselessly, (0.0897, 0.3183) with 1e5 shots);
+        # retry from the spectra of a 3x3 grid over the window, which lie
+        # in the feasible region
+        g = np.linspace(0.0, k_max, 4)[1:]
+        k1, k2 = np.meshgrid(g, g, indexing="ij")
+        more = spectrum(ModelParams(k1.ravel(), k2.ravel())).eigenvalues.real[:, :2]
+        x2, rnorm2 = _descend(more, ratios, us, stop)
+        starts += [tuple(row) for row in np.round(more, 4).tolist()]
+        x, rnorm = np.concatenate([x, x2]), np.concatenate([rnorm, rnorm2])
+        xb, rb = pick(x, rnorm)
+    if not rb <= residual_tol * scale:
+        lines = ", ".join(f"start {s} -> residual {r:.3e}" for s, r in zip(starts, rnorm))
         raise NumericsError(
             f"no eigenvalue triple fits the ratios within {residual_tol:.1e} "
-            f"(best residual {rnorm:.3e}); landscape: {lines}"
+            f"(best residual {rb:.3e}); landscape: {lines}"
         )
-    return np.array([x[0], x[1], 6.0 - x[0] - x[1]])
+    return np.array([xb[0], xb[1], 6.0 - xb[0] - xb[1]])
 
 
 def simulate_counts(

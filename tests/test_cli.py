@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from eplab import __version__
-from eplab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _parse_range, main
+from eplab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _parse_range, _parser, main
 
 
 def run(capsys, *argv):
@@ -250,3 +251,67 @@ def test_bad_model_inputs_are_domain_errors(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # one shot per setting: setting 1 sees no level-3 count, so P2/P3
+        # is undefined (it used to print the untouched first start)
+        (("--shots", "1", "--seed", "1"), "setting 1 recorded no level-3 counts"),
+        # outside the window no start ends feasible (it used to print a
+        # non-descending triple with max_abs_error 5.5)
+        (("--k1", "3", "--k2", "0.5"), "|k1|, |k2| <= 1.5"),
+        (("--k1", "0.3", "--k2", "-1.6"), "|k1|, |k2| <= 1.5"),
+    ],
+)
+def test_eigensolve_rejects_unreadable_inputs(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "eigensolve", *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_cached_parser_keeps_runs_apart(tmp_path, capsys):
+    # main() builds its parser once per process; defaults and the set of
+    # explicitly given flags must not carry over from one run to the next
+    parser = _parser()
+    first = parser.parse_args(["eigensolve", "--k1", "0.2", "--shots", "5"])
+    second = parser.parse_args(["tomography", "--seed", "3"])
+    assert first._explicit == {"k1", "shots"}
+    assert second._explicit == {"seed"}
+    assert (second.k1, second.k2, second.shots) == (0.0, 1.0, 0)
+    assert _parser() is parser
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k1": 0.25, "k2": 0.5}))
+    code, from_file, _ = run(capsys, "eigensolve", "--config", str(cfg))
+    assert code == EXIT_OK
+    _, default_tomo, _ = run(capsys, "tomography")
+    # an explicit --k1 in one run must not override the file in the next
+    assert run(capsys, "eigensolve", "--k1", "0.1", "--k2", "0.4")[0] == EXIT_OK
+    assert run(capsys, "tomography", "--k1", "0.1", "--shots", "100")[0] == EXIT_OK
+    assert run(capsys, "eigensolve", "--config", str(cfg))[1] == from_file
+    assert run(capsys, "tomography")[1] == default_tomo
+    doc = json.loads(from_file.split("\n", 1)[1])
+    assert doc["max_abs_error"] < 1e-8
+    assert doc["truth"][0] == pytest.approx(3.7393014801852353, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # every one of the eight starts misses the root: noiselessly the
+        # solve raised, with 1e5 shots it returned the unmoved start (3, 3)
+        ("--k1", "0.0923", "--k2", "0.3114"),
+        ("--k1", "0.0897", "--k2", "0.3183", "--shots", "100000", "--seed", "1641706001"),
+    ],
+)
+def test_eigensolve_retries_when_the_eight_starts_miss(capsys, argv):
+    code, out, _ = run(capsys, "eigensolve", *argv)
+    assert code == EXIT_OK
+    doc = json.loads(out.split("\n", 1)[1])
+    assert doc["max_abs_error"] < (1e-12 if len(argv) == 4 else 1e-2)

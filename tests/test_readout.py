@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from eplab.model import ModelParams, analytic_eigenstate, build_hamiltonian, spectrum
+from eplab import readout
+from eplab.model import (
+    ModelParams,
+    _eigenvector_polynomial,
+    analytic_eigenstate,
+    build_hamiltonian,
+    spectrum,
+)
 from eplab.numerics import NumericsError
 from eplab.readout import (
     DEFAULT_SETTINGS,
@@ -121,8 +128,180 @@ def test_solver_recovers_triples_noiselessly():
 
 
 def test_solver_rejects_unfittable_ratios():
-    with pytest.raises(NumericsError, match="landscape"):
+    with pytest.raises(NumericsError, match="landscape") as err:
         solve_eigenvalues(np.array([1e6, 1e-6, 1e6]))
+    # the eight starts, then the nine of the fallback round
+    msg = str(err.value)
+    assert msg.count("start (") == 8 + 9
+    for start in readout._STARTS:
+        assert f"start {start} -> residual" in msg
+
+
+def test_fallback_round_when_the_eight_starts_miss():
+    # a noiseless point inside the window where every one of the eight
+    # starts ends in a spurious minimum, so the eight alone raise here
+    vals = spectrum(ModelParams(0.0923, 0.3114)).eigenvalues.real
+    ratios = ratios_from_energies(vals)
+    us = readout._setting_unitaries(DEFAULT_SETTINGS)
+    _, rnorm = readout._descend(readout._STARTS, ratios, us, 0.0)
+    assert rnorm.min() > 1e-3
+    assert np.abs(solve_eigenvalues(ratios) - vals).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_solver_rejects_non_finite_ratios(bad):
+    with pytest.raises(ValueError, match="finite"):
+        solve_eigenvalues(np.array([0.7, bad, 0.5]))
+
+
+def test_forward_model_flags_settings_without_level_3_weight(monkeypatch):
+    # a stand-in unitary for setting 2 whose level-3 row is zero
+    real = readout.setting_unitary
+    blind = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    monkeypatch.setattr(
+        readout, "setting_unitary",
+        lambda s: blind if s == DEFAULT_SETTINGS[1] else real(s),
+    )
+    with pytest.raises(ValueError, match="setting 2 puts no weight on level 3"):
+        ratios_from_energies(np.array([3.6, 2.4, 0.0]))
+    us = readout._setting_unitaries(DEFAULT_SETTINGS)
+    r = readout._ratio_residuals(np.array([[3.6, 2.4]]), np.ones(3), us)
+    assert np.array_equal(r, np.full((1, 3), 1e6))
+
+
+def _scalar_ratios(es, settings):
+    """Reference for `_ratio_map`: the forward model one triple at a time."""
+    k1, k2 = readout._vieta_k(*es)
+    out = np.empty(3)
+    for i, (e, s) in enumerate(zip(es, settings)):
+        v = setting_unitary(s) @ _eigenvector_polynomial(e, k1, k2)
+        p3 = abs(v[2]) ** 2
+        if p3 <= 1e-300:
+            raise ValueError(f"setting {i + 1} puts no weight on level 3")
+        out[i] = abs(v[1]) ** 2 / p3
+    return out
+
+
+def _scalar_solve(ratios, settings=DEFAULT_SETTINGS, k_max=1.5):
+    """Reference: the eight Gauss-Newton starts one after another, each
+    with a scalar finite-difference Jacobian, lstsq step and halving line
+    search; the lockstep solver keeps these rules per start."""
+
+    def feasible(x):
+        es = np.array([x[0], x[1], 6.0 - x[0] - x[1]])
+        if es[0] < es[1] - 1e-6 or es[1] < es[2] - 1e-6:
+            return False
+        k1, k2 = readout._vieta_k(*es)
+        return (
+            abs(k1.imag) < 1e-4 and abs(k2.imag) < 1e-4
+            and abs(k1) <= k_max + 1e-9 and abs(k2) <= k_max + 1e-9
+        )
+
+    def resid(x):
+        try:
+            return _scalar_ratios([x[0], x[1], 6.0 - x[0] - x[1]], settings) - ratios
+        except ValueError:
+            return np.full(3, 1e6)
+
+    best = best_any = None
+    for start in readout._STARTS:
+        x = np.array(start, dtype=float)
+        for _ in range(60):
+            r = resid(x)
+            cols = []
+            for k in range(2):
+                xp = x.copy()
+                xp[k] += 1e-7
+                cols.append((resid(xp) - r) / 1e-7)
+            step = np.linalg.lstsq(np.column_stack(cols), -r, rcond=None)[0]
+            lam, base = 1.0, np.linalg.norm(r)
+            while lam > 1e-6:
+                if np.linalg.norm(resid(x + lam * step)) < base:
+                    break
+                lam /= 2.0
+            else:
+                break
+            x = x + lam * step
+            if np.linalg.norm(lam * step) < 1e-13:
+                break
+        rnorm = float(np.linalg.norm(resid(x)))
+        if best_any is None or rnorm < best_any[1]:
+            best_any = (x, rnorm)
+        if feasible(x) and (best is None or rnorm < best[1]):
+            best = (x, rnorm)
+    x = (best or best_any)[0]
+    return np.array([x[0], x[1], 6.0 - x[0] - x[1]])
+
+
+def test_forward_model_matches_scalar_reference():
+    for k1, k2 in ((0.25, 0.6), (0.05, 0.3), (0.45, 0.7), (0.3, 1.0)):
+        vals = spectrum(ModelParams(k1, k2)).eigenvalues.real
+        for settings in (DEFAULT_SETTINGS, TOMOGRAPHY_SETTINGS[2:9:3]):
+            want = _scalar_ratios(vals, settings)
+            got = ratios_from_energies(vals, settings)
+            assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_lockstep_solver_matches_scalar_reference_noiselessly():
+    # the criterion-12 grid
+    for k1 in np.linspace(0.05, 0.45, 5):
+        for k2 in np.linspace(0.3, 0.7, 5):
+            vals = spectrum(ModelParams(float(k1), float(k2))).eigenvalues.real
+            ratios = ratios_from_energies(vals)
+            got = solve_eigenvalues(ratios)
+            assert np.abs(got - _scalar_solve(ratios)).max() < 1e-12
+
+
+def test_lockstep_solver_matches_scalar_reference_on_noisy_ratios():
+    # 1e5-shot ratios drawn over the solver window. On the k1 = 0 fold
+    # (criterion 12's noisy point) the stalled starts are sensitive to
+    # last-bit changes in the map, so the two solvers can differ there by
+    # about 1e-4, far below the shot noise.
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        p = ModelParams(rng.uniform(0.05, 0.45), rng.uniform(0.3, 0.7))
+        vals = spectrum(p).eigenvalues.real
+        ratios = []
+        for e, s in zip(vals, DEFAULT_SETTINGS):
+            pops = simulate_counts(analytic_eigenstate(p, e), s, 100_000, rng=rng).populations
+            ratios.append(pops[1] / pops[2])
+        ratios = np.array(ratios)
+        got = solve_eigenvalues(ratios, residual_tol=1e6)
+        assert np.abs(got - _scalar_solve(ratios)).max() < 1e-8
+
+
+def test_lockstep_solver_with_custom_settings():
+    settings = TOMOGRAPHY_SETTINGS[2:9:3]  # three settings not in DEFAULT_SETTINGS
+    for k1, k2 in ((0.3, 0.5), (0.1, 0.65), (0.45, 0.35)):
+        vals = spectrum(ModelParams(k1, k2)).eigenvalues.real
+        ratios = ratios_from_energies(vals, settings)
+        got = solve_eigenvalues(ratios, settings)
+        assert np.abs(got - _scalar_solve(ratios, settings)).max() < 1e-12
+        assert np.abs(got - vals).max() < 1e-8
+
+
+def test_solver_makes_two_map_calls_per_iteration(monkeypatch):
+    # the starts advance in lockstep: at most 60 iterations of one
+    # Jacobian call and one line-search call, and three unitaries per solve
+    counts = {"map": 0, "unitary": 0}
+    real_map, real_unitary = readout._ratio_residuals, readout.setting_unitary
+
+    def counted_map(*args):
+        counts["map"] += 1
+        return real_map(*args)
+
+    def counted_unitary(s):
+        counts["unitary"] += 1
+        return real_unitary(s)
+
+    vals = spectrum(ModelParams(0.3, 1.0)).eigenvalues.real
+    ratios = ratios_from_energies(vals)
+    monkeypatch.setattr(readout, "_ratio_residuals", counted_map)
+    monkeypatch.setattr(readout, "setting_unitary", counted_unitary)
+    got = solve_eigenvalues(ratios)
+    assert np.abs(got - vals).max() < 1e-12
+    assert 0 < counts["map"] <= 2 * 60 + 1
+    assert counts["unitary"] == 3
 
 
 def test_solver_noise_robustness():
