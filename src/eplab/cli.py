@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 
 import numpy as np
@@ -88,31 +89,20 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 class _TrackingParser(argparse.ArgumentParser):
-    """Records which optional flags were given explicitly."""
+    """Records which optional flags were given explicitly.
+
+    A value with a leading minus that reads as a number or a range
+    (-1e-3, -.5, -inf, -1:1:0.05) is a value, not an unknown option:
+    Python 3.11's argparse takes only -1 and -1.5 for negative numbers.
+    Subparsers are built from this class, so every subcommand shares it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def parse_args(self, argv=None, namespace=None):
         argv = sys.argv[1:] if argv is None else list(argv)
-        # merge "--flag -1:1:0.05" into "--flag=-1:1:0.05" so range values
-        # with a leading minus survive argparse's option heuristic
-        merged = []
-        skip = False
-        for i, tok in enumerate(argv):
-            if skip:
-                skip = False
-                continue
-            nxt = argv[i + 1] if i + 1 < len(argv) else None
-            if (
-                tok.startswith("--")
-                and "=" not in tok
-                and nxt is not None
-                and nxt.startswith("-")
-                and ":" in nxt
-            ):
-                merged.append(f"{tok}={nxt}")
-                skip = True
-            else:
-                merged.append(tok)
-        argv = merged
         ns = super().parse_args(argv, namespace)
         explicit = set()
         for token in argv:
@@ -263,7 +253,7 @@ def _cmd_pulses(args) -> int:
 
 
 def _cmd_eigensolve(args) -> int:
-    from .model import ModelParams, analytic_eigenstate, spectrum
+    from .model import ModelParams, analytic_eigenstate, discriminant, spectrum
     from .readout import (
         DEFAULT_SETTINGS,
         K_MAX,
@@ -277,6 +267,14 @@ def _cmd_eigensolve(args) -> int:
         raise ValueError(
             f"eigensolve needs |k1|, |k2| <= {K_MAX}, the window the readout "
             f"solver searches; got k1={cfg['k1']}, k2={cfg['k2']}"
+        )
+    # below zero the spectrum holds a complex pair, whose real parts are
+    # not the energies the populations encode; zero (an EP) still reads
+    disc = float(discriminant(float(cfg["k1"]), float(cfg["k2"])))
+    if disc < 0.0:
+        raise ValueError(
+            f"eigensolve needs a real spectrum, but k1={cfg['k1']}, k2={cfg['k2']} is "
+            f"PT-broken (discriminant {disc:.6g} < 0)"
         )
     sp = spectrum(ModelParams(float(cfg["k1"]), float(cfg["k2"])))
     truth = sp.eigenvalues.real

@@ -12,6 +12,14 @@ from H, eta and d(eta)/dt. Hermiticity of both blocks is the correctness
 certificate of the construction and is checked on every frame. Frames
 broadcast over t: an array of times gives stacks (*t.shape, n, n).
 
+`build_frame` makes one batched eigendecomposition of the symmetrised
+M - I = V diag(lambda) V^dag per stack. It gives the window check
+(lambda >= -POSITIVITY_MARGIN), eta = V diag(sqrt(lambda)) V^dag,
+d(eta)/dt by the Sylvester solve in the basis V, and
+M^-1 = V diag(1 / (1 + lambda)) V^dag. The public `eta_of_t`, `eta_rate`
+and `gamma_lambda` run the same private helpers on a basis or an inverse
+of their own. The 3x3 products are the broadcast `numerics._matmul`.
+
 Ancilla convention (used consistently by preparation, post-selection and
 pulse synthesis): levels 1-3 carry ancilla |1>, levels 4-6 carry |0>,
 and |+->= (|0> +- i |1>)/sqrt(2).
@@ -26,10 +34,12 @@ import numpy as np
 from .numerics import (
     NumericsError,
     Trajectory,
+    _check_hermitian,
+    _check_psd_floor,
     _dag,
+    _matmul,
     expm,
     propagate_ordered,
-    psd_sqrt,
 )
 
 __all__ = [
@@ -82,7 +92,7 @@ def metric_M(h: np.ndarray, t: float | np.ndarray, m0_scale: float = DEFAULT_M0_
     """M(t) = m0_scale E^dag E with E = exp(i H t), since exp(-i H^dag t) = E^dag."""
     _check_m0_scale(m0_scale)
     e = expm(1j * np.asarray(t, dtype=float)[..., None, None] * np.asarray(h, dtype=complex))
-    m = m0_scale * (_dag(e) @ e)
+    m = m0_scale * _matmul(_dag(e), e)
     return (m + _dag(m)) / 2.0
 
 
@@ -91,20 +101,74 @@ def _check_m0_scale(m0_scale: float) -> None:
         raise ValueError("m0_scale must be finite and exceed 1 so that M(0) - I is positive")
 
 
-def _window_lost(m: np.ndarray) -> np.ndarray:
-    """Per frame: whether M - I has an eigenvalue below -POSITIVITY_MARGIN."""
+def _shifted_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues lambda and eigenvectors V of the symmetrised
+    M - I, frame by frame: one batched LAPACK call per stack."""
     shifted = m - np.eye(m.shape[-1])
-    return np.linalg.eigvalsh((shifted + _dag(shifted)) / 2).min(axis=-1) < -POSITIVITY_MARGIN
+    return np.linalg.eigh((shifted + _dag(shifted)) / 2.0)
+
+
+def _window_lost(vals: np.ndarray) -> np.ndarray:
+    """Flat indices of the frames whose M - I has an eigenvalue below
+    -POSITIVITY_MARGIN, from the ascending eigenvalues of M - I."""
+    return np.flatnonzero(vals[..., 0] < -POSITIVITY_MARGIN)
+
+
+def _eta_from_eigh(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eta = V diag(sqrt(lambda)) V^dag and its eigenvalues sqrt(lambda).
+
+    Eigenvalues in [-1e-10 max(|lambda_max|, 1), 0) are clamped to zero;
+    anything below that floor raises, as in `numerics.psd_sqrt`.
+    """
+    _check_psd_floor(vals)
+    roots = np.sqrt(np.clip(vals, 0.0, None))
+    eta = _matmul(vecs * roots[..., None, :], _dag(vecs))
+    return (eta + _dag(eta)) / 2.0, roots
+
+
+def _eta_rate_in_basis(
+    h: np.ndarray, m: np.ndarray, roots: np.ndarray, vecs: np.ndarray
+) -> np.ndarray:
+    """d(eta)/dt from eta X + X eta = dM/dt, solved in the eigenbasis V of
+    eta, whose ascending eigenvalues are `roots`."""
+    bad = np.flatnonzero(roots[..., 0] < 1e-12)
+    if bad.size:
+        raise NumericsError(
+            f"eta has a near-zero eigenvalue in frame {bad[0]}; Sylvester solve ill-posed"
+        )
+    dm = 1j * (_matmul(m, h) - _matmul(_dag(h), m))
+    rhs = _matmul(_matmul(_dag(vecs), dm), vecs)
+    x = rhs / (roots[..., :, None] + roots[..., None, :])
+    return _matmul(_matmul(vecs, x), _dag(vecs))
+
+
+def _blocks(
+    h: np.ndarray, eta: np.ndarray, deta: np.ndarray, minv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma and Lambda from H, eta, d(eta)/dt and M^-1 (see `gamma_lambda`)."""
+    eta_h = _matmul(eta, h)
+    lhat = _matmul(h + _matmul(1j * deta + eta_h, eta), minv)
+    ghat = 1j * _matmul(_matmul(h, eta) - eta_h - 1j * deta, minv)
+    blocks = np.stack([lhat + ghat, lhat - ghat])  # Gamma, Lambda
+    scale = np.maximum(np.abs(blocks).max(axis=(0, -2, -1)), 1.0)
+    defect = np.abs(blocks - _dag(blocks)).max(axis=(0, -2, -1))
+    bad = np.flatnonzero(defect > 1e-9 * scale)
+    if bad.size:
+        raise NumericsError(
+            f"dilation blocks lost Hermiticity in frame {bad[0]} (defect {defect.flat[bad[0]]:.3e})"
+        )
+    gamma, lam = (blocks + _dag(blocks)) / 2.0
+    return gamma, lam
 
 
 def eta_of_t(m: np.ndarray) -> np.ndarray:
     """eta = principal square root of M - I (gauge U = I), frame by frame."""
     m = np.asarray(m, dtype=complex)
-    if _window_lost(m).any():
-        raise NumericsError(
-            "dilation window exceeded: M - I lost positivity"
-        )
-    return psd_sqrt(m - np.eye(m.shape[-1]))
+    _check_hermitian(m, "M")
+    vals, vecs = _shifted_eigh(m)
+    if _window_lost(vals).size:
+        raise NumericsError("dilation window exceeded: M - I lost positivity")
+    return _eta_from_eigh(vals, vecs)[0]
 
 
 def eta_rate(h: np.ndarray, m: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -113,17 +177,8 @@ def eta_rate(h: np.ndarray, m: np.ndarray, eta: np.ndarray) -> np.ndarray:
     dM/dt = i (M H - H^dag M) follows from the metric flow; the Sylvester
     equation is solved exactly in the eigenbasis of eta.
     """
-    h = np.asarray(h, dtype=complex)
-    dm = 1j * (m @ h - _dag(h) @ m)
-    vals, vecs = np.linalg.eigh(eta)
-    bad = np.flatnonzero(vals.min(axis=-1) < 1e-12)
-    if bad.size:
-        raise NumericsError(
-            f"eta has a near-zero eigenvalue in frame {bad[0]}; Sylvester solve ill-posed"
-        )
-    rhs = _dag(vecs) @ dm @ vecs
-    x = rhs / (vals[..., :, None] + vals[..., None, :])
-    return vecs @ x @ _dag(vecs)
+    roots, vecs = np.linalg.eigh(eta)
+    return _eta_rate_in_basis(np.asarray(h, dtype=complex), m, roots, vecs)
 
 
 def gamma_lambda(
@@ -137,20 +192,7 @@ def gamma_lambda(
     Hermiticity within 1e-9 is enforced frame by frame; it fails only if
     the inputs are inconsistent.
     """
-    h = np.asarray(h, dtype=complex)
-    minv = np.linalg.inv(m)
-    lhat = (h + (1j * deta + eta @ h) @ eta) @ minv
-    ghat = 1j * (h @ eta - eta @ h - 1j * deta) @ minv
-    blocks = np.stack([lhat + ghat, lhat - ghat])  # Gamma, Lambda
-    scale = np.maximum(np.abs(blocks).max(axis=(0, -2, -1)), 1.0)
-    defect = np.abs(blocks - _dag(blocks)).max(axis=(0, -2, -1))
-    bad = np.flatnonzero(defect > 1e-9 * scale)
-    if bad.size:
-        raise NumericsError(
-            f"dilation blocks lost Hermiticity in frame {bad[0]} (defect {defect.flat[bad[0]]:.3e})"
-        )
-    gamma, lam = (blocks + _dag(blocks)) / 2.0
-    return gamma, lam
+    return _blocks(np.asarray(h, dtype=complex), eta, deta, np.linalg.inv(m))
 
 
 def assemble_htot(gamma: np.ndarray, lam: np.ndarray, s: float = 1.0) -> np.ndarray:
@@ -169,19 +211,27 @@ def build_frame(
     m0_scale: float = DEFAULT_M0_SCALE,
     s: float = 1.0,
 ) -> DilationFrame:
-    """All time-local dilation objects for a constant H at model time(s) t."""
+    """All time-local dilation objects for a constant H at model time(s) t.
+
+    One batched eigendecomposition M - I = V diag(lambda) V^dag per stack
+    gives everything past the metric: the window check (the earliest
+    model time with lambda below -POSITIVITY_MARGIN), eta = V
+    diag(sqrt(lambda)) V^dag, d(eta)/dt by the Sylvester solve in the
+    basis V, and M^-1 = V diag(1 / (1 + lambda)) V^dag.
+    """
+    h = np.asarray(h, dtype=complex)
     m = metric_M(h, t, m0_scale)
-    try:
-        eta = eta_of_t(m)
-    except NumericsError as exc:
-        lost = np.flatnonzero(_window_lost(m))
-        if lost.size:
-            raise NumericsError(
-                f"dilation window exceeded at model time {np.ravel(t)[lost[0]]:.6g}: {exc}"
-            ) from exc
-        raise
-    deta = eta_rate(h, m, eta)
-    gamma, lam = gamma_lambda(h, m, eta, deta)
+    vals, vecs = _shifted_eigh(m)
+    lost = _window_lost(vals)
+    if lost.size:
+        raise NumericsError(
+            f"dilation window exceeded at model time {np.ravel(t)[lost[0]]:.6g}: "
+            "M - I lost positivity"
+        )
+    eta, roots = _eta_from_eigh(vals, vecs)
+    deta = _eta_rate_in_basis(h, m, roots, vecs)
+    minv = _matmul(vecs / (1.0 + vals)[..., None, :], _dag(vecs))
+    gamma, lam = _blocks(h, eta, deta, minv)
     return DilationFrame(
         t=t, M=m, eta=eta, Gamma=gamma, Lambda=lam,
         Htot=assemble_htot(gamma, lam, s), s=s,

@@ -7,8 +7,11 @@ engine, `propagate_ordered`.
 
 There are two matrix exponentials, both scaling-and-squaring on the
 truncated Taylor series with one scaling per stack.
-`_expm_taylor` sums the series as matrices, for any n; `expm` and
-`psd_sqrt` take any stack (..., n, n) and use it. `step_propagators`
+`_expm_taylor` sums the series as matrices, for any n; `expm` takes any
+stack (..., n, n) and uses it. Its powers, Horner steps and squarings
+are `_matmul` products: three broadcast multiply-adds over a 3x3 stack,
+since `np.matmul` makes one BLAS call per small matrix, and `np.matmul`
+for any other n, so a 6x6 dilation step stays on BLAS. `step_propagators`
 uses it too, except on 3x3 steps whose exponents dt H all have inf-norm
 at most 1: those take `_expm3_closed_form`, which reduces the same
 series with Cayley-Hamilton to three scalar coefficients per step
@@ -26,8 +29,7 @@ grid length. Each slice samples H once, at its step midpoints, and is
 reduced in one of two modes: `prefix_states`, a two-level blocked scan
 that gives the state at every node, or `ordered_product`, a pairwise
 tree that gives only the end state at about half the cost. Their 3x3
-products are broadcast multiply-adds, since `np.matmul` makes one BLAS
-call per small matrix.
+products are `_matmul`'s broadcast multiply-adds too.
 """
 
 from __future__ import annotations
@@ -128,6 +130,28 @@ def _dag(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2).conj()
 
 
+def _check_hermitian(m: np.ndarray, what: str) -> None:
+    """Raise if a matrix of the stack departs from Hermitian by more than
+    1e-9 of its own scale, naming the earliest such frame."""
+    defect = np.abs(m - _dag(m)).max(axis=(-2, -1))
+    bad = np.flatnonzero(defect > 1e-9 * np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0))
+    if bad.size:
+        raise NumericsError(
+            f"{what} not Hermitian in frame {bad[0]} (defect {defect.flat[bad[0]]:.3e})"
+        )
+
+
+def _check_psd_floor(vals: np.ndarray, eig_floor: float = -1e-10) -> None:
+    """Raise if the smallest of a frame's eigenvalues (..., n) lies below
+    eig_floor times max(|largest|, 1), naming the earliest such frame."""
+    low = vals.min(axis=-1)
+    bad = np.flatnonzero(low < eig_floor * np.maximum(np.abs(vals.max(axis=-1)), 1.0))
+    if bad.size:
+        raise NumericsError(
+            f"metric violation in frame {bad[0]}: eigenvalue {low.flat[bad[0]]:.3e} below PSD floor"
+        )
+
+
 def psd_sqrt(m: np.ndarray, *, eig_floor: float = -1e-10) -> np.ndarray:
     """Principal square root of each Hermitian PSD matrix in a stack.
 
@@ -136,21 +160,23 @@ def psd_sqrt(m: np.ndarray, *, eig_floor: float = -1e-10) -> np.ndarray:
     to its own scale; an error names the earliest failing one.
     """
     m = np.asarray(m, dtype=complex)
-    defect = np.abs(m - _dag(m)).max(axis=(-2, -1))
-    bad = np.flatnonzero(defect > 1e-9 * np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0))
-    if bad.size:
-        raise NumericsError(
-            f"psd_sqrt input not Hermitian in frame {bad[0]} (defect {defect.flat[bad[0]]:.3e})"
-        )
+    _check_hermitian(m, "psd_sqrt input")
     vals, vecs = np.linalg.eigh((m + _dag(m)) / 2.0)
-    low = vals.min(axis=-1)
-    bad = np.flatnonzero(low < eig_floor * np.maximum(np.abs(vals.max(axis=-1)), 1.0))
-    if bad.size:
-        raise NumericsError(
-            f"metric violation in frame {bad[0]}: eigenvalue {low.flat[bad[0]]:.3e} below PSD floor"
-        )
+    _check_psd_floor(vals, eig_floor)
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ _dag(vecs)
     return (root + _dag(root)) / 2.0
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over stacks (..., n, n). For n = 3 it is three broadcast
+    multiply-adds: `np.matmul` makes one BLAS call per small matrix,
+    about 0.37 us each."""
+    if a.shape[-1] != 3:
+        return np.matmul(a, b)
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    out += a[..., :, 1, None] * b[..., None, 1, :]
+    out += a[..., :, 2, None] * b[..., None, 2, :]
+    return out
 
 
 def expm(m: np.ndarray) -> np.ndarray:
@@ -217,19 +243,19 @@ def _taylor_degree(theta: float) -> int:
 
 def _taylor_polynomial(x: np.ndarray, m: int) -> np.ndarray:
     """sum_{k<=m} x^k / k! (m >= 2) by Paterson-Stockmeyer, batched over
-    (N, n, n): s - 1 batched matmuls for the powers, one product with the
-    coefficient table for all blocks, then Horner in x^s."""
+    (N, n, n): s - 1 batched `_matmul` products for the powers, one
+    product with the coefficient table for all blocks, then Horner in x^s."""
     coeffs = _PS_COEFFS[m]
     s = coeffs.shape[1] - 1
     powers = np.empty((s + 1, *x.shape), dtype=complex)
     powers[0] = np.eye(x.shape[-1])
     powers[1] = x
     for k in range(2, s + 1):
-        np.matmul(powers[k - 1], x, out=powers[k])
+        powers[k] = _matmul(powers[k - 1], x)
     blocks = np.matmul(coeffs, powers.reshape(s + 1, x.size)).reshape(len(coeffs), *x.shape)
     acc = blocks[-1]
     for block in blocks[-2::-1]:
-        acc = np.matmul(acc, powers[s])
+        acc = _matmul(acc, powers[s])
         acc += block
     return acc
 
@@ -241,9 +267,11 @@ def _expm_taylor(ms: np.ndarray) -> np.ndarray:
     from its largest inf-norm so that the scaled norm theta is at most 1/2,
     and one Taylor degree: the smallest m with theta^(m+1)/(m+1)! <= 2^-53
     (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), evaluated with about
-    2 sqrt(m) batched matmuls by Paterson-Stockmeyer. The series runs over
-    a few hundred matrices at a time, so beyond the result its memory is
-    a fixed amount under a MB.
+    2 sqrt(m) batched products by Paterson-Stockmeyer. The powers, the
+    Horner steps and the squarings are `_matmul` products, broadcast
+    multiply-adds for n = 3 and `np.matmul` otherwise. The series runs
+    over a few hundred matrices at a time, so beyond the result its
+    memory is a fixed amount under a MB.
     """
     ms = np.asarray(ms, dtype=complex)
     max_norm = float(np.abs(ms).sum(axis=-1).max()) if ms.size else 0.0
@@ -254,7 +282,7 @@ def _expm_taylor(ms: np.ndarray) -> np.ndarray:
     for lo in range(0, ms.shape[0], rows):
         part = _taylor_polynomial(ms[lo : lo + rows] / 2.0**squarings, order)
         for _ in range(squarings):
-            part = np.matmul(part, part)
+            part = _matmul(part, part)
         result[lo : lo + rows] = part
     return result
 
@@ -270,18 +298,6 @@ _CLOSED_FORM_MAX_NORM = 1.0
 # rows per pass of the closed form, which holds about ten (rows, 3, 3)
 # temporaries; passes keep them near 3 MB whatever the stack length
 _CLOSED_FORM_PASS_ROWS = 1 << 12
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over stacks (..., n, n). For n = 3 it is three broadcast
-    multiply-adds: `np.matmul` makes one BLAS call per small matrix,
-    about 0.37 us each."""
-    if a.shape[-1] != 3:
-        return np.matmul(a, b)
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    out += a[..., :, 1, None] * b[..., None, 1, :]
-    out += a[..., :, 2, None] * b[..., None, 2, :]
-    return out
 
 
 def _max_scaled_norm(m: np.ndarray, scale: np.ndarray) -> float:

@@ -263,6 +263,9 @@ def test_bad_model_inputs_are_domain_errors(capsys, argv, message):
         # non-descending triple with max_abs_error 5.5)
         (("--k1", "3", "--k2", "0.5"), "|k1|, |k2| <= 1.5"),
         (("--k1", "0.3", "--k2", "-1.6"), "|k1|, |k2| <= 1.5"),
+        # PT-broken: truth held the real parts of a complex pair and the
+        # run printed max_abs_error 0.096
+        (("--k1", "1.5", "--k2", "1.5"), "PT-broken (discriminant -5811.25 < 0)"),
     ],
 )
 def test_eigensolve_rejects_unreadable_inputs(capsys, argv, message):
@@ -273,6 +276,25 @@ def test_eigensolve_rejects_unreadable_inputs(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_eigensolve_at_the_dirac_ep(capsys):
+    # the discriminant is exactly 0 on the real-spectrum boundary
+    code, out, _ = run(capsys, "eigensolve", "--k1", "0", "--k2", "1")
+    assert code == EXIT_OK
+    assert json.loads(out.split("\n", 1)[1])["recovered"] == [3.0, 3.0, 0.0]
+
+
+def test_negative_values_in_scientific_notation(capsys):
+    # argparse took -1e-3 for an unknown option and exited 2
+    code, sci, _ = run(capsys, "dilate", "--k1", "-1e-3", "--steps", "100")
+    assert code == EXIT_OK
+    assert sci == run(capsys, "dilate", "--k1", "-0.001", "--steps", "100")[1]
+    code, out, err = run(capsys, "pulses", "--scale", "-5e4")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite, positive rate" in err
 
 
 def test_cached_parser_keeps_runs_apart(tmp_path, capsys):

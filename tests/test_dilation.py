@@ -3,6 +3,7 @@ import pytest
 
 from eplab import numerics
 from eplab.dilation import (
+    POSITIVITY_MARGIN,
     JointState,
     assemble_htot,
     build_frame,
@@ -19,6 +20,27 @@ from eplab.numerics import NumericsError, expm
 
 
 H_REF = build_hamiltonian(ModelParams(0.3, 0.5))
+
+
+def _reference_frame(h, t, m0_scale):
+    """eta, d(eta)/dt, Gamma and Lambda by three decompositions per frame:
+    eigvalsh for the window, eigh for the square root of M - I, eigh of
+    eta for the Sylvester solve, and inv(M)."""
+    h = np.asarray(h, dtype=complex)
+    m = metric_M(h, t, m0_scale)
+    shifted = m - np.eye(3)
+    assert np.linalg.eigvalsh(shifted).min() >= -POSITIVITY_MARGIN
+    eta = numerics.psd_sqrt(shifted)
+    dm = 1j * (m @ h - h.conj().T @ m)
+    vals, vecs = np.linalg.eigh(eta)
+    rhs = vecs.conj().swapaxes(-1, -2) @ dm @ vecs
+    deta = vecs @ (rhs / (vals[..., :, None] + vals[..., None, :])) @ vecs.conj().swapaxes(-1, -2)
+    minv = np.linalg.inv(m)
+    lhat = (h + (1j * deta + eta @ h) @ eta) @ minv
+    ghat = 1j * (h @ eta - eta @ h - 1j * deta) @ minv
+    blocks = np.stack([lhat + ghat, lhat - ghat])
+    gamma, lam = (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
+    return {"eta": eta, "deta": deta, "Gamma": gamma, "Lambda": lam}
 
 
 def test_metric_initial_value_and_hermiticity():
@@ -51,6 +73,31 @@ def test_eta_initial_and_square():
 def test_eta_positivity_window_violation():
     with pytest.raises(NumericsError, match="positivity"):
         eta_of_t(np.diag([2.0, 0.5, 2.0]))
+
+
+def test_eta_below_psd_floor_inside_the_window():
+    # -1e-9 passes the window margin (1e-8) but not the PSD floor (1e-10)
+    m = np.stack([np.diag([2.0, 1.5, 2.0]), np.diag([2.0, 1.0 - 1e-9, 2.0])])
+    with pytest.raises(
+        NumericsError, match=r"^metric violation in frame 1: eigenvalue -1\.000e-09 below PSD floor$"
+    ):
+        eta_of_t(m)
+
+
+def test_eta_rejects_non_hermitian_metric():
+    m = np.stack([2.0 * np.eye(3), 2.0 * np.eye(3) + np.triu(np.ones((3, 3)), 1)])
+    with pytest.raises(NumericsError, match="M not Hermitian in frame 1"):
+        eta_of_t(m)
+
+
+def test_eta_rate_rejects_near_zero_eta():
+    m = np.stack([2.0 * np.eye(3), np.diag([2.0, 1.0, 2.0])])
+    eta = eta_of_t(m)
+    with pytest.raises(
+        NumericsError,
+        match=r"^eta has a near-zero eigenvalue in frame 1; Sylvester solve ill-posed$",
+    ):
+        eta_rate(H_REF, m, eta)
 
 
 def test_eta_rate_matches_finite_difference():
@@ -105,6 +152,55 @@ def test_frame_over_times_matches_scalar_frames(h, m0_scale, ts):
         want = np.stack([getattr(f, name) for f in singles])
         assert getattr(stacked, name).shape == want.shape
         assert np.abs(getattr(stacked, name) - want).max() < 1e-12, name
+
+
+def test_build_frame_makes_one_eigendecomposition(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0, "inv": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    build_frame(H_REF, np.linspace(0.0, 0.7, 50), m0_scale=6.0)
+    assert calls == {"eigh": 1, "eigvalsh": 0, "inv": 0}
+
+
+@pytest.mark.parametrize(
+    "k1, k2, m0_scale, span",
+    [
+        # the three dilate points of criterion 7 over its time span
+        (0.0, 1.0, 12.0, 2.0),
+        (0.3, 1.0, 12.0, 2.0),
+        (0.0, 0.8, 12.0, 2.0),
+        # the pulse paths of criterion 8 and the reference H of this file
+        (0.0, 1.0, 1.3, 0.08),
+        (0.0, 1.3, 1.5, 0.05),
+        (0.3, 0.5, 2.0, 0.3),
+        (0.3, 0.5, 6.0, 0.7),
+    ],
+)
+def test_frame_matches_three_decomposition_reference(k1, k2, m0_scale, span):
+    h = build_hamiltonian(ModelParams(k1, k2))
+    ts = np.random.default_rng(7).uniform(0.0, span, 64)
+    frame = build_frame(h, ts, m0_scale=m0_scale)
+    want = _reference_frame(h, ts, m0_scale)
+    # Gamma and Lambda carry the frame's own d(eta)/dt; `eta_rate` solves
+    # the same Sylvester equation in the eigenbasis of the frame's eta
+    got = {
+        "eta": frame.eta,
+        "deta": eta_rate(h, frame.M, frame.eta),
+        "Gamma": frame.Gamma,
+        "Lambda": frame.Lambda,
+    }
+    for name, ref in want.items():
+        assert np.abs(got[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 def test_prepare_and_postselect_roundtrip():
@@ -170,6 +266,11 @@ def test_dilation_window_exceeded_reports_time():
     psi0 = np.array([0.0, 1.0, 0.0])
     with pytest.raises(NumericsError, match="model time 0.0375"):
         dilated_evolve(psi0, h, 5.0, m0_scale=1.05, steps=200)
+    # the default dilate run at m0 = 1.3 leaves the window once, said once
+    h = build_hamiltonian(ModelParams(0.0, 1.0))
+    with pytest.raises(NumericsError) as exc:
+        dilated_evolve(psi0, h, 2.0, m0_scale=1.3, steps=2000)
+    assert str(exc.value) == "dilation window exceeded at model time 0.0935: M - I lost positivity"
 
 
 def test_dilation_window_error_found_in_a_later_slice(monkeypatch):

@@ -107,6 +107,17 @@ def test_expm_matches_scipy():
         stack = np.stack([_random_complex(rng, n) * 2.0**-j for j in range(6)])
         want = np.stack([scipy_expm(m) for m in stack])
         assert np.allclose(expm(stack), want, atol=1e-10)
+    # 3x3 stacks whose largest inf-norm takes 0 to 6 squarings: the series
+    # and the squarings run on the broadcast 3x3 products
+    for squarings, norm in enumerate((0.4, 0.9, 1.5, 3.0, 6.0, 12.0, 24.0)):
+        stack = np.stack([_random_complex(rng, 3) for _ in range(5)])
+        stack *= (norm * 2.0 ** -np.arange(5) / np.abs(stack).sum(axis=-1).max(axis=-1))[
+            :, None, None
+        ]
+        assert numerics._squarings(np.abs(stack).sum(axis=-1).max()) == squarings
+        for got, m in zip(expm(stack), stack):
+            want = scipy_expm(m)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_expm_defective_matrix():
