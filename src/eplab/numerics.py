@@ -6,30 +6,22 @@ square root, matrix exponentials and the one time-ordered propagation
 engine, `propagate_ordered`.
 
 There are two matrix exponentials, both scaling-and-squaring on the
-truncated Taylor series with one scaling per stack.
-`_expm_taylor` sums the series as matrices, for any n; `expm` takes any
-stack (..., n, n) and uses it. Its powers, Horner steps and squarings
-are `_matmul` products: three broadcast multiply-adds over a 3x3 stack,
-since `np.matmul` makes one BLAS call per small matrix, and `np.matmul`
-for any other n, so a 6x6 dilation step stays on BLAS. `step_propagators`
-uses it too, except on 3x3 steps whose exponents dt H all have inf-norm
-at most 1: those take `_expm3_closed_form`, which reduces the same
-series with Cayley-Hamilton to three scalar coefficients per step
-(Moler and Van Loan, "Nineteen dubious ways to compute the exponential
-of a matrix, twenty-five years later", SIAM Rev. 45, 3, 2003). For the
-traceless part G of H, G^k = a_k I + b_k G + c_k G^2 with
-(a, b, c) -> (c det G, a - c s, b) and s = -tr(G^2)/2, so
-exp(-i dt H) = e^{-i dt tr(H)/3} (A I + B G + C G^2).
+truncated Taylor series with one scaling per stack: `_expm_taylor` sums
+the series as matrices for any n, behind `expm` and `step_propagators`,
+and `_expm3_closed_form` reduces it with Cayley-Hamilton to three scalar
+coefficients per 3x3 step (Moler and Van Loan, "Nineteen dubious ways to
+compute the exponential of a matrix, twenty-five years later", SIAM Rev.
+45, 3, 2003). Their products are `_matmul`: three broadcast
+multiply-adds over a 3x3 stack, since `np.matmul` makes one BLAS call
+per small matrix, and `np.matmul` for any other n.
 
 `propagate_ordered` evolves a state over a time grid with midpoint-
-sampled step propagators. It walks the grid in slices of at most
-CHUNK_STEPS steps and carries the state vector from one slice to the
-next, so its working set is bounded by the slice length whatever the
-grid length. Each slice samples H once, at its step midpoints, and is
-reduced in one of two modes: `prefix_states`, a two-level blocked scan
-that gives the state at every node, or `ordered_product`, a pairwise
-tree that gives only the end state at about half the cost. Their 3x3
-products are `_matmul`'s broadcast multiply-adds too.
+sampled step propagators, in slices of at most CHUNK_STEPS steps with
+the state carried from one to the next, so its working set is bounded
+whatever the grid length. Each slice samples H once and is reduced on
+one pairwise tree: `ordered_product` keeps its top, and `prefix_states`
+sweeps the state down its levels to every node; both end on the same
+bits. A closed-form stack stays stack-last in memory throughout.
 """
 
 from __future__ import annotations
@@ -58,16 +50,15 @@ class NumericsError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues and unit right eigenvectors (columns), plus optional
-    left eigenvectors. `ordering_tag` records whether the order is the
-    local deterministic one or continuity-tracked by a sweep.
+    """Eigenvalues and unit right eigenvectors (columns). `ordering_tag`
+    records whether the order is the local deterministic one or
+    continuity-tracked by a sweep.
 
     A stack of spectra keeps the leading axes: eigenvalues (..., n),
     right_vectors (..., n, n) with the vectors in the last axis' columns."""
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray | None = None
     ordering_tag: str = "local"
 
 
@@ -167,13 +158,13 @@ def psd_sqrt(m: np.ndarray, *, eig_floor: float = -1e-10) -> np.ndarray:
     return (root + _dag(root)) / 2.0
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over stacks (..., n, n). For n = 3 it is three broadcast
-    multiply-adds: `np.matmul` makes one BLAS call per small matrix,
-    about 0.37 us each."""
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b over stacks (..., n, n), into `out` if given. For n = 3 it is
+    three broadcast multiply-adds, in the memory order of the operands:
+    `np.matmul` makes one BLAS call per small matrix, about 0.37 us each."""
     if a.shape[-1] != 3:
-        return np.matmul(a, b)
-    out = a[..., :, 0, None] * b[..., None, 0, :]
+        return np.matmul(a, b, out=out)
+    out = np.multiply(a[..., :, 0, None], b[..., None, 0, :], out=out)
     out += a[..., :, 1, None] * b[..., None, 1, :]
     out += a[..., :, 2, None] * b[..., None, 2, :]
     return out
@@ -267,11 +258,9 @@ def _expm_taylor(ms: np.ndarray) -> np.ndarray:
     from its largest inf-norm so that the scaled norm theta is at most 1/2,
     and one Taylor degree: the smallest m with theta^(m+1)/(m+1)! <= 2^-53
     (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), evaluated with about
-    2 sqrt(m) batched products by Paterson-Stockmeyer. The powers, the
-    Horner steps and the squarings are `_matmul` products, broadcast
-    multiply-adds for n = 3 and `np.matmul` otherwise. The series runs
-    over a few hundred matrices at a time, so beyond the result its
-    memory is a fixed amount under a MB.
+    2 sqrt(m) batched `_matmul` products by Paterson-Stockmeyer. The
+    series runs over a few hundred matrices at a time, so beyond the
+    result its memory is a fixed amount under a MB.
     """
     ms = np.asarray(ms, dtype=complex)
     max_norm = float(np.abs(ms).sum(axis=-1).max()) if ms.size else 0.0
@@ -292,6 +281,9 @@ def _expm_taylor(ms: np.ndarray) -> np.ndarray:
 # propagators take 4.7 MB and the kernels' temporaries up to 8 MB more
 CHUNK_STEPS = 1 << 15
 
+# largest inf-norm of a slice's end state; its squared norm stays finite
+_STATE_NORM_CEILING = 1e100
+
 # largest inf-norm of a 3x3 step exponent dt H that takes the closed form:
 # at most one squaring; beyond it the {I, G, G^2} basis loses accuracy
 _CLOSED_FORM_MAX_NORM = 1.0
@@ -310,9 +302,9 @@ def _max_scaled_norm(m: np.ndarray, scale: np.ndarray) -> float:
 
 
 def _expm3_closed_form(h: np.ndarray, z: np.ndarray, squarings: int) -> np.ndarray:
-    """exp(z_j H_j), shape (N, 3, 3), for 3x3 matrices stored matrix axes
-    first, h (3, 3, N), and scalars z (N,): e^{z tr H / 3} (A I + B G + C G^2)
-    with G the traceless part of H.
+    """exp(z_j H_j) for 3x3 matrices stored matrix axes first, h (3, 3, N),
+    and scalars z (N,): e^{z tr H / 3} (A I + B G + C G^2) with G the
+    traceless part of H, as an (N, 3, 3) view of (3, 3, N) memory.
 
     The Taylor series of Y = z G / 2^s is truncated at the degree
     `_taylor_degree` gives for the largest ||Y||_inf of each pass of
@@ -320,12 +312,12 @@ def _expm3_closed_form(h: np.ndarray, z: np.ndarray, squarings: int) -> np.ndarr
     Y^3 = det(Y) I - sigma Y with sigma = -tr(Y^2)/2, so that
     Y^k = a_k I + b_k Y + c_k Y^2 with (a, b, c) -> (c det Y, a - c sigma, b).
     Horner's rule on that recurrence and the s squarings run on N-length
-    coefficient arrays; the only matrix product is one G^2 per step. With
-    the stack on the last axis every operation runs along it; numpy's
-    loops over a length-3 last axis cost several times more.
+    coefficient arrays; the only matrix product is one G^2 per step. Every
+    operation, here and in the tree's products, runs along the stack on
+    the last axis; numpy's loops over a length-3 last axis cost more.
     """
     y = z / 2.0**squarings
-    result = np.empty((z.size, 3, 3), dtype=complex)
+    result = np.empty((3, 3, z.size), dtype=complex)
     for lo in range(0, z.size, _CLOSED_FORM_PASS_ROWS):
         part = slice(lo, lo + _CLOSED_FORM_PASS_ROWS)
         gp = np.array(h[..., part], dtype=np.result_type(h, float), order="C")
@@ -356,23 +348,17 @@ def _expm3_closed_form(h: np.ndarray, z: np.ndarray, squarings: int) -> np.ndarr
         out += (c * yp**2 * phase) * g2
         for i in range(3):
             out[i, i] += a * phase
-        result[part] = np.moveaxis(out, -1, 0)
-    return result
+        result[..., part] = out
+    return np.moveaxis(result, -1, 0)
 
 
 def step_propagators(h_mid: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """Batched exp(-i H_j dt_j) from midpoint-sampled Hamiltonians.
-
-    The stack shares one scaling 2^-s, from its largest theta =
-    ||dt_j H_j||_inf as in `_expm_taylor`. A 3x3 stack with theta <= 1
-    (so s <= 1) takes the closed form `_expm3_closed_form`: the same
-    Taylor series, reduced with Cayley-Hamilton (Moler and Van Loan, SIAM
-    Rev. 45, 3, 2003) through G^k = a_k I + b_k G + c_k G^2 and
-    (a, b, c) -> (c det G, a - c s, b), s = -tr(G^2)/2, for the traceless
-    part G of H. Every other stack, the 6x6 dilation or a 3x3 stack with
-    theta > 1, where the {I, G, G^2} basis loses accuracy, stays on
-    `_expm_taylor`. Real and complex H take the same path.
-    """
+    """Batched exp(-i H_j dt_j) from midpoint-sampled Hamiltonians, with
+    one scaling from the stack's largest theta = ||dt_j H_j||_inf. A 3x3
+    stack with theta <= 1 (at most one squaring) takes `_expm3_closed_form`;
+    any other stack, the 6x6 dilation or a 3x3 one where the {I, G, G^2}
+    basis would lose accuracy, takes `_expm_taylor`. Real and complex H
+    take the same path."""
     h = np.asarray(h_mid)
     dts = np.asarray(dts)
     if h.shape[-1] == 3:
@@ -383,51 +369,60 @@ def step_propagators(h_mid: np.ndarray, dts: np.ndarray) -> np.ndarray:
     return _expm_taylor(-1j * dts[:, None, None] * np.asarray(h, dtype=complex))
 
 
+def _pairwise_levels(props: np.ndarray):
+    """Levels, bottom up, of the pairwise tree of the time-ordered product
+    of `props` (N, n, n): level k + 1 holds level[2i + 1] @ level[2i] and
+    the odd last matrix of level k, in the memory order of `props`."""
+    level = np.asarray(props, dtype=complex)
+    yield level
+    while len(level) > 1:
+        n, half = len(level), len(level) // 2
+        up = np.empty_like(level, shape=(half + n % 2, *level.shape[1:]))
+        _matmul(level[1 : 2 * half : 2], level[0 : 2 * half : 2], out=up[:half])
+        if n % 2:
+            up[half] = level[-1]
+        level = up
+        yield level
+
+
 def ordered_product(props: np.ndarray) -> np.ndarray:
-    """Time-ordered product U_N ... U_2 U_1 by pairwise tree reduction."""
-    acc = np.asarray(props, dtype=complex)
-    while acc.shape[0] > 1:
-        n = acc.shape[0]
-        half = n // 2
-        paired = _matmul(acc[1 : 2 * half : 2], acc[0 : 2 * half : 2])
-        acc = np.concatenate([paired, acc[2 * half :]]) if n % 2 else paired
-    return acc[0]
+    """Time-ordered product U_N ... U_2 U_1: the top of the pairwise tree."""
+    for level in _pairwise_levels(props):
+        pass  # each level is dropped once the next is built
+    return level[0]
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v over stacks (k, n, n), (k, n): broadcast for n = 3, else `einsum`."""
+    if a.shape[-1] != 3:
+        return np.einsum("kab,kb->ka", a, v)
+    out = a[:, :, 0] * v[:, 0, None]
+    out += a[:, :, 1] * v[:, 1, None]
+    out += a[:, :, 2] * v[:, 2, None]
+    return out
 
 
 def prefix_states(props: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    """States after each step of the ordered product, including t=0.
-
-    Two-level blocked scan (Blelloch, "Prefix sums and their
-    applications", 1990) with block length b = isqrt(N): b - 1 batched
-    matmuls across the ~N/b blocks build every within-block prefix
-    product, the state is carried across the blocks one matrix-vector
-    product each, and one batched product fills in the states. That is
-    N matrix products, N + N/b matrix-vector products and about 2 sqrt(N)
-    Python-level calls, against the N log2 N products of a Hillis-Steele
-    scan.
-    """
-    props = np.asarray(props, dtype=complex)
+    """States (N + 1, dim) after each step of the ordered product,
+    including t=0, by an up-sweep/down-sweep scan (Blelloch, "Prefix sums
+    and their applications", 1990) on the kept levels of the pairwise
+    tree: a left child starts where its parent does, a right child at the
+    left child's product applied to that state. The last state is the top
+    applied to psi0, as in product mode, so both modes end on the same
+    bits. N - 1 matrix and about N matrix-vector products in about
+    2 log2 N vectorized calls."""
     psi0 = np.asarray(psi0, dtype=complex)
-    n, dim = props.shape[0], psi0.size
-    states = np.empty((n + 1, dim), dtype=complex)
-    states[0] = psi0
-    if n == 0:
-        return states
-    block = math.isqrt(n)
-    blocks = -(-n // block)
-    # the last block is padded with identities
-    prefix = np.empty((blocks * block, dim, dim), dtype=complex)
-    prefix[:n] = props
-    prefix[n:] = np.eye(dim)
-    prefix = prefix.reshape(blocks, block, dim, dim)
-    for j in range(1, block):
-        prefix[:, j] = _matmul(prefix[:, j], prefix[:, j - 1])
-    carried = np.empty((blocks, dim), dtype=complex)
-    carried[0] = psi0
-    for k in range(1, blocks):
-        carried[k] = prefix[k - 1, -1] @ carried[k - 1]
-    filled = np.einsum("kjab,kb->kja", prefix, carried).reshape(-1, dim)
-    states[1:] = filled[:n]
+    states = np.array([psi0, psi0])  # row 1 takes the end state if N = 1
+    levels = list(_pairwise_levels(props))
+    if not len(levels[0]):
+        return states[:1]
+    for level in levels[-2::-1]:
+        m, half = len(level), len(level) // 2
+        down = np.empty((m + 1, psi0.size), dtype=complex)  # row m: the end state
+        down[0:m:2] = states[: m - half]
+        down[1 : 2 * half : 2] = _matvec(level[0 : 2 * half : 2], states[:half])
+        states = down
+    states[-1] = levels[-1][0] @ psi0
     return states
 
 
@@ -442,7 +437,8 @@ def propagate_ordered(h_of_t, psi0: np.ndarray, times: np.ndarray, *, trajectory
     the slice's nodes with both ends, and `states` the state at every node
     of `t` (trajectory=True, by `prefix_states`) or at its last node only
     (trajectory=False, by `ordered_product`). The end state of one slice
-    starts the next.
+    starts the next; NumericsError names the slice whose end state is not
+    finite or over `_STATE_NORM_CEILING` (a gain that overflows).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
@@ -451,9 +447,13 @@ def propagate_ordered(h_of_t, psi0: np.ndarray, times: np.ndarray, *, trajectory
     for start in range(0, times.size - 1, CHUNK_STEPS):
         t = times[start : start + CHUNK_STEPS + 1]
         props = step_propagators(h_of_t((t[:-1] + t[1:]) / 2.0), np.diff(t))
-        if trajectory:
-            states = prefix_states(props, psi)
-        else:
-            states = (ordered_product(props) @ psi)[np.newaxis]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            if trajectory:
+                states = prefix_states(props, psi)
+            else:
+                states = (ordered_product(props) @ psi)[np.newaxis]
         psi = states[-1]
+        if not (peak := np.abs(psi).max()) <= _STATE_NORM_CEILING:
+            raise NumericsError(f"state norm {peak:.3e} over t in [{t[0]:.6g}, {t[-1]:.6g}] "
+                                f"is not finite or over {_STATE_NORM_CEILING:.0e}: it overflows")
         yield start, t, states

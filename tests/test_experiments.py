@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,21 @@ def test_trivial_loop_has_zero_geometric_phase():
 def test_geometric_phase_rejects_complex_spectrum_path():
     with pytest.raises(NumericsError, match="not all-real"):
         geometric_phase(LoopSpec(center=(0.0, 1.6), R=0.05, T=50.0), 1)
+
+
+@pytest.mark.parametrize(
+    "T, peak",
+    # the gain of a loop in the broken-PT region overflows to nan within
+    # the slice at T = 1e3, and leaves a finite state past the ceiling at 1e2
+    [(1e3, "nan"), (1e2, r"9\.\d+e\+156")],
+)
+def test_overflowing_loop_raises(T, peak):
+    loop = LoopSpec(kind="circle", center=(0.0, 3.0), R=0.1, T=T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (mode_switch, adiabaticity_check):
+            with pytest.raises(NumericsError, match=rf"state norm {peak} over t in \[0, {T:g}\]"):
+                run(loop, 1, dt=0.5)
 
 
 def test_fast_loop_reports_leakage():

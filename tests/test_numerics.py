@@ -126,7 +126,8 @@ def test_expm_defective_matrix():
     assert np.allclose(expm(m), want, atol=1e-10)
 
 
-# batch sizes: trivial, a square, non-squares, and a remainder block
+# stack lengths: trivial, powers of two, and odd lengths at several levels
+# of the pairwise tree, whose last matrix is carried up a level unpaired
 SCAN_SIZES = [(n_steps, dim) for n_steps in (1, 2, 3, 13, 256, 257, 1000) for dim in (2, 3, 6)]
 
 
@@ -136,6 +137,14 @@ def _unitary_steps(rng, n_steps, dim):
         return a + a.conj().T
 
     return np.stack([scipy_expm(-0.05j * herm()) for _ in range(n_steps)])
+
+
+def _loop_states(props, psi0):
+    """States after each step, one matrix-vector product at a time."""
+    states = [psi0]
+    for u in props:
+        states.append(u @ states[-1])
+    return np.array(states)
 
 
 def test_ordered_product_matches_loop():
@@ -154,12 +163,58 @@ def test_prefix_states_matches_loop():
         props = _unitary_steps(rng, n_steps, dim)
         psi0 = _random_complex(rng, dim)[:, 0]
         states = prefix_states(props, psi0)
-        ref = [psi0]
-        for u in props:
-            ref.append(u @ ref[-1])
         assert states.shape == (n_steps + 1, dim)
-        assert np.abs(states - np.array(ref)).max() < 1e-12, (n_steps, dim)
+        assert np.abs(states - _loop_states(props, psi0)).max() < 1e-12, (n_steps, dim)
     assert np.array_equal(prefix_states(np.zeros((0, 3, 3)), np.ones(3)), np.ones((1, 3)))
+
+
+def test_tree_modes_end_on_the_same_bits():
+    # trajectory mode ends on the product-mode expression, and the tree
+    # gives the same bits on a C-ordered stack and on the stack-last
+    # (3, 3, N) memory of the closed form
+    rng = np.random.default_rng(10)
+    for n_steps, dim in SCAN_SIZES:
+        props = _unitary_steps(rng, n_steps, dim)
+        psi0 = _random_complex(rng, dim)[:, 0]
+        states = prefix_states(props, psi0)
+        top = ordered_product(props)
+        assert np.array_equal(states[-1], top @ psi0), (n_steps, dim)
+        if dim == 3:
+            stack_last = np.moveaxis(np.empty((3, 3, n_steps), dtype=complex), -1, 0)
+            stack_last[...] = props
+            assert np.array_equal(prefix_states(stack_last, psi0), states), n_steps
+            assert np.array_equal(ordered_product(stack_last), top), n_steps
+
+
+def _hermitian_steps(rng, n_steps, dim):
+    """step_propagators of random Hermitian H_j over dt = 0.05: the closed
+    form for dim 3, the Taylor kernel otherwise."""
+    a = rng.normal(size=(n_steps, dim, dim)) + 1j * rng.normal(size=(n_steps, dim, dim))
+    return step_propagators(a + np.conj(np.swapaxes(a, -1, -2)), np.full(n_steps, 0.05))
+
+
+def test_tree_matches_loop_beyond_a_slice():
+    # a slice's worth of steps and three more: 16 tree levels above the
+    # steps, with an odd last matrix carried up from 14 of them
+    rng = np.random.default_rng(11)
+    for dim in (2, 3, 6):
+        props = _hermitian_steps(rng, numerics.CHUNK_STEPS + 3, dim)
+        psi0 = _random_complex(rng, dim)[:, 0]
+        ref = _loop_states(props, psi0)
+        states = prefix_states(props, psi0)
+        assert np.abs(states - ref).max() < 1e-12, dim
+        assert np.abs(ordered_product(props) @ psi0 - ref[-1]).max() < 1e-12, dim
+
+
+@given(st.integers(1, 3000), st.sampled_from([2, 3, 6]), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_tree_modes_property(n_steps, dim, seed):
+    rng = np.random.default_rng(seed)
+    props = _hermitian_steps(rng, n_steps, dim)
+    psi0 = _random_complex(rng, dim)[:, 0]
+    states = prefix_states(props, psi0)
+    assert np.array_equal(states[-1], ordered_product(props) @ psi0)
+    assert np.abs(states - _loop_states(props, psi0)).max() < 1e-12
 
 
 def test_step_propagators_accuracy():
@@ -287,6 +342,28 @@ def test_propagate_ordered_evaluates_nodes_only_for_step_tol(monkeypatch):
     assert [c.size for c in calls] == [4, 4, 2]
     assert np.array_equal(np.concatenate(calls), mids)
     assert all(states.shape == (1, 2) for _, _, states in slices)
+
+
+def test_propagate_ordered_stops_at_the_overflowing_slice(monkeypatch):
+    # H = diag(i, 0) amplifies the first component as e^t: past the 1e100
+    # ceiling in the slice over [200, 300], and to inf within one slice
+    # over [0, 1000]; neither leaks a RuntimeWarning
+    h = np.diag([1j, 0.0])
+
+    def h_of_t(t):
+        return np.broadcast_to(h, (t.size, 2, 2))
+
+    def run(t_end, trajectory):
+        times = np.linspace(0.0, t_end, int(t_end) + 1)
+        return list(propagate_ordered(h_of_t, np.array([1.0, 0.0]), times, trajectory=trajectory))
+
+    for trajectory in (True, False):
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "CHUNK_STEPS", 100)
+            with pytest.raises(NumericsError, match=r"1\.9\d\de\+130 over t in \[200, 300\]"):
+                run(400.0, trajectory)
+        with pytest.raises(NumericsError, match=r"(nan|inf) over t in \[0, 1000\] is not finite"):
+            run(1000.0, trajectory)
 
 
 def test_trajectory_validation():
