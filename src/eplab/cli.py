@@ -518,7 +518,7 @@ def build_parser() -> _TrackingParser:
     s.add_argument("--radius", type=float, default=0.2)
     s.add_argument("--duration", type=float, default=5000.0)
     s.add_argument("--eigenindex", type=int, default=1)
-    s.add_argument("--dt", type=float, default=0.025)
+    s.add_argument("--dt", type=float, default=0.2)
     s.set_defaults(func=_cmd_geophase)
 
     s = sub.add_parser("modeswitch", help="chiral/non-chiral mode switching")
@@ -527,7 +527,7 @@ def build_parser() -> _TrackingParser:
     s.add_argument("--start", type=int, default=1)
     s.add_argument("--direction", choices=("ccw", "cw"), default="ccw")
     s.add_argument("--duration", type=float, default=5.0e4)
-    s.add_argument("--dt", type=float, default=0.1)
+    s.add_argument("--dt", type=float, default=0.4)
     s.set_defaults(func=_cmd_modeswitch)
 
     s = sub.add_parser("verify", help="run a property suite")

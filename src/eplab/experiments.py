@@ -3,16 +3,19 @@ around the conical degeneracy, chiral and non-chiral mode switching, and
 an adiabaticity monitor.
 
 Loops are closed curves (k1(t), k2(t)); the state is propagated by
-`numerics.propagate_ordered`, which walks the time grid in slices and
-carries the state from one slice to the next, so the working set is
-bounded by the slice length whatever the loop duration; only the time
-grid itself, 8 bytes a step, grows with it. Each study here does its
-loop-specific work slice by slice as the engine yields them. The total
-phase is accumulated incrementally as i * sum(log of per-step overlap
-ratios), which keeps the complex logarithm on a continuous branch over
-arbitrarily long loops; the dynamical phase is the quadrature of the
-instantaneous eigenvalue at the step midpoints, taken in closed form from
-the characteristic cubic, and the geometric phase is their difference.
+`numerics.propagate_ordered` with fourth-order commutator-free ("cf4")
+steps, which walks the time grid in slices and carries the state from one
+slice to the next, so the working set is bounded by the slice length
+whatever the loop duration; only the time grid itself, 8 bytes a step,
+grows with it. Each study here does its loop-specific work slice by slice
+as the engine yields them. The dynamical phase of a step, phi_j, is the
+two-point Gauss-Legendre quadrature of the instantaneous eigenvalue at the
+step's Gauss nodes, taken in closed form from the characteristic cubic;
+it is fourth order, like the steps. The total phase is accumulated as
+i * sum(log of per-step overlap ratios): each ratio is taken times
+exp(i phi_j), which keeps its logarithm near zero, on the principal branch
+also for steps with |E dt| > pi and over arbitrarily long loops, and
+i * sum(phi_j) is added back. The geometric phase is the difference.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from .model import (
     spectrum,
     sweep_tracked_spectra,
 )
-from .numerics import NumericsError, propagate_ordered
+from . import numerics
+from .numerics import NumericsError, gauss_nodes, propagate_ordered
 # re-exported: bench/tests/test_harness.py calls experiments.step_propagators
 from .numerics import step_propagators  # noqa: F401
 
@@ -158,44 +162,48 @@ def _time_grid(loop: LoopSpec, dt: float) -> np.ndarray:
     return np.linspace(0.0, loop.T, n + 1)
 
 
-def _require_real_spectrum(k1, k2) -> None:
-    disc = discriminant(k1, k2)
-    if disc.min() < 0.0:
-        raise NumericsError(
-            f"loop spectrum is not all-real: discriminant reaches "
-            f"{disc.min():.3e} on the path"
-        )
+def _require_real_spectrum(loop: LoopSpec, times: np.ndarray) -> None:
+    """Raise, before anything is propagated, unless the discriminant is
+    nonnegative at every node of the grid and at both Gauss nodes of every
+    step: a broken-PT stretch would otherwise make the state overflow. The
+    grid is checked a slice of CHUNK_STEPS steps at a time."""
+    for start in range(0, times.size - 1, numerics.CHUNK_STEPS):
+        t = times[start : start + numerics.CHUNK_STEPS + 1]
+        low = min(discriminant(*loop.params(s)).min() for s in (t, gauss_nodes(t)))
+        if low < 0.0:
+            raise NumericsError(
+                f"loop spectrum is not all-real: discriminant reaches {low:.3e} on the path"
+            )
 
 
 def geometric_phase(
     loop: LoopSpec,
     eigenindex: int,
     *,
-    dt: float = 0.025,
+    dt: float = 0.2,
     leakage_tol: float = 0.05,
 ) -> PhaseReport:
     """Total, dynamical and geometric phase of one eigenstate around a loop.
 
-    Requires an all-real spectrum along the path (discriminant > 0) and
-    adiabatic transport; excessive leakage out of the tracked eigenstate
-    raises with the advice to slow the loop down.
+    Requires an all-real spectrum along the path (discriminant > 0),
+    checked before propagating, and adiabatic transport; excessive leakage
+    out of the tracked eigenstate raises with the advice to slow the loop
+    down.
     """
     times = _time_grid(loop, dt)
+    _require_real_spectrum(loop, times)
     psi0 = _start_eigenstate(loop, eigenindex)
     total = dynamical = 0.0
-    for _, t, states in propagate_ordered(loop.hamiltonian, psi0, times):
-        # nodes and midpoints: the eigenvalues are taken at the midpoints
-        k1, k2 = loop.params((t[:-1] + t[1:]) / 2.0)
-        _require_real_spectrum(*loop.params(t))
-        _require_real_spectrum(k1, k2)
+    for _, t, states in propagate_ordered(loop.hamiltonian, psi0, times, rule="cf4"):
         overlaps = states @ psi0.conj()
         if np.abs(overlaps).min() < 1e-12:
             raise NumericsError("state lost all overlap with the initial eigenstate")
-        total += np.sum(np.log(overlaps[1:] / overlaps[:-1]))
-        cp = char_poly(ModelParams(k1, k2))
-        e_mid = solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0)[:, eigenindex - 1].real
-        dynamical += np.sum(e_mid * np.diff(t))
-    total, dynamical = complex(1j * total), complex(dynamical)
+        cp = char_poly(ModelParams(*loop.params(gauss_nodes(t))))
+        energy = solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0)[..., eigenindex - 1].real
+        phi = np.diff(t) * (energy[0] + energy[1]) / 2.0
+        total += np.sum(np.log(overlaps[1:] / overlaps[:-1] * np.exp(1j * phi)))
+        dynamical += np.sum(phi)
+    total, dynamical = complex(1j * total + dynamical), complex(dynamical)
 
     # leakage check against the (identical) start-point eigenbasis at t=T
     final = states[-1] / np.linalg.norm(states[-1])
@@ -218,7 +226,7 @@ def mode_switch(
     start_index: int,
     direction: str | None = None,
     *,
-    dt: float = 0.1,
+    dt: float = 0.4,
 ) -> SwitchReport:
     """Propagate a start eigenstate around a slow loop through the
     conical point and report which eigenstate it lands on.
@@ -232,7 +240,8 @@ def mode_switch(
         loop = replace(loop, direction=direction)
     times = _time_grid(loop, dt)
     psi0 = _start_eigenstate(loop, start_index)
-    for _, _, states in propagate_ordered(loop.hamiltonian, psi0, times, trajectory=False):
+    slices = propagate_ordered(loop.hamiltonian, psi0, times, trajectory=False, rule="cf4")
+    for _, _, states in slices:
         psi = states[-1]
     efficiency = float(np.linalg.norm(psi) ** 2)  # psi0 is normalized
     psi_hat = psi / np.linalg.norm(psi)
@@ -258,7 +267,7 @@ def adiabaticity_check(
     loop: LoopSpec,
     eigenindex: int,
     *,
-    dt: float = 0.025,
+    dt: float = 0.2,
     checkpoints: int = 200,
 ) -> float:
     """Maximum instantaneous leakage out of the tracked eigenstate.
@@ -270,7 +279,7 @@ def adiabaticity_check(
     psi0 = _start_eigenstate(loop, eigenindex)
     idx = np.unique(np.linspace(0, times.size - 1, checkpoints + 1).round().astype(int))
     states = np.empty((idx.size, psi0.size), dtype=complex)
-    for start, _, piece in propagate_ordered(loop.hamiltonian, psi0, times):
+    for start, _, piece in propagate_ordered(loop.hamiltonian, psi0, times, rule="cf4"):
         rel = idx - start
         inside = (rel >= 0) & (rel < piece.shape[0])
         states[inside] = piece[rel[inside]]

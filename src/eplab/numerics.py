@@ -15,13 +15,18 @@ compute the exponential of a matrix, twenty-five years later", SIAM Rev.
 multiply-adds over a 3x3 stack, since `np.matmul` makes one BLAS call
 per small matrix, and `np.matmul` for any other n.
 
-`propagate_ordered` evolves a state over a time grid with midpoint-
-sampled step propagators, in slices of at most CHUNK_STEPS steps with
-the state carried from one to the next, so its working set is bounded
-whatever the grid length. Each slice samples H once and is reduced on
-one pairwise tree: `ordered_product` keeps its top, and `prefix_states`
-sweeps the state down its levels to every node; both end on the same
-bits. A closed-form stack stays stack-last in memory throughout.
+`propagate_ordered` evolves a state over a time grid by one of two step
+rules, in slices of at most CHUNK_STEPS steps with the state carried from
+one to the next, so its working set is bounded whatever the grid length.
+"midpoint" is the second-order exponential midpoint rule, one sample of
+H per step. "cf4" is the fourth-order commutator-free rule of Blanes and
+Moan (J. Comput. Appl. Math. 142, 313, 2002; Blanes, Casas, Oteo and Ros,
+Phys. Rep. 470, 151, 2009): H at the two Gauss-Legendre nodes of the step
+and a product of two exponentials, multiplied into one matrix per step.
+Each slice samples H once and is reduced on one pairwise tree:
+`ordered_product` keeps its top, and `prefix_states` sweeps the state
+down its levels to every node; both end on the same bits. A closed-form
+stack stays stack-last in memory throughout.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "psd_sqrt",
     "expm",
     "step_propagators",
+    "gauss_nodes",
     "ordered_product",
     "prefix_states",
     "propagate_ordered",
@@ -276,17 +282,20 @@ def _expm_taylor(ms: np.ndarray) -> np.ndarray:
     return result
 
 
-# steps per slice of `propagate_ordered`: long enough to amortize the
-# per-call cost of the batched kernels, short enough that a slice's 3x3
-# propagators take 4.7 MB and the kernels' temporaries up to 8 MB more
-CHUNK_STEPS = 1 << 15
+# steps per slice of `propagate_ordered`, for either rule: long enough to
+# amortize the per-call cost of the batched kernels, short enough that a
+# slice's 3x3 propagators take 2.4 MB and all a "cf4" slice holds, with
+# two samples and two factors per step, peaks at about 16 MB
+CHUNK_STEPS = 1 << 14
 
 # largest inf-norm of a slice's end state; its squared norm stays finite
 _STATE_NORM_CEILING = 1e100
 
-# largest inf-norm of a 3x3 step exponent dt H that takes the closed form:
-# at most one squaring; beyond it the {I, G, G^2} basis loses accuracy
-_CLOSED_FORM_MAX_NORM = 1.0
+# largest inf-norm of a 3x3 step exponent dt H that takes the closed form,
+# at most two squarings: a "cf4" factor of `modeswitch` at dt 0.4 reaches
+# 1.2. Up to 2 the closed form stays within 2.5e-15 of `_expm_taylor` on
+# random real and complex stacks; beyond it the {I, G, G^2} basis is untested
+_CLOSED_FORM_MAX_NORM = 2.0
 # rows per pass of the closed form, which holds about ten (rows, 3, 3)
 # temporaries; passes keep them near 3 MB whatever the stack length
 _CLOSED_FORM_PASS_ROWS = 1 << 12
@@ -353,12 +362,13 @@ def _expm3_closed_form(h: np.ndarray, z: np.ndarray, squarings: int) -> np.ndarr
 
 
 def step_propagators(h_mid: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """Batched exp(-i H_j dt_j) from midpoint-sampled Hamiltonians, with
-    one scaling from the stack's largest theta = ||dt_j H_j||_inf. A 3x3
-    stack with theta <= 1 (at most one squaring) takes `_expm3_closed_form`;
-    any other stack, the 6x6 dilation or a 3x3 one where the {I, G, G^2}
-    basis would lose accuracy, takes `_expm_taylor`. Real and complex H
-    take the same path."""
+    """Batched exp(-i H_j dt_j) for a stack of step Hamiltonians (N, n, n):
+    midpoint samples, or the weighted sums of Gauss-node samples that make
+    up a "cf4" factor. One scaling from the stack's largest theta =
+    ||dt_j H_j||_inf. A 3x3 stack with theta <= `_CLOSED_FORM_MAX_NORM`
+    (at most two squarings) takes `_expm3_closed_form`; any other stack,
+    the 6x6 dilation or a 3x3 one where the {I, G, G^2} basis would lose
+    accuracy, takes `_expm_taylor`. Real and complex H take the same path."""
     h = np.asarray(h_mid)
     dts = np.asarray(dts)
     if h.shape[-1] == 3:
@@ -367,6 +377,42 @@ def step_propagators(h_mid: np.ndarray, dts: np.ndarray) -> np.ndarray:
         if theta <= _CLOSED_FORM_MAX_NORM:
             return _expm3_closed_form(h_last, -1j * dts, _squarings(theta))
     return _expm_taylor(-1j * dts[:, None, None] * np.asarray(h, dtype=complex))
+
+
+# Gauss-Legendre nodes of a step, as fractions of its length
+GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+# weights of (H(node 1), H(node 2)) in the exponent of the first and of the
+# second factor of a "cf4" step. The first factor applied weights the
+# earlier node more; in the other order the rule is only second order.
+_CF4_WEIGHTS = np.array([
+    [(3.0 + 2.0 * math.sqrt(3.0)) / 12.0, (3.0 - 2.0 * math.sqrt(3.0)) / 12.0],
+    [(3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0],
+])
+
+
+def gauss_nodes(t: np.ndarray) -> np.ndarray:
+    """The two Gauss-Legendre nodes of every step of the grid t, (2, N)."""
+    t = np.asarray(t, dtype=float)
+    return t[:-1] + np.multiply.outer(GAUSS_NODES, np.diff(t))
+
+
+def _midpoint_steps(h_of_t, t: np.ndarray) -> np.ndarray:
+    """exp(-i dt H(t + dt/2)) for every step of the grid t."""
+    return step_propagators(h_of_t((t[:-1] + t[1:]) / 2.0), np.diff(t))
+
+
+def _cf4_steps(h_of_t, t: np.ndarray) -> np.ndarray:
+    """exp(-i dt (b H1 + a H2)) exp(-i dt (a H1 + b H2)) for every step of
+    the grid t, H1,2 at its Gauss nodes: both factors of the slice in one
+    `step_propagators` call, multiplied into one matrix per step."""
+    dts = np.diff(t)
+    h = h_of_t(gauss_nodes(t).reshape(-1))
+    exponents = np.tensordot(_CF4_WEIGHTS, h.reshape(2, dts.size, *h.shape[1:]), axes=1)
+    factors = step_propagators(exponents.reshape(h.shape), np.tile(dts, 2))
+    return _matmul(factors[dts.size :], factors[: dts.size])
+
+
+_STEP_RULES = {"midpoint": _midpoint_steps, "cf4": _cf4_steps}
 
 
 def _pairwise_levels(props: np.ndarray):
@@ -426,13 +472,17 @@ def prefix_states(props: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     return states
 
 
-def propagate_ordered(h_of_t, psi0: np.ndarray, times: np.ndarray, *, trajectory: bool = True):
-    """Piecewise-constant (midpoint-sampled) time-ordered evolution of
-    psi0 over the strictly increasing grid `times`, one slice of at most
-    CHUNK_STEPS steps at a time.
+def propagate_ordered(
+    h_of_t, psi0: np.ndarray, times: np.ndarray, *, trajectory: bool = True, rule: str = "midpoint"
+):
+    """Time-ordered evolution of psi0 over the strictly increasing grid
+    `times` by the step rule `rule`, "midpoint" (second order) or "cf4"
+    (fourth order), one slice of at most CHUNK_STEPS steps at a time.
 
-    `h_of_t` maps an array of times to Hamiltonian samples (..., n, n);
-    it is called once per slice, on that slice's step midpoints. Yields
+    `h_of_t` maps a 1-D array of times to Hamiltonian samples (..., n, n);
+    it is called once per slice, on that slice's step midpoints or on its
+    Gauss nodes (`gauss_nodes`, the first node of every step, then the
+    second). Either rule gives one propagator per step to the tree. Yields
     (start, t, states) per slice: `start` is the grid index of t[0], `t`
     the slice's nodes with both ends, and `states` the state at every node
     of `t` (trajectory=True, by `prefix_states`) or at its last node only
@@ -440,13 +490,15 @@ def propagate_ordered(h_of_t, psi0: np.ndarray, times: np.ndarray, *, trajectory
     starts the next; NumericsError names the slice whose end state is not
     finite or over `_STATE_NORM_CEILING` (a gain that overflows).
     """
+    if rule not in _STEP_RULES:
+        raise ValueError(f"unknown step rule {rule!r}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing grid")
     psi = psi0
     for start in range(0, times.size - 1, CHUNK_STEPS):
         t = times[start : start + CHUNK_STEPS + 1]
-        props = step_propagators(h_of_t((t[:-1] + t[1:]) / 2.0), np.diff(t))
+        props = _STEP_RULES[rule](h_of_t, t)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             if trajectory:
                 states = prefix_states(props, psi)

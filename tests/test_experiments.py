@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eplab import numerics
+from eplab import experiments, numerics
 from eplab.experiments import (
     LoopSpec,
     PhaseReport,
@@ -11,7 +11,7 @@ from eplab.experiments import (
     geometric_phase,
     mode_switch,
 )
-from eplab.numerics import NumericsError
+from eplab.numerics import NumericsError, propagate_ordered
 
 
 def test_loop_validation():
@@ -77,7 +77,7 @@ def test_geometric_phase_rejects_complex_spectrum_path():
     "T, peak",
     # the gain of a loop in the broken-PT region overflows to nan within
     # the slice at T = 1e3, and leaves a finite state past the ceiling at 1e2
-    [(1e3, "nan"), (1e2, r"9\.\d+e\+156")],
+    [(1e3, "nan"), (1e2, r"7\.5\d+e\+156")],
 )
 def test_overflowing_loop_raises(T, peak):
     loop = LoopSpec(kind="circle", center=(0.0, 3.0), R=0.1, T=T)
@@ -86,6 +86,51 @@ def test_overflowing_loop_raises(T, peak):
         for run in (mode_switch, adiabaticity_check):
             with pytest.raises(NumericsError, match=rf"state norm {peak} over t in \[0, {T:g}\]"):
                 run(loop, 1, dt=0.5)
+
+
+def test_broken_pt_loop_rejected_before_propagating(monkeypatch):
+    # the loop of test_overflowing_loop_raises: its discriminant is checked
+    # over the whole grid first, so the state never overflows
+    def forbidden(*args, **kwargs):
+        raise AssertionError("propagated a loop with a complex spectrum")
+
+    monkeypatch.setattr(experiments, "propagate_ordered", forbidden)
+    loop = LoopSpec(kind="circle", center=(0.0, 3.0), R=0.1, T=1e3)
+    with pytest.raises(NumericsError, match="loop spectrum is not all-real"):
+        geometric_phase(loop, 1, dt=0.5)
+
+
+def test_total_phase_is_branch_safe_for_long_steps():
+    # |E dt| is about 3.3 at dt 1.0, past the pi where the principal log of
+    # a bare overlap ratio wraps; gamma stays within the CF4 error of dt 0.2
+    ref = geometric_phase(LoopSpec(), 1)
+    rep = geometric_phase(LoopSpec(), 1, dt=1.0)
+    assert abs(rep.geometric - ref.geometric) < 1e-6
+    assert abs(rep.total - ref.total) < 1e-6
+
+
+def _loop_end_state(loop, dt, rule):
+    times = np.linspace(0.0, loop.T, int(round(loop.T / dt)) + 1)
+    psi0 = np.array([1.0, 1.0j, -1.0]) / np.sqrt(3.0)
+    [(_, _, states)] = propagate_ordered(loop.hamiltonian, psi0, times, trajectory=False, rule=rule)
+    return states[-1]
+
+
+@pytest.mark.parametrize("kind", ["circle", "through_k1", "through_k2"])
+def test_cf4_steps_are_fourth_order(kind, monkeypatch):
+    # halving dt divides the end-state error by about 16 (midpoint: 4); with
+    # the two factors of a step in the other order the rule is second order
+    loop = LoopSpec(kind=kind, T=50.0)
+    ref = _loop_end_state(loop, 0.0125, "cf4")
+
+    def ratio(rule):
+        coarse, fine = (np.linalg.norm(_loop_end_state(loop, dt, rule) - ref) for dt in (0.4, 0.2))
+        return coarse / fine
+
+    assert ratio("cf4") >= 12.0
+    assert ratio("midpoint") < 5.0
+    monkeypatch.setattr(numerics, "_CF4_WEIGHTS", numerics._CF4_WEIGHTS[::-1])
+    assert ratio("cf4") < 5.0
 
 
 def test_fast_loop_reports_leakage():

@@ -257,14 +257,15 @@ def _closed_form_error(monkeypatch, hs, dts):
 def test_closed_form_matches_taylor_kernel(monkeypatch):
     # model Hamiltonians at the conical points (0, +-1), on the exceptional
     # line (0, sqrt(17/8)) and in the complex-pair region beyond it, at the
-    # geophase and modeswitch steps and at dt = 1e-9
+    # old and new geophase and modeswitch steps, at dt = 1e-9 and at dt 0.35,
+    # where theta at (0, 1.6) is 1.96, just under the closed form's limit
     k1, k2 = np.zeros(4), np.array([1.0, -1.0, math.sqrt(17 / 8), 1.6])
     model = build_hamiltonian(ModelParams(k1, k2))
-    for dt in (0.025, 0.1, 1e-9):
+    for dt in (0.025, 0.1, 0.2, 0.35, 1e-9):
         assert _closed_form_error(monkeypatch, model, np.full(4, dt)) < 1e-14, dt
     # theta = max ||dt H||_inf: small, either side of the 1/2 where one
-    # squaring starts, and just under the closed form's limit of 1; per-row
-    # dt, real and complex stacks
+    # squaring starts and of the 1 where the second starts, and up to just
+    # under the closed form's limit of 2; per-row dt, real and complex stacks
     rng = np.random.default_rng(6)
     stacks = [
         model,
@@ -274,26 +275,28 @@ def test_closed_form_matches_taylor_kernel(monkeypatch):
     for hs in stacks:
         spread = rng.uniform(0.5, 1.0, len(hs))
         norms = np.abs(hs).sum(axis=-1).max(axis=-1) * spread
-        for theta in (1e-3, 0.3, 0.5 * (1 - 1e-9), 0.5 * (1 + 1e-9), 1.0 - 1e-12):
+        for theta in (1e-3, 0.3, 0.5 * (1 - 1e-9), 0.5 * (1 + 1e-9), 1.0 - 1e-12,
+                      1.0 + 1e-9, 1.2, 1.5, 1.8, 2.0 - 1e-12):
             dts = spread * theta / norms.max()
             assert _closed_form_error(monkeypatch, hs, dts) < 1e-14, (hs.dtype, theta)
 
 
 def test_step_propagators_dispatch(monkeypatch):
-    # 3x3 stacks with theta <= 1 take the closed form; theta just over 1
+    # 3x3 stacks with theta <= 2 take the closed form; theta just over 2
     # and any other n stay on _expm_taylor
+    assert numerics._CLOSED_FORM_MAX_NORM == 2.0
     calls = []
     taylor = numerics._expm_taylor
     monkeypatch.setattr(numerics, "_expm_taylor", lambda ms: calls.append(ms.shape) or taylor(ms))
     rng = np.random.default_rng(7)
     h3 = rng.normal(size=(5, 3, 3))
     norm = np.abs(h3).sum(axis=-1).max()
-    step_propagators(h3, np.full(5, (1.0 - 1e-12) / norm))
+    step_propagators(h3, np.full(5, 2.0 * (1.0 - 1e-12) / norm))
     assert calls == []
-    props = step_propagators(h3, np.full(5, (1.0 + 1e-9) / norm))
+    props = step_propagators(h3, np.full(5, 2.0 * (1.0 + 1e-9) / norm))
     assert calls == [(5, 3, 3)]
     for h, u in zip(h3, props):
-        assert np.abs(u - scipy_expm(-1j * (1.0 + 1e-9) / norm * h)).max() < 1e-14
+        assert np.abs(u - scipy_expm(-2j * (1.0 + 1e-9) / norm * h)).max() < 1e-14
     step_propagators(rng.normal(size=(5, 6, 6)), np.full(5, 0.01))
     assert calls == [(5, 3, 3), (5, 6, 6)]
 
@@ -312,15 +315,17 @@ def test_three_by_three_products_match_matmul():
 def test_propagate_ordered_constant_hamiltonian():
     h = np.diag([1.0, 2.0, 3.0]).astype(complex)
     times = np.linspace(0.0, 1.0, 101)
-    [(start, t, states)] = propagate_ordered(
-        lambda t: np.broadcast_to(h, (np.atleast_1d(t).size, 3, 3)),
-        np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0),
-        times,
-    )
-    assert start == 0 and np.array_equal(t, times)
-    want = np.exp(-1j * np.diag(h)) / np.sqrt(3.0)
-    assert np.allclose(states[-1], want, atol=1e-10)
-    assert np.allclose(np.linalg.norm(states, axis=-1), 1.0, atol=1e-12)
+    for rule in ("midpoint", "cf4"):
+        [(start, t, states)] = propagate_ordered(
+            lambda t: np.broadcast_to(h, (np.atleast_1d(t).size, 3, 3)),
+            np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0),
+            times,
+            rule=rule,
+        )
+        assert start == 0 and np.array_equal(t, times)
+        want = np.exp(-1j * np.diag(h)) / np.sqrt(3.0)
+        assert np.allclose(states[-1], want, atol=1e-10), rule
+        assert np.allclose(np.linalg.norm(states, axis=-1), 1.0, atol=1e-12), rule
 
 
 def test_propagate_ordered_evaluates_nodes_only_for_step_tol(monkeypatch):
@@ -342,6 +347,15 @@ def test_propagate_ordered_evaluates_nodes_only_for_step_tol(monkeypatch):
     assert [c.size for c in calls] == [4, 4, 2]
     assert np.array_equal(np.concatenate(calls), mids)
     assert all(states.shape == (1, 2) for _, _, states in slices)
+    # "cf4" samples the two Gauss nodes of every step of a slice in one call
+    calls.clear()
+    slices = list(propagate_ordered(h_of_t, np.array([1.0, 0.0]), times, rule="cf4"))
+    assert [c.size for c in calls] == [8, 8, 4]
+    nodes = [numerics.gauss_nodes(times[lo : lo + 5]).reshape(-1) for lo in (0, 4, 8)]
+    assert all(np.array_equal(c, want) for c, want in zip(calls, nodes))
+    assert np.allclose(nodes[0][:4] - times[:4], (0.5 - math.sqrt(3) / 6) * 0.1)
+    with pytest.raises(ValueError, match="unknown step rule"):
+        next(propagate_ordered(h_of_t, np.array([1.0, 0.0]), times, rule="euler"))
 
 
 def test_propagate_ordered_stops_at_the_overflowing_slice(monkeypatch):
