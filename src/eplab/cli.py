@@ -24,8 +24,13 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
+def _csv_rows(table) -> str:
+    """CSV text of a 2-D table of reals, one line per row, each value as
+    `f"{float(x):.12g}"` writes it (also -0, nan and inf), through one
+    "%.12g,..." template over the rows of `.tolist()`."""
+    table = np.asarray(table, dtype=float)
+    template = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    return "".join([template % tuple(row) for row in table.tolist()])
 
 
 def _config_hash(cfg: dict) -> str:
@@ -126,15 +131,11 @@ def _cmd_spectrum(args) -> int:
         axis = "k2"
     else:
         raise ValueError("spectrum needs --k1-range or --k2-range")
-    spectra = sweep_tracked_spectra(path)
-    lines = [_header(cfg)]
-    lines.append(f"{axis},E1_re,E1_im,E2_re,E2_im,E3_re,E3_im\n")
-    for v, vals in zip(sweep_vals, spectra.eigenvalues):
-        row = [_fmt(v)]
-        for e in vals:
-            row += [_fmt(e.real), _fmt(e.imag)]
-        lines.append(",".join(row) + "\n")
-    _write(args.output, "".join(lines))
+    vals = sweep_tracked_spectra(path).eigenvalues
+    parts = np.stack([vals.real, vals.imag], axis=-1).reshape(len(vals), 6)  # E1_re, E1_im, ...
+    table = np.column_stack([sweep_vals, parts])
+    _write(args.output, _header(cfg) + f"{axis},E1_re,E1_im,E2_re,E2_im,E3_re,E3_im\n"
+           + _csv_rows(table))
     return EXIT_OK
 
 
@@ -185,10 +186,8 @@ def _cmd_cone(args) -> int:
     vals = _cone_sheets(c)
     fd_p = (vals[:, 0] - 3.0) / c.dk
     fd_m = (vals[:, 1] - 3.0) / c.dk
-    lines = [_header(cfg), "theta,slope_plus,slope_minus,slope_plus_fd,slope_minus_fd\n"]
-    for row in zip(thetas, sp, sm, fd_p, fd_m):
-        lines.append(",".join(_fmt(v) for v in row) + "\n")
-    _write(args.output, "".join(lines))
+    _write(args.output, _header(cfg) + "theta,slope_plus,slope_minus,slope_plus_fd,slope_minus_fd\n"
+           + _csv_rows(np.column_stack([thetas, sp, sm, fd_p, fd_m])))
     return EXIT_OK
 
 
@@ -214,10 +213,8 @@ def _cmd_dilate(args) -> int:
     )
     rows = slice(None, None, max(len(joint.times) // 400, 1))
     infid = np.maximum(_direct_infidelity(h, psi0, joint.times[rows], post.states[rows]), 0.0)
-    lines = [_header(cfg), "t,postselect_prob,infidelity,joint_norm\n"]
-    for row in zip(joint.times[rows], probs[rows], infid, joint.norms[rows]):
-        lines.append(",".join(_fmt(v) for v in row) + "\n")
-    _write(args.output, "".join(lines))
+    table = np.column_stack([joint.times[rows], probs[rows], infid, joint.norms[rows]])
+    _write(args.output, _header(cfg) + "t,postselect_prob,infidelity,joint_norm\n" + _csv_rows(table))
     return EXIT_OK
 
 

@@ -13,12 +13,21 @@ certificate of the construction and is checked on every frame. Frames
 broadcast over t: an array of times gives stacks (*t.shape, n, n).
 
 `build_frame` makes one batched eigendecomposition of the symmetrised
-M - I = V diag(lambda) V^dag per stack. It gives the window check
-(lambda >= -POSITIVITY_MARGIN), eta = V diag(sqrt(lambda)) V^dag,
+M - I = V diag(lambda) V^dag per stack and copies V once into stack-last
+memory, so that every 3x3 product of the frame (the broadcast
+`numerics._matmul`) runs along the stack; the metric's exp(i H t) comes
+from the closed-form `expm` in that memory already. V gives the window
+check (lambda >= -POSITIVITY_MARGIN), eta = V diag(sqrt(lambda)) V^dag,
 d(eta)/dt by the Sylvester solve in the basis V, and
 M^-1 = V diag(1 / (1 + lambda)) V^dag. The public `eta_of_t`, `eta_rate`
 and `gamma_lambda` run the same private helpers on a basis or an inverse
-of their own. The 3x3 products are the broadcast `numerics._matmul`.
+of their own.
+
+`dilated_evolve` hands the engine Gamma and Lambda as two independent
+3x3 blocks, with the joint state split into its two halves, so every
+exponential of the dilation is a 3x3 one, in closed form up to
+`numerics._CLOSED_FORM_MAX_NORM`. The 6x6
+`DilationFrame.Htot` is assembled only on request, for pulse synthesis.
 
 Ancilla convention (used consistently by preparation, post-selection and
 pulse synthesis): levels 1-3 carry ancilla |1>, levels 4-6 carry |0>,
@@ -66,8 +75,8 @@ POSITIVITY_MARGIN = 1e-8
 
 # most steps `dilated_evolve` takes: its joint and post-selected
 # trajectories, probabilities and norms grow with the step count, about
-# 160 bytes a step (160 MB here), on top of about 60 MB for one slice of
-# 6x6 frames and propagators
+# 180 bytes a step (180 MB here), on top of about 30 MB for one slice of
+# 3x3 frames, blocks and propagators
 MAX_DILATION_STEPS = 10**6
 
 
@@ -78,8 +87,12 @@ class DilationFrame:
     eta: np.ndarray
     Gamma: np.ndarray
     Lambda: np.ndarray
-    Htot: np.ndarray
     s: float
+
+    @property
+    def Htot(self) -> np.ndarray:
+        """s * (Gamma (x) |1><1| + Lambda (x) |0><0|), assembled on request."""
+        return assemble_htot(self.Gamma, self.Lambda, self.s)
 
 
 @dataclass(frozen=True)
@@ -106,6 +119,12 @@ def _shifted_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     M - I, frame by frame: one batched LAPACK call per stack."""
     shifted = m - np.eye(m.shape[-1])
     return np.linalg.eigh((shifted + _dag(shifted)) / 2.0)
+
+
+def _stack_last(a: np.ndarray) -> np.ndarray:
+    """A copy of the stack (..., n, n) in memory with the stack axes
+    innermost, so that the broadcast `_matmul` runs along the stack."""
+    return np.moveaxis(np.moveaxis(a, (-2, -1), (0, 1)).copy(), (0, 1), (-2, -1))
 
 
 def _window_lost(vals: np.ndarray) -> np.ndarray:
@@ -222,6 +241,7 @@ def build_frame(
     h = np.asarray(h, dtype=complex)
     m = metric_M(h, t, m0_scale)
     vals, vecs = _shifted_eigh(m)
+    vecs = _stack_last(vecs)
     lost = _window_lost(vals)
     if lost.size:
         raise NumericsError(
@@ -232,10 +252,7 @@ def build_frame(
     deta = _eta_rate_in_basis(h, m, roots, vecs)
     minv = _matmul(vecs / (1.0 + vals)[..., None, :], _dag(vecs))
     gamma, lam = _blocks(h, eta, deta, minv)
-    return DilationFrame(
-        t=t, M=m, eta=eta, Gamma=gamma, Lambda=lam,
-        Htot=assemble_htot(gamma, lam, s), s=s,
-    )
+    return DilationFrame(t=t, M=m, eta=eta, Gamma=gamma, Lambda=lam, s=s)
 
 
 def _ancilla_minus_plus() -> tuple[np.ndarray, np.ndarray]:
@@ -311,12 +328,17 @@ def dilated_evolve(
     if eta0 is None:
         eta0 = float(np.sqrt(m0_scale - 1.0))
     times = np.linspace(0.0, total_time, steps + 1)
-    slices = propagate_ordered(
-        lambda t: build_frame(h, t, m0_scale=m0_scale).Htot,
-        prepare_initial(psi0, eta0).amplitudes,
-        times,
-    )
+
+    def blocks(t):
+        frame = build_frame(h, t, m0_scale=m0_scale)
+        return np.stack([frame.Gamma, frame.Lambda], axis=-3)
+
+    # the engine evolves the Gamma and Lambda halves of the joint state as
+    # two independent 3x3 blocks
+    joint0 = prepare_initial(psi0, eta0).amplitudes.reshape(2, -1)
+    slices = propagate_ordered(blocks, joint0, times)
     # each slice repeats the previous one's end state as its first row
     states = np.concatenate([piece[1:] if start else piece for start, _, piece in slices])
+    states = states.reshape(len(times), -1)
     post, probs = postselect(states)
     return Trajectory(times=times, states=states), Trajectory(times=times, states=post), probs

@@ -6,14 +6,18 @@ square root, matrix exponentials and the one time-ordered propagation
 engine, `propagate_ordered`.
 
 There are two matrix exponentials, both scaling-and-squaring on the
-truncated Taylor series with one scaling per stack: `_expm_taylor` sums
-the series as matrices for any n, behind `expm` and `step_propagators`,
-and `_expm3_closed_form` reduces it with Cayley-Hamilton to three scalar
-coefficients per 3x3 step (Moler and Van Loan, "Nineteen dubious ways to
-compute the exponential of a matrix, twenty-five years later", SIAM Rev.
-45, 3, 2003). Their products are `_matmul`: three broadcast
-multiply-adds over a 3x3 stack, since `np.matmul` makes one BLAS call
-per small matrix, and `np.matmul` for any other n.
+truncated Taylor series with one scaling per stack, and one dispatch
+between them, `_exp_stack`, behind `expm` and `step_propagators`.
+`_expm3_closed_form` reduces the series with Cayley-Hamilton to three
+scalar coefficients per 3x3 matrix (Moler and Van Loan, "Nineteen
+dubious ways to compute the exponential of a matrix, twenty-five years
+later", SIAM Rev. 45, 3, 2003) and serves every 3x3 stack whose largest
+||z H||_inf is at most `_CLOSED_FORM_MAX_NORM`: the loop and dilation
+step propagators, the metric's exp(i H t) and the CLI's direct reference.
+`_expm_taylor` sums the series as matrices for any n and serves the rest.
+Their products are `_matmul`: three broadcast multiply-adds over a 3x3
+stack, since `np.matmul` makes one BLAS call per small matrix, and
+`np.matmul` for any other n.
 
 `propagate_ordered` evolves a state over a time grid by one of two step
 rules, in slices of at most CHUNK_STEPS steps with the state carried from
@@ -23,7 +27,11 @@ H per step. "cf4" is the fourth-order commutator-free rule of Blanes and
 Moan (J. Comput. Appl. Math. 142, 313, 2002; Blanes, Casas, Oteo and Ros,
 Phys. Rep. 470, 151, 2009): H at the two Gauss-Legendre nodes of the step
 and a product of two exponentials, multiplied into one matrix per step.
-Each slice samples H once and is reduced on one pairwise tree:
+The engine also takes a batch of independent blocks, H (N, *batch, n, n)
+and a state (*batch, n): the dilation's Gamma and Lambda, two 3x3 blocks
+in place of the 6x6 block-diagonal Htot. Each block is exponentiated with
+the scaling it would have alone and so ends on the bits it would have
+alone. Each slice samples H once and is reduced on one pairwise tree:
 `ordered_product` keeps its top, and `prefix_states` sweeps the state
 down its levels to every node; both end on the same bits. A closed-form
 stack stays stack-last in memory throughout.
@@ -177,16 +185,19 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """exp(m) for a stack of small dense matrices (..., n, n): `_expm_taylor`
-    on the flattened stack, which shares one scaling.
+    """exp(m) for a stack of small dense matrices (..., n, n), by
+    `_exp_stack` on the flattened stack: the closed form for a 3x3 stack
+    whose largest inf-norm is at most `_CLOSED_FORM_MAX_NORM`, returned in
+    stack-last memory, and `_expm_taylor` for any other.
 
-    Scaling-and-squaring on a truncated Taylor series, which needs no
-    eigenvectors and so also covers defective matrices (at an EP).
+    Both are scaling-and-squaring on a truncated Taylor series, which
+    needs no eigenvectors and so also covers defective matrices (at an EP).
     """
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    return _expm_taylor(m.reshape(-1, *m.shape[-2:])).reshape(m.shape)
+    flat = m.reshape(-1, *m.shape[-2:])
+    return _exp_stack(flat, np.ones(len(flat))).reshape(m.shape)
 
 
 # highest tabulated Taylor degree. After scaling to norm <= 1/2 the degree
@@ -291,11 +302,12 @@ CHUNK_STEPS = 1 << 14
 # largest inf-norm of a slice's end state; its squared norm stays finite
 _STATE_NORM_CEILING = 1e100
 
-# largest inf-norm of a 3x3 step exponent dt H that takes the closed form,
-# at most two squarings: a "cf4" factor of `modeswitch` at dt 0.4 reaches
-# 1.2. Up to 2 the closed form stays within 2.5e-15 of `_expm_taylor` on
-# random real and complex stacks; beyond it the {I, G, G^2} basis is untested
-_CLOSED_FORM_MAX_NORM = 2.0
+# largest inf-norm of a 3x3 exponent z H that takes the closed form, at most
+# five squarings: the metric's exp(i H t) reaches 10 at the criterion-7
+# points over t in [0, 2], and a "cf4" factor of `modeswitch` at dt 0.4
+# 1.2. Up to 16 the closed form stays within 1e-14 of `_expm_taylor`,
+# relative to each matrix, on random real and complex stacks
+_CLOSED_FORM_MAX_NORM = 16.0
 # rows per pass of the closed form, which holds about ten (rows, 3, 3)
 # temporaries; passes keep them near 3 MB whatever the stack length
 _CLOSED_FORM_PASS_ROWS = 1 << 12
@@ -361,22 +373,35 @@ def _expm3_closed_form(h: np.ndarray, z: np.ndarray, squarings: int) -> np.ndarr
     return np.moveaxis(result, -1, 0)
 
 
+def _exp_stack(h: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """exp(z_j H_j) for a stack h (N, n, n) and scalars z (N,), with one
+    scaling from the stack's largest theta = ||z_j H_j||_inf: the one
+    dispatch behind `expm` and `step_propagators`. A 3x3 stack with theta
+    <= `_CLOSED_FORM_MAX_NORM` takes `_expm3_closed_form` and comes back
+    in stack-last memory; any other takes `_expm_taylor`."""
+    if h.shape[-1] == 3:
+        h_last = np.moveaxis(h, 0, -1)
+        theta = _max_scaled_norm(h_last, z)
+        if theta <= _CLOSED_FORM_MAX_NORM:
+            return _expm3_closed_form(h_last, z, _squarings(theta))
+    return _expm_taylor(z[:, None, None] * np.asarray(h, dtype=complex))
+
+
 def step_propagators(h_mid: np.ndarray, dts: np.ndarray) -> np.ndarray:
     """Batched exp(-i H_j dt_j) for a stack of step Hamiltonians (N, n, n):
     midpoint samples, or the weighted sums of Gauss-node samples that make
-    up a "cf4" factor. One scaling from the stack's largest theta =
-    ||dt_j H_j||_inf. A 3x3 stack with theta <= `_CLOSED_FORM_MAX_NORM`
-    (at most two squarings) takes `_expm3_closed_form`; any other stack,
-    the 6x6 dilation or a 3x3 one where the {I, G, G^2} basis would lose
-    accuracy, takes `_expm_taylor`. Real and complex H take the same path."""
+    up a "cf4" factor, by `_exp_stack`. Real and complex H take the same
+    path. A stack of independent blocks (N, *batch, n, n) is exponentiated
+    block by block, each with the scaling it would have alone, into memory
+    with the stack axis innermost."""
     h = np.asarray(h_mid)
-    dts = np.asarray(dts)
-    if h.shape[-1] == 3:
-        h_last = np.moveaxis(h, 0, -1)
-        theta = _max_scaled_norm(h_last, dts)
-        if theta <= _CLOSED_FORM_MAX_NORM:
-            return _expm3_closed_form(h_last, -1j * dts, _squarings(theta))
-    return _expm_taylor(-1j * dts[:, None, None] * np.asarray(h, dtype=complex))
+    z = -1j * np.asarray(dts)
+    if h.ndim == 3:
+        return _exp_stack(h, z)
+    props = np.empty((*h.shape[1:], z.size), dtype=complex)
+    for block in np.ndindex(h.shape[1:-2]):
+        props[block] = np.moveaxis(_exp_stack(h[(slice(None), *block)], z), 0, -1)
+    return np.moveaxis(props, -1, 0)
 
 
 # Gauss-Legendre nodes of a step, as fractions of its length
@@ -417,8 +442,9 @@ _STEP_RULES = {"midpoint": _midpoint_steps, "cf4": _cf4_steps}
 
 def _pairwise_levels(props: np.ndarray):
     """Levels, bottom up, of the pairwise tree of the time-ordered product
-    of `props` (N, n, n): level k + 1 holds level[2i + 1] @ level[2i] and
-    the odd last matrix of level k, in the memory order of `props`."""
+    of `props` (N, *batch, n, n): level k + 1 holds level[2i + 1] @
+    level[2i] and the odd last matrix of level k, in the memory order of
+    `props`."""
     level = np.asarray(props, dtype=complex)
     yield level
     while len(level) > 1:
@@ -439,22 +465,27 @@ def ordered_product(props: np.ndarray) -> np.ndarray:
 
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v over stacks (k, n, n), (k, n): broadcast for n = 3, else `einsum`."""
-    if a.shape[-1] != 3:
-        return np.einsum("kab,kb->ka", a, v)
-    out = a[:, :, 0] * v[:, 0, None]
-    out += a[:, :, 1] * v[:, 1, None]
-    out += a[:, :, 2] * v[:, 2, None]
+    """a @ v over stacks (..., n, n), (..., n): n broadcast multiply-adds."""
+    out = a[..., :, 0] * v[..., 0, None]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j] * v[..., j, None]
     return out
 
 
+def _apply_top(top: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """top @ psi for a product (*batch, n, n) and a state (*batch, n): the
+    end state of a slice, the same expression in both propagation modes."""
+    return (top @ psi[..., None])[..., 0]
+
+
 def prefix_states(props: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    """States (N + 1, dim) after each step of the ordered product,
-    including t=0, by an up-sweep/down-sweep scan (Blelloch, "Prefix sums
-    and their applications", 1990) on the kept levels of the pairwise
-    tree: a left child starts where its parent does, a right child at the
-    left child's product applied to that state. The last state is the top
-    applied to psi0, as in product mode, so both modes end on the same
+    """States (N + 1, *batch, dim) after each step of the ordered product
+    of `props` (N, *batch, dim, dim), including t=0, by an
+    up-sweep/down-sweep scan (Blelloch, "Prefix sums and their
+    applications", 1990) on the kept levels of the pairwise tree: a left
+    child starts where its parent does, a right child at the left child's
+    product applied to that state. The last state is the top applied to
+    psi0 (*batch, dim), as in product mode, so both modes end on the same
     bits. N - 1 matrix and about N matrix-vector products in about
     2 log2 N vectorized calls."""
     psi0 = np.asarray(psi0, dtype=complex)
@@ -464,11 +495,11 @@ def prefix_states(props: np.ndarray, psi0: np.ndarray) -> np.ndarray:
         return states[:1]
     for level in levels[-2::-1]:
         m, half = len(level), len(level) // 2
-        down = np.empty((m + 1, psi0.size), dtype=complex)  # row m: the end state
+        down = np.empty((m + 1, *psi0.shape), dtype=complex)  # row m: the end state
         down[0:m:2] = states[: m - half]
         down[1 : 2 * half : 2] = _matvec(level[0 : 2 * half : 2], states[:half])
         states = down
-    states[-1] = levels[-1][0] @ psi0
+    states[-1] = _apply_top(levels[-1][0], psi0)
     return states
 
 
@@ -479,8 +510,10 @@ def propagate_ordered(
     `times` by the step rule `rule`, "midpoint" (second order) or "cf4"
     (fourth order), one slice of at most CHUNK_STEPS steps at a time.
 
-    `h_of_t` maps a 1-D array of times to Hamiltonian samples (..., n, n);
-    it is called once per slice, on that slice's step midpoints or on its
+    `h_of_t` maps a 1-D array of times to Hamiltonian samples (len(t),
+    *batch, n, n): no batch axes for one n-level system, or a batch of
+    independent blocks, with psi0 (*batch, n) split into their states. It
+    is called once per slice, on that slice's step midpoints or on its
     Gauss nodes (`gauss_nodes`, the first node of every step, then the
     second). Either rule gives one propagator per step to the tree. Yields
     (start, t, states) per slice: `start` is the grid index of t[0], `t`
@@ -495,7 +528,7 @@ def propagate_ordered(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing grid")
-    psi = psi0
+    psi = np.asarray(psi0, dtype=complex)
     for start in range(0, times.size - 1, CHUNK_STEPS):
         t = times[start : start + CHUNK_STEPS + 1]
         props = _STEP_RULES[rule](h_of_t, t)
@@ -503,7 +536,7 @@ def propagate_ordered(
             if trajectory:
                 states = prefix_states(props, psi)
             else:
-                states = (ordered_product(props) @ psi)[np.newaxis]
+                states = _apply_top(ordered_product(props), psi)[np.newaxis]
         psi = states[-1]
         if not (peak := np.abs(psi).max()) <= _STATE_NORM_CEILING:
             raise NumericsError(f"state norm {peak:.3e} over t in [{t[0]:.6g}, {t[-1]:.6g}] "

@@ -249,15 +249,16 @@ def emit_waveforms(channels: list[PulseChannel], path) -> None:
     text with 12 significant digits, so read_waveforms round-trips the
     decimal encoding exactly.
     """
+    lines = ["channel,label,omega_hz,t_s,amplitude_hz,phase_rad\n"]
+    for idx, ch in enumerate(channels):
+        lead = f"{idx},{ch.label},{ch.omega:.12g},".replace("%", "%%")
+        template = lead + "%.12g,%.12g,%.12g\n"
+        t_s = np.arange(ch.amplitude_samples.size) * ch.grid_dt
+        samples = np.column_stack([t_s, ch.amplitude_samples, ch.phase_samples])
+        lines += [template % tuple(row) for row in samples.tolist()]
     fh = path if hasattr(path, "write") else open(path, "w")
     try:
-        fh.write("channel,label,omega_hz,t_s,amplitude_hz,phase_rad\n")
-        for idx, ch in enumerate(channels):
-            for k in range(ch.amplitude_samples.size):
-                fh.write(
-                    f"{idx},{ch.label},{ch.omega:.12g},{k * ch.grid_dt:.12g},"
-                    f"{ch.amplitude_samples[k]:.12g},{ch.phase_samples[k]:.12g}\n"
-                )
+        fh.write("".join(lines))
     finally:
         if fh is not path:
             fh.close()

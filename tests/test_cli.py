@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eplab import __version__
-from eplab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _parse_range, _parser, main
+from eplab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _csv_rows, _parse_range, _parser, main
 
 
 def run(capsys, *argv):
@@ -22,6 +22,18 @@ def test_parse_range():
         _parse_range("1:0:0.5")
     with pytest.raises(ValueError, match="bad range"):
         _parse_range("0:1:-0.5")
+
+
+def test_csv_rows_format_each_value_as_before():
+    # one template over the rows writes what formatting each value with
+    # f"{float(x):.12g}" wrote, including -0, nan and inf
+    table = np.array([
+        [0.0, -0.0, np.nan, np.inf],
+        [-np.inf, 5e-324, 1e300, 0.1 + 0.2],
+        [1.0 / 3.0, -2.5e-7, 123456789012345.0, 3],
+    ])
+    want = "".join(",".join(f"{float(x):.12g}" for x in row) + "\n" for row in table)
+    assert _csv_rows(table) == want
 
 
 def test_usage_errors():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eplab import numerics
+from eplab import dilation, numerics
 from eplab.dilation import (
     POSITIVITY_MARGIN,
     JointState,
@@ -168,8 +168,11 @@ def test_build_frame_makes_one_eigendecomposition(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
-    build_frame(H_REF, np.linspace(0.0, 0.7, 50), m0_scale=6.0)
+    frame = build_frame(H_REF, np.linspace(0.0, 0.7, 50), m0_scale=6.0)
     assert calls == {"eigh": 1, "eigvalsh": 0, "inv": 0}
+    # the eigenvectors are copied stack-last once, and so is every product
+    for name in ("M", "eta", "Gamma", "Lambda"):
+        assert getattr(frame, name).strides[0] == np.dtype(complex).itemsize, name
 
 
 @pytest.mark.parametrize(
@@ -259,6 +262,26 @@ def test_dilated_evolution_hermitian_h_constant_probability():
     psi0 = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
     _, _, probs = dilated_evolve(psi0, h, 2.0, m0_scale=1.3, steps=400)
     assert np.ptp(probs) < 1e-8
+
+
+def test_dilated_evolve_propagates_two_blocks(monkeypatch):
+    # the engine evolves Gamma and Lambda as two 3x3 blocks and never sees
+    # the 6x6 Htot, which agrees with propagating Htot on _expm_taylor
+    h = build_hamiltonian(ModelParams(0.3, 1.0))
+    psi0 = np.array([0.0, 1.0, 0.0])
+    times = np.linspace(0.0, 2.0, 301)
+    [(_, _, want)] = numerics.propagate_ordered(
+        lambda t: build_frame(h, t, m0_scale=12.0).Htot,
+        prepare_initial(psi0, np.sqrt(11.0)).amplitudes,
+        times,
+    )
+
+    def forbidden(*args):
+        raise AssertionError("dilated_evolve assembled Htot")
+
+    monkeypatch.setattr(dilation, "assemble_htot", forbidden)
+    joint, _, _ = dilated_evolve(psi0, h, 2.0, m0_scale=12.0, steps=300)
+    assert np.abs(joint.states - want).max() < 1e-13
 
 
 def test_dilation_window_exceeded_reports_time():

@@ -240,9 +240,10 @@ def test_step_propagators_across_scaling_regimes():
     assert step_propagators(np.zeros((0, 3, 3)), np.zeros(0)).shape == (0, 3, 3)
 
 
-def _closed_form_error(monkeypatch, hs, dts):
+def _closed_form_error(monkeypatch, hs, dts, relative=False):
     """Largest entry difference between step_propagators, which must take
-    the closed form, and `_expm_taylor` on the same exponents."""
+    the closed form, and `_expm_taylor` on the same exponents; with
+    `relative`, each matrix's difference over its own largest entry."""
     want = numerics._expm_taylor(-1j * dts[:, None, None] * np.asarray(hs, dtype=complex))
 
     def forbidden(ms):
@@ -251,21 +252,27 @@ def _closed_form_error(monkeypatch, hs, dts):
     with monkeypatch.context() as m:
         m.setattr(numerics, "_expm_taylor", forbidden)
         got = step_propagators(hs, dts)
-    return np.abs(got - want).max()
+    diff = np.abs(got - want).max(axis=(-2, -1))
+    if relative:
+        diff /= np.abs(want).max(axis=(-2, -1))
+    return diff.max()
 
 
 def test_closed_form_matches_taylor_kernel(monkeypatch):
     # model Hamiltonians at the conical points (0, +-1), on the exceptional
     # line (0, sqrt(17/8)) and in the complex-pair region beyond it, at the
     # old and new geophase and modeswitch steps, at dt = 1e-9 and at dt 0.35,
-    # where theta at (0, 1.6) is 1.96, just under the closed form's limit
+    # where theta at (0, 1.6) is 1.96
     k1, k2 = np.zeros(4), np.array([1.0, -1.0, math.sqrt(17 / 8), 1.6])
     model = build_hamiltonian(ModelParams(k1, k2))
     for dt in (0.025, 0.1, 0.2, 0.35, 1e-9):
         assert _closed_form_error(monkeypatch, model, np.full(4, dt)) < 1e-14, dt
     # theta = max ||dt H||_inf: small, either side of the 1/2 where one
-    # squaring starts and of the 1 where the second starts, and up to just
-    # under the closed form's limit of 2; per-row dt, real and complex stacks
+    # squaring starts and of the 1 where the second starts, and up to 2;
+    # per-row dt, real and complex stacks. From 4 to just under the closed
+    # form's limit of 16 (three to five squarings) the entries of a
+    # non-unitary exponential span many orders, so each matrix is held to
+    # its own largest entry
     rng = np.random.default_rng(6)
     stacks = [
         model,
@@ -279,26 +286,34 @@ def test_closed_form_matches_taylor_kernel(monkeypatch):
                       1.0 + 1e-9, 1.2, 1.5, 1.8, 2.0 - 1e-12):
             dts = spread * theta / norms.max()
             assert _closed_form_error(monkeypatch, hs, dts) < 1e-14, (hs.dtype, theta)
+        for theta in (4.0, 8.0, 12.0, 16.0 - 1e-12):
+            dts = spread * theta / norms.max()
+            err = _closed_form_error(monkeypatch, hs, dts, relative=True)
+            assert err < 1e-14, (hs.dtype, theta)
 
 
 def test_step_propagators_dispatch(monkeypatch):
-    # 3x3 stacks with theta <= 2 take the closed form; theta just over 2
-    # and any other n stay on _expm_taylor
-    assert numerics._CLOSED_FORM_MAX_NORM == 2.0
+    # 3x3 stacks with theta <= 16 take the closed form, from
+    # step_propagators and from expm; theta just over 16 and any other n
+    # stay on _expm_taylor
+    assert numerics._CLOSED_FORM_MAX_NORM == 16.0
     calls = []
     taylor = numerics._expm_taylor
     monkeypatch.setattr(numerics, "_expm_taylor", lambda ms: calls.append(ms.shape) or taylor(ms))
     rng = np.random.default_rng(7)
     h3 = rng.normal(size=(5, 3, 3))
     norm = np.abs(h3).sum(axis=-1).max()
-    step_propagators(h3, np.full(5, 2.0 * (1.0 - 1e-12) / norm))
+    step_propagators(h3, np.full(5, 16.0 * (1.0 - 1e-12) / norm))
+    expm(1j * 16.0 * (1.0 - 1e-12) / norm * h3)
     assert calls == []
-    props = step_propagators(h3, np.full(5, 2.0 * (1.0 + 1e-9) / norm))
-    assert calls == [(5, 3, 3)]
-    for h, u in zip(h3, props):
-        assert np.abs(u - scipy_expm(-2j * (1.0 + 1e-9) / norm * h)).max() < 1e-14
+    dt = 16.0 * (1.0 + 1e-9) / norm
+    for got in (step_propagators(h3, np.full(5, dt)), expm(-1j * dt * h3)):
+        for h, u in zip(h3, got):
+            want = scipy_expm(-1j * dt * h)
+            assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
+    assert calls == [(5, 3, 3), (5, 3, 3)]
     step_propagators(rng.normal(size=(5, 6, 6)), np.full(5, 0.01))
-    assert calls == [(5, 3, 3), (5, 6, 6)]
+    assert calls == [(5, 3, 3), (5, 3, 3), (5, 6, 6)]
 
 
 def test_three_by_three_products_match_matmul():
@@ -326,6 +341,47 @@ def test_propagate_ordered_constant_hamiltonian():
         want = np.exp(-1j * np.diag(h)) / np.sqrt(3.0)
         assert np.allclose(states[-1], want, atol=1e-10), rule
         assert np.allclose(np.linalg.norm(states, axis=-1), 1.0, atol=1e-12), rule
+
+
+def test_propagate_ordered_block_batch(monkeypatch):
+    # two independent 3x3 blocks over three slices, one with sixteen times
+    # the other's norm, so that its steps take three squarings to the
+    # other's none: the batch gives the bits of each block propagated
+    # alone, in both modes and by both rules, and agrees with the 6x6
+    # block-diagonal Hamiltonian on _expm_taylor
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(2, 2, 3, 3)) + 1j * rng.normal(size=(2, 2, 3, 3))
+    a = (a + np.conj(np.swapaxes(a, -1, -2))) * np.array([1.0, 16.0])[:, None, None]
+
+    def blocks(t):  # (len(t), 2, 3, 3)
+        return a[0] + np.cos(t)[:, None, None, None] * a[1]
+
+    def block_diagonal(t):
+        h = np.zeros((t.size, 6, 6), dtype=complex)
+        h[:, :3, :3], h[:, 3:, 3:] = blocks(t)[:, 0], blocks(t)[:, 1]
+        return h
+
+    psi0 = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    times = np.linspace(0.0, 3.0, 301)
+    monkeypatch.setattr(numerics, "CHUNK_STEPS", 128)
+
+    def run(h_of_t, psi, trajectory, rule):
+        return np.concatenate([
+            piece[1:] if start and trajectory else piece
+            for start, _, piece in propagate_ordered(
+                h_of_t, psi, times, trajectory=trajectory, rule=rule
+            )
+        ])
+
+    for rule in ("midpoint", "cf4"):
+        for trajectory in (True, False):
+            batch = run(blocks, psi0, trajectory, rule)
+            assert batch.shape == ((301 if trajectory else 3), 2, 3)
+            for b in range(2):
+                alone = run(lambda t: blocks(t)[:, b], psi0[b], trajectory, rule)
+                assert np.array_equal(batch[:, b], alone), (rule, trajectory, b)
+            full = run(block_diagonal, psi0.reshape(6), trajectory, rule)
+            assert np.abs(batch.reshape(len(batch), 6) - full).max() < 1e-13, (rule, trajectory)
 
 
 def test_propagate_ordered_evaluates_nodes_only_for_step_tol(monkeypatch):

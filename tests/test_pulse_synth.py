@@ -168,6 +168,25 @@ def test_waveform_csv_roundtrip(tmp_path):
         assert b.grid_dt == pytest.approx(a.grid_dt, rel=1e-9)
 
 
+def test_waveform_csv_bytes_match_per_sample_formatting():
+    # the text equals that of formatting each sample on its own, also for
+    # -0, nan, inf and a "%" in a label
+    rng = np.random.default_rng(11)
+    channels, _ = synthesize_pulses(_random_block_htot(rng, 40), np.arange(40) * 1e-9, nv_levels())
+    amps, phases = np.array([0.0, np.nan, 1e300, 5e-324]), np.array([-0.0, np.inf, -np.inf, 0.3])
+    channels.append(PulseChannel("EF%1", 2.5e6, amps, phases, 1.0 / 3.0))
+    buf = io.StringIO()
+    emit_waveforms(channels, buf)
+    want = ["channel,label,omega_hz,t_s,amplitude_hz,phase_rad\n"]
+    for idx, ch in enumerate(channels):
+        for k in range(ch.amplitude_samples.size):
+            want.append(
+                f"{idx},{ch.label},{ch.omega:.12g},{k * ch.grid_dt:.12g},"
+                f"{ch.amplitude_samples[k]:.12g},{ch.phase_samples[k]:.12g}\n"
+            )
+    assert buf.getvalue() == "".join(want)
+
+
 def test_waveform_reader_skips_comment_lines(tmp_path):
     path = tmp_path / "wave.csv"
     buf = io.StringIO()
