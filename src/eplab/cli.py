@@ -251,51 +251,41 @@ def _cmd_pulses(args) -> int:
 
 def _cmd_eigensolve(args) -> int:
     from .model import ModelParams, analytic_eigenstate, discriminant, spectrum
-    from .readout import (
-        DEFAULT_SETTINGS,
-        K_MAX,
-        ratios_from_energies,
-        simulate_counts,
-        solve_eigenvalues,
-    )
+    from .readout import DEFAULT_SETTINGS, K_MAX, simulate_counts, solve_eigenvalues
 
     cfg = _effective_config(args, ("k1", "k2", "shots", "seed"))
-    if not max(abs(float(cfg["k1"])), abs(float(cfg["k2"]))) <= K_MAX:
+    k1, k2, shots = float(cfg["k1"]), float(cfg["k2"]), int(cfg["shots"])
+    # on the signed plane distinct points fit the same ratios, so the
+    # solver reads out only the quadrant window
+    if not (0.0 <= k1 <= K_MAX and 0.0 <= k2 <= K_MAX):
         raise ValueError(
-            f"eigensolve needs |k1|, |k2| <= {K_MAX}, the window the readout "
+            f"eigensolve needs 0 <= k1, k2 <= {K_MAX}, the window the readout "
             f"solver searches; got k1={cfg['k1']}, k2={cfg['k2']}"
         )
     # below zero the spectrum holds a complex pair, whose real parts are
     # not the energies the populations encode; zero (an EP) still reads
-    disc = float(discriminant(float(cfg["k1"]), float(cfg["k2"])))
+    disc = float(discriminant(k1, k2))
     if disc < 0.0:
         raise ValueError(
             f"eigensolve needs a real spectrum, but k1={cfg['k1']}, k2={cfg['k2']} is "
             f"PT-broken (discriminant {disc:.6g} < 0)"
         )
-    sp = spectrum(ModelParams(float(cfg["k1"]), float(cfg["k2"])))
-    truth = sp.eigenvalues.real
-    if int(cfg["shots"]) == 0:
-        ratios = ratios_from_energies(truth)
-        tol = 1e-6
-    else:
-        rng = np.random.default_rng(int(cfg["seed"]))
-        states = [
-            analytic_eigenstate(ModelParams(float(cfg["k1"]), float(cfg["k2"])), e)
-            for e in truth
-        ]
-        ps = [
-            simulate_counts(st, s, int(cfg["shots"]), rng=rng).populations
-            for st, s in zip(states, DEFAULT_SETTINGS)
-        ]
-        for i, p in enumerate(ps):
-            if p[2] == 0.0:
-                raise ValueError(
-                    f"setting {i + 1} recorded no level-3 counts in "
-                    f"{int(cfg['shots'])} shots, so its ratio P2/P3 is undefined"
-                )
-        ratios = np.array([p[1] / p[2] for p in ps])
-        tol = 1e6
+    p = ModelParams(k1, k2)
+    truth = spectrum(p).eigenvalues.real
+    # shots=0 gives the exact populations, so both modes share one path
+    rng = np.random.default_rng(int(cfg["seed"]))
+    ps = [
+        simulate_counts(analytic_eigenstate(p, e), s, shots, rng=rng).populations
+        for e, s in zip(truth, DEFAULT_SETTINGS)
+    ]
+    for i, pop in enumerate(ps):
+        if pop[2] == 0.0:
+            raise ValueError(
+                f"setting {i + 1} recorded no level-3 counts in "
+                f"{shots} shots, so its ratio P2/P3 is undefined"
+            )
+    ratios = np.array([pop[1] / pop[2] for pop in ps])
+    tol = 1e-6 if shots == 0 else 1e6
     recovered = solve_eigenvalues(ratios, residual_tol=tol)
     doc = {
         "truth": [float(v) for v in truth],

@@ -5,13 +5,19 @@ and the Uhlmann fidelity.
 Eigenstates are obtained dynamically: evolving under g(H) amplifies the
 component with the largest imaginary eigenvalue of g(H), so different
 choices of g select different eigenstates. Eigenvalues are recovered by
-inverting the closed-form population-ratio model under the trace
-constraint E1 + E2 + E3 = 6, which also eliminates the model parameters
-through 12 k1^2 = 27 - 3*sigma2 + sigma3 and 6 k2^2 = sigma3 + 6.
+inverting the closed-form population-ratio model over the model
+parameters (k1, k2) on the box 0 <= k1, k2 <= K_MAX, from four starts
+in one round: each point's spectrum is the root triple of the
+characteristic cubic and its eigenstates are the closed-form eigenvector
+polynomial at the signed (k1, k2), so the recovered triple sums to 6 to
+rounding rather than exactly. `ratios_from_energies` takes a triple
+instead and recovers (k1, k2) from it through 12 k1^2 = 27 - 3*sigma2 +
+sigma3 and 6 k2^2 = sigma3 + 6 (nonnegative branches).
 
 There is one forward model, `_ratio_map`, vectorized over stacks of
-triples, with the three setting unitaries built once per call of
-`ratios_from_energies` (its one-triple wrapper) or `solve_eigenvalues`.
+triples and their (k1, k2), with the three setting unitaries built once
+per call of `ratios_from_energies` (its one-triple wrapper) or
+`solve_eigenvalues`.
 The solver runs its Gauss-Newton starts in lockstep, two map calls per
 iteration: one for the residuals and finite-difference Jacobian columns
 of every live start, one for all of their line-search candidates.
@@ -25,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import ModelParams, _eigenvector_polynomial, build_hamiltonian, spectrum
+from .cubic import solve_cubic
+from .model import ModelParams, _eigenvector_polynomial, build_hamiltonian, char_poly
 from .numerics import NumericsError, expm, psd_sqrt
 
 __all__ = [
@@ -257,12 +264,13 @@ def _setting_unitaries(settings) -> np.ndarray:
     return np.stack(us)
 
 
-def _ratio_map(es: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The forward model on an (N, 3) stack of triples: F^(i) = P2/P3 of
-    eigenstate i rotated by us[i]. Returns the (N, 3) ratios and the
-    (N, 3) mask of entries whose level-3 weight is at most 1e-300 (ratio
-    set to inf)."""
-    k1, k2 = _vieta_k(es[:, 0], es[:, 1], es[:, 2])
+def _ratio_map(
+    es: np.ndarray, k1: np.ndarray, k2: np.ndarray, us: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The forward model on an (N, 3) stack of triples `es` with their
+    (N,) model parameters k1, k2: F^(i) = P2/P3 of eigenstate i rotated by
+    us[i]. Returns the (N, 3) ratios and the (N, 3) mask of entries whose
+    level-3 weight is at most 1e-300 (ratio set to inf)."""
     vec = _eigenvector_polynomial(
         es, k1[:, None], np.broadcast_to(k2[:, None], es.shape)
     )  # (component, N, setting)
@@ -280,74 +288,83 @@ def ratios_from_energies(
     e1, e2, e3 = energies
     if abs((e1 + e2 + e3) - 6.0) > 1e-9:
         raise ValueError("eigenvalue triple must sum to 6")
-    out, dead = _ratio_map(np.array([[e1, e2, e3]]), _setting_unitaries(settings))
+    k1, k2 = _vieta_k(e1, e2, e3)
+    out, dead = _ratio_map(
+        np.array([[e1, e2, e3]]), np.array([k1]), np.array([k2]),
+        _setting_unitaries(settings),
+    )
     if dead.any():
         raise ValueError(f"setting {int(dead[0].argmax()) + 1} puts no weight on level 3")
     return out[0]
 
 
-def _ratio_residuals(x: np.ndarray, ratios: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Residuals F(E1, E2, 6 - E1 - E2) - ratios for an (N, 2) stack of
-    (E1, E2). A row the forward model rejects (a level-3 weight at most
-    1e-300, or a triple that misses sum 6 by more than 1e-9) gets 1e6 in
-    every entry."""
-    es = np.column_stack([x[:, 0], x[:, 1], 6.0 - x[:, 0] - x[:, 1]])
-    f, dead = _ratio_map(es, us)
+def _spectra(k: np.ndarray) -> np.ndarray:
+    """The (N, 3) complex spectra of an (N, 2) stack of (k1, k2), by one
+    batched cubic in the `spectrum` order."""
+    cp = char_poly(ModelParams(k[:, 0], k[:, 1]))
+    return solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0)
+
+
+def _ratio_residuals(
+    k: np.ndarray, ratios: np.ndarray, us: np.ndarray, k_max: float
+) -> np.ndarray:
+    """Residuals F(k1, k2) - ratios for an (N, 2) stack of (k1, k2). A
+    dead row gets 1e6 in every entry: one outside the box
+    0 <= k1, k2 <= k_max, one whose spectrum is not real, or one the
+    forward model rejects (a level-3 weight at most 1e-300)."""
+    inside = ((k >= 0.0) & (k <= k_max)).all(axis=1)
+    k = np.where(inside[:, None], k, 0.0)  # keeps the cubic finite on dead rows
+    es = _spectra(k)
+    f, dead = _ratio_map(es, k[:, 0], k[:, 1], us)
     r = f - ratios
-    r[dead.any(axis=1) | (np.abs(es.sum(axis=1) - 6.0) > 1e-9)] = 1e6
+    r[~inside | (es.imag != 0.0).any(axis=1) | dead.any(axis=1)] = 1e6
     return r
 
 
-# deterministic coarse-simplex starts for the (E1, E2) search
-_STARTS = (
-    (4.0, 1.5), (3.5, 2.5), (3.0, 3.0), (2.0, 3.5),
-    (5.0, 0.5), (4.5, 2.0), (2.5, 1.0), (3.8, 2.2),
-)
-
-# largest |k1|, |k2| of the solver's operating window
+# largest k1, k2 of the solver's operating window 0 <= k1, k2 <= K_MAX
 K_MAX = 1.5
+
+# the (k1, k2) starts of the search: the Dirac EP, one in the lower half
+# of the window and two below the PT-broken edge at k2 > 1, which
+# descents from further away run into and stop on
+_K_STARTS = ((0.0, 1.0), (0.4, 0.4), (0.4, 1.1), (0.1, 1.3))
 
 # a start stops once its residual norm is at most this times
 # max(||ratios||, 1): below it a step only trades rounding errors
 _ROUNDING_STOP = 64 * np.finfo(float).eps
-
-# a first-round fit with a residual norm above this times max(||ratios||, 1)
-# is retried from more starts even when `residual_tol` would accept it:
-# shot noise gives at most 0.013 at 1e5 shots and 0.075 at 2000 shots
-# (200 random points over the window each), while a start stuck outside
-# the root's basin leaves 0.1 to 0.7
-_RETRY_RESIDUAL = 0.1
 
 # line-search step fractions 1, 1/2, ..., 2^-19: every halving above 1e-6
 _LAMBDAS = 0.5 ** np.arange(20)
 
 
 def _descend(
-    starts: np.ndarray, ratios: np.ndarray, us: np.ndarray, stop: float
+    starts, ratios: np.ndarray, us: np.ndarray, stop: float, k_max: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Gauss-Newton from every (E1, E2) row of `starts` in lockstep.
+    """Damped Gauss-Newton from every (k1, k2) row of `starts` in lockstep.
 
     Each iteration evaluates the residual and its two forward-difference
-    Jacobian columns (step 1e-7) for every live start in one call of the
-    vectorized map, and all 20 line-search candidates x + lam * step,
-    lam = 1, 1/2, ..., 2^-19, in a second call. A start takes the
-    minimum-norm least-squares step and the first candidate that lowers
-    its residual norm. It stops after 60 iterations, when its Jacobian is
-    not finite, when no candidate lowers the norm, when the accepted step
-    is shorter than 1e-13, or when its residual norm is at most `stop`.
-    Returns the end points and their residual norms.
+    Jacobian columns (step 1e-7, taken toward the interior where it would
+    cross k_max) for every live start in one call of the vectorized map,
+    and all 20 line-search candidates x + lam * step, lam = 1, 1/2, ...,
+    2^-19, in a second call. A start takes the minimum-norm least-squares
+    step and the first candidate that lowers its residual norm. It stops
+    after 60 iterations, when its Jacobian is not finite, when no
+    candidate lowers the norm, when the accepted step is shorter than
+    1e-13, or when its residual norm is at most `stop`. Returns the end
+    points and their residual norms.
     """
     eps = 1e-7
-    probes = np.array([[0.0, 0.0], [eps, 0.0], [0.0, eps]])[:, None]  # x, x + eps e_k
     x = np.array(starts, dtype=float)
     rnorm = np.empty(len(x))  # residual norm at x
     live = np.arange(len(x))
     for _ in range(60):
         xl = x[live]
-        r = _ratio_residuals((xl + probes).reshape(-1, 2), ratios, us)
+        h = np.where(xl + eps > k_max, -eps, eps)  # (live, 2)
+        probes = xl + np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[:, None] * h  # x, x + h_k e_k
+        r = _ratio_residuals(probes.reshape(-1, 2), ratios, us, k_max)
         r = r.reshape(3, len(live), 3)
         rnorm[live] = np.linalg.norm(r[0], axis=1)
-        jac = ((r[1:] - r[0]) / eps).transpose(1, 2, 0)  # (live, 3, 2)
+        jac = ((r[1:] - r[0]) / h.T[:, :, None]).transpose(1, 2, 0)  # (live, 3, 2)
         # a non-finite Jacobian has no least-squares step: the start stops
         go = np.isfinite(jac).all(axis=(1, 2))
         live, xl, r0, jac = live[go], xl[go], r[0][go], jac[go]
@@ -356,7 +373,7 @@ def _descend(
         step = -(np.linalg.pinv(jac, rtol=None) @ r0[:, :, None])[:, :, 0]
         cand = xl + _LAMBDAS[:, None, None] * step  # (20, live, 2)
         cnorm = np.linalg.norm(
-            _ratio_residuals(cand.reshape(-1, 2), ratios, us), axis=1
+            _ratio_residuals(cand.reshape(-1, 2), ratios, us, k_max), axis=1
         ).reshape(len(_LAMBDAS), len(live))
         lower = cnorm < rnorm[live]
         first = lower.argmax(axis=0)
@@ -381,73 +398,36 @@ def solve_eigenvalues(
 ) -> np.ndarray:
     """Invert three measured ratios to the eigenvalue triple.
 
-    Damped Gauss-Newton over (E1, E2) with E3 = 6 - E1 - E2 from eight
-    deterministic starts, run in lockstep by `_descend`; a start also
-    stops once its residual norm is at rounding level (`_ROUNDING_STOP`).
-    Only if none of them fits within `residual_tol`, or within
-    `_RETRY_RESIDUAL` (more than shot noise leaves at 2000 or more
-    shots), a second lockstep round starts from the spectra of a 3x3 grid
-    over (0, k_max]^2 and competes with the first. Non-finite ratios
-    raise ValueError.
+    Damped Gauss-Newton over the model parameters (k1, k2) on the box
+    0 <= k1, k2 <= k_max, from the four `_K_STARTS` in one lockstep round
+    of `_descend`; a start also stops once its residual norm is at
+    rounding level (`_ROUNDING_STOP`). Points outside the box or with a
+    complex spectrum are dead, so every end is a readable point. The end
+    with the smallest residual wins, ties going to the earlier start; if
+    its residual exceeds `residual_tol` a NumericsError lists every
+    start's residual. Non-finite ratios raise ValueError.
 
-    The ratio map is not globally injective: distant triples
-    corresponding to |k1| of several units can fit the same ratios, so
-    roots are restricted to the operating window k1^2, k2^2 in
-    [0, k_max^2]. Among feasible roots the one with the smallest residual
-    wins, ties going to the earlier start. The trace constraint is built
-    in, so the returned triple sums to 6 exactly.
+    The ratio map is not injective: with signed k, distant points such
+    as (0.3, 0.5) and about (-0.173, -1.375) fit the same ratios, which
+    the box excludes, and inside the box points near the PT-broken edge
+    at k2 > 1 can still alias. The triple is the closed-form spectrum at
+    the winning (k1, k2), in descending order, so it sums to 6 to
+    rounding rather than exactly.
     """
     ratios = np.asarray(ratios, dtype=float)
     if not np.isfinite(ratios).all():
         raise ValueError(f"ratios must be finite, got {ratios}")
     us = _setting_unitaries(settings)
     scale = max(np.linalg.norm(ratios), 1.0)
-
-    def feasible(x):
-        es = np.array([x[0], x[1], 6.0 - x[0] - x[1]])
-        if es[0] < es[1] - 1e-6 or es[1] < es[2] - 1e-6:
-            return False  # labels follow the descending-eigenvalue convention
-        k1, k2 = _vieta_k(*es)
-        return (
-            abs(k1.imag) < 1e-4
-            and abs(k2.imag) < 1e-4
-            and abs(k1) <= k_max + 1e-9
-            and abs(k2) <= k_max + 1e-9
-        )
-
-    def pick(x, rnorm):
-        best = None
-        best_any = None
-        for i in range(len(x)):
-            if best_any is None or rnorm[i] < best_any[1]:
-                best_any = (x[i], rnorm[i])
-            if feasible(x[i]) and (best is None or rnorm[i] < best[1]):
-                best = (x[i], rnorm[i])
-        return best if best is not None else best_any
-
-    stop = _ROUNDING_STOP * scale
-    starts = list(_STARTS)
-    x, rnorm = _descend(_STARTS, ratios, us, stop)
-    xb, rb = pick(x, rnorm)
-    if not rb <= min(residual_tol, _RETRY_RESIDUAL) * scale:
-        # all eight can end outside the root's basin (e.g. at (k1, k2) =
-        # (0.0923, 0.3114) noiselessly, (0.0897, 0.3183) with 1e5 shots);
-        # retry from the spectra of a 3x3 grid over the window, which lie
-        # in the feasible region
-        g = np.linspace(0.0, k_max, 4)[1:]
-        k1, k2 = np.meshgrid(g, g, indexing="ij")
-        more = spectrum(ModelParams(k1.ravel(), k2.ravel())).eigenvalues.real[:, :2]
-        x2, rnorm2 = _descend(more, ratios, us, stop)
-        starts += [tuple(row) for row in np.round(more, 4).tolist()]
-        x, rnorm = np.concatenate([x, x2]), np.concatenate([rnorm, rnorm2])
-        xb, rb = pick(x, rnorm)
-    if not rb <= residual_tol * scale:
-        lines = ", ".join(f"start {s} -> residual {r:.3e}" for s, r in zip(starts, rnorm))
+    x, rnorm = _descend(_K_STARTS, ratios, us, _ROUNDING_STOP * scale, k_max)
+    best = int(rnorm.argmin())
+    if not rnorm[best] <= residual_tol * scale:
+        lines = ", ".join(f"start {s} -> residual {r:.3e}" for s, r in zip(_K_STARTS, rnorm))
         raise NumericsError(
             f"no eigenvalue triple fits the ratios within {residual_tol:.1e} "
-            f"(best residual {rb:.3e}); landscape: {lines}"
+            f"(best residual {rnorm[best]:.3e}); landscape: {lines}"
         )
-    return np.array([xb[0], xb[1], 6.0 - xb[0] - xb[1]])
+    return _spectra(x[best : best + 1])[0].real
 
 
 def simulate_counts(

@@ -273,11 +273,16 @@ def test_bad_model_inputs_are_domain_errors(capsys, argv, message):
         (("--shots", "1", "--seed", "1"), "setting 1 recorded no level-3 counts"),
         # outside the window no start ends feasible (it used to print a
         # non-descending triple with max_abs_error 5.5)
-        (("--k1", "3", "--k2", "0.5"), "|k1|, |k2| <= 1.5"),
-        (("--k1", "0.3", "--k2", "-1.6"), "|k1|, |k2| <= 1.5"),
+        (("--k1", "3", "--k2", "0.5"), "0 <= k1, k2 <= 1.5"),
+        (("--k1", "0.3", "--k2", "-1.6"), "0 <= k1, k2 <= 1.5"),
         # PT-broken: truth held the real parts of a complex pair and the
         # run printed max_abs_error 0.096
         (("--k1", "1.5", "--k2", "1.5"), "PT-broken (discriminant -5811.25 < 0)"),
+        # negative k: (0.3, 0.5) and (-0.173, -1.375) fit the same ratios,
+        # and these printed max_abs_error 1.17e7 and 0.83
+        (("--k1", "0.3", "--k2", "-0.5", "--shots", "100000", "--seed", "3"),
+         "0 <= k1, k2 <= 1.5"),
+        (("--k1", "-0.3", "--k2", "0.5"), "0 <= k1, k2 <= 1.5"),
     ],
 )
 def test_eigensolve_rejects_unreadable_inputs(capsys, argv, message):
@@ -288,6 +293,19 @@ def test_eigensolve_rejects_unreadable_inputs(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "k1, k2",
+    # the k1 = 0 line (where the Dirac EP lies), the k2 = 0 line and the
+    # window's k1 edge: the first four used to exit 1, the last printed
+    # max_abs_error 1.73
+    [("0", "0.5"), ("0", "0.8"), ("0", "1.3"), ("0.3", "0"), ("1.5", "0.5")],
+)
+def test_eigensolve_noiseless_on_the_window_lines(capsys, k1, k2):
+    code, out, _ = run(capsys, "eigensolve", "--k1", k1, "--k2", k2)
+    assert code == EXIT_OK
+    assert json.loads(out.split("\n", 1)[1])["max_abs_error"] < 1e-12
 
 
 def test_eigensolve_at_the_dirac_ep(capsys):
@@ -338,8 +356,10 @@ def test_cached_parser_keeps_runs_apart(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # every one of the eight starts misses the root: noiselessly the
-        # solve raised, with 1e5 shots it returned the unmoved start (3, 3)
+        # every one of the eight (E1, E2) starts of the earlier solver
+        # missed the root here, and a retry round found it: noiselessly the
+        # solve raised without it, with 1e5 shots it returned the unmoved
+        # start (3, 3); the four (k1, k2) starts reach it in one round
         ("--k1", "0.0923", "--k2", "0.3114"),
         ("--k1", "0.0897", "--k2", "0.3183", "--shots", "100000", "--seed", "1641706001"),
     ],
