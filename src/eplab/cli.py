@@ -118,7 +118,7 @@ class _TrackingParser(argparse.ArgumentParser):
 
 
 def _cmd_spectrum(args) -> int:
-    from .model import ModelParams, sweep_tracked_spectra
+    from .model import ModelParams, sweep_tracked_eigenvalues
 
     cfg = _effective_config(args, ("k1", "k2", "k1_range", "k2_range"))
     if cfg["k1_range"]:
@@ -131,7 +131,7 @@ def _cmd_spectrum(args) -> int:
         axis = "k2"
     else:
         raise ValueError("spectrum needs --k1-range or --k2-range")
-    vals = sweep_tracked_spectra(path).eigenvalues
+    vals = sweep_tracked_eigenvalues(path)
     parts = np.stack([vals.real, vals.imag], axis=-1).reshape(len(vals), 6)  # E1_re, E1_im, ...
     table = np.column_stack([sweep_vals, parts])
     _write(args.output, _header(cfg) + f"{axis},E1_re,E1_im,E2_re,E2_im,E3_re,E3_im\n"
@@ -166,9 +166,11 @@ def _cmd_atlas(args) -> int:
 def _cone_sheets(c) -> np.ndarray:
     """Real parts of the spectrum at (0, 1) + dk (cos theta, sin theta),
     one descending row per direction of `c`."""
-    from .model import ModelParams, spectrum
+    from .cubic import solve_cubic
+    from .model import ModelParams, char_poly
 
-    return -np.sort(-spectrum(ModelParams(c.dk1, 1.0 + c.dk2)).eigenvalues.real)
+    cp = char_poly(ModelParams(c.dk1, 1.0 + c.dk2))
+    return -np.sort(-solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0).real)
 
 
 def _cmd_cone(args) -> int:

@@ -4,10 +4,17 @@ The degeneracy locus is the zero set of the explicit discriminant
 polynomial, so refinement uses exact derivatives throughout: Newton on
 the gradient for the conical point (where the gradient itself vanishes)
 and predictor-corrector walking for the square-root exceptional line.
+
+The atlas probes are stacked: the conical-point scan takes every cell's
+3x3-neighbourhood minimum from nine shifted views of the grid, and
+`classify_ep` puts its 24 ring points through one `eigvals` and its ten
+probe offsets through one `eig` (a custom `family` is still called once
+per point, and its matrices are stacked).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,6 +172,11 @@ def refine_degeneracy(seed: tuple[float, float], tol: float = 1e-10) -> np.ndarr
     raise ValueError(f"seed {seed} not refinable to the degeneracy locus (delta={d:.3e})")
 
 
+# finest grid `locate_conical_points` scans per axis: 10^6 cells, 8 MB per
+# float grid, a few tens of MB at peak
+MAX_RESOLUTION = 1000
+
+
 def locate_conical_points(
     k1_range: tuple[float, float] = (-1.0, 1.0),
     k2_range: tuple[float, float] = (-2.0, 2.0),
@@ -175,24 +187,36 @@ def locate_conical_points(
     Grid-scan for local minima with small positive value, then Newton on
     the gradient; a point is accepted when the refined discriminant is
     below 1e-12 and the Hessian is definite (isolated-zero structure).
+    A cell is a candidate when it equals the minimum of its 3x3
+    neighbourhood (nine shifted views of the grid) and is at most 50;
+    candidates are refined in row-major order. Raises ValueError for
+    non-finite or empty ranges and for a resolution outside
+    3..MAX_RESOLUTION (a grid needs an interior cell).
     """
+    bounds = (*k1_range, *k2_range)
+    if not np.all(np.isfinite(bounds)):
+        raise ValueError(f"scan ranges must be finite, got {k1_range} and {k2_range}")
+    if k1_range[0] >= k1_range[1] or k2_range[0] >= k2_range[1]:
+        raise ValueError(f"scan ranges need min < max, got {k1_range} and {k2_range}")
+    if not 3 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be in 3..{MAX_RESOLUTION}, got {resolution}")
     k1 = np.linspace(*k1_range, resolution)
     k2 = np.linspace(*k2_range, resolution)
     vals = discriminant(k1[:, None], k2[None, :])
+    n = resolution - 2
+    shifted = (vals[di : di + n, dj : dj + n] for di in range(3) for dj in range(3))
+    low = functools.reduce(np.minimum, shifted)
+    core = vals[1:-1, 1:-1]
     found: list[tuple[float, float]] = []
-    for i in range(1, resolution - 1):
-        for j in range(1, resolution - 1):
-            patch = vals[i - 1 : i + 2, j - 1 : j + 2]
-            if vals[i, j] != patch.min() or vals[i, j] > 50.0:
-                continue
-            x = _gradient_newton(np.array([k1[i], k2[j]]))
-            if abs(float(discriminant(*x))) > 1e-12:
-                continue
-            sig = np.linalg.eigvalsh(_hess_disc(*x))
-            if sig[0] * sig[1] <= 0:
-                continue
-            if not any(np.hypot(x[0] - f[0], x[1] - f[1]) < 1e-4 for f in found):
-                found.append((float(x[0]), float(x[1])))
+    for i, j in (np.argwhere((core == low) & (core <= 50.0)) + 1).tolist():
+        x = _gradient_newton(np.array([k1[i], k2[j]]))
+        if abs(float(discriminant(*x))) > 1e-12:
+            continue
+        sig = np.linalg.eigvalsh(_hess_disc(*x))
+        if sig[0] * sig[1] <= 0:
+            continue
+        if not any(np.hypot(x[0] - f[0], x[1] - f[1]) < 1e-4 for f in found):
+            found.append((float(x[0]), float(x[1])))
     return sorted(found, key=lambda t: (t[1], t[0]))
 
 
@@ -284,16 +308,25 @@ def _coalescing_pair(vals: np.ndarray) -> tuple[int, int]:
     return pairs[int(np.argmin(gaps))]
 
 
-def _pair_gap_and_overlap(h: np.ndarray) -> tuple[float, float]:
+def _pair_gaps_and_overlaps(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gap and right-vector overlap modulus of the coalescing pair of
+    each matrix of a stack (m, n, n), from one stacked `eig`."""
     sp = eig(h)
-    i, j = _coalescing_pair(sp.eigenvalues)
-    gap = abs(sp.eigenvalues[i] - sp.eigenvalues[j])
-    ov = abs(np.vdot(sp.right_vectors[:, i], sp.right_vectors[:, j]))
-    return gap, ov
+    gaps, overlaps = np.empty(len(h)), np.empty(len(h))
+    for r, (vals, vecs) in enumerate(zip(sp.eigenvalues, sp.right_vectors)):
+        i, j = _coalescing_pair(vals)
+        gaps[r] = abs(vals[i] - vals[j])
+        overlaps[r] = abs(np.vdot(vecs[:, i], vecs[:, j]))
+    return gaps, overlaps
 
 
-def _default_family(k1: float, k2: float) -> np.ndarray:
-    return build_hamiltonian(ModelParams(k1, k2))
+def _family_stack(family, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """The Hamiltonians (m, n, n) at the points of 1-D arrays k1, k2: the
+    model's in one broadcast build when `family` is None, else one
+    `family` call per point."""
+    if family is None:
+        return build_hamiltonian(ModelParams(k1, k2))
+    return np.stack([family(a, b) for a, b in zip(k1, k2)])
 
 
 def classify_ep(
@@ -308,13 +341,16 @@ def classify_ep(
     Three tests: eigenvector coalescence at offset 1e-6, spectrum reality
     on a ring of radius `ring_radius`, and the log-log dispersion
     exponent of the eigenvalue splitting over radial offsets 1e-4..1e-2.
+    The 24 ring points go through one stacked `eigvals` and the ten
+    probe offsets through one stacked `eig`.
     """
-    fam = family or _default_family
     k1, k2 = location
     if family is None:
         loc = refine_degeneracy(location, tol=1e-8)
         k1, k2 = float(loc[0]), float(loc[1])
-    gap0, _ = _pair_gap_and_overlap(fam(k1, k2))
+    (gap0,), _ = _pair_gaps_and_overlaps(
+        _family_stack(family, np.array([k1]), np.array([k2]))
+    )
     if gap0 > 1e-4:
         raise ValueError(f"({k1}, {k2}) is not on the degeneracy locus (gap {gap0:.3e})")
 
@@ -330,29 +366,22 @@ def classify_ep(
     probe_direction = np.asarray(probe_direction, dtype=float)
     probe_direction = probe_direction / np.linalg.norm(probe_direction)
 
-    _, coalescence = _pair_gap_and_overlap(
-        fam(k1 + 1e-6 * probe_direction[0], k2 + 1e-6 * probe_direction[1])
+    # the coalescence offset first, then the nine dispersion offsets
+    offsets = np.geomspace(1e-4, 1e-2, 9)
+    dks = np.concatenate([[1e-6], offsets])
+    gaps, overlaps = _pair_gaps_and_overlaps(
+        _family_stack(family, k1 + dks * probe_direction[0], k2 + dks * probe_direction[1])
     )
+    coalescence = overlaps[0]
 
     angles = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
-    ring_real = True
-    for a in angles:
-        vals = np.linalg.eigvals(
-            fam(k1 + ring_radius * np.cos(a), k2 + ring_radius * np.sin(a))
-        )
-        if np.abs(vals.imag).max() > 1e-7:
-            ring_real = False
-            break
+    ring = _family_stack(
+        family, k1 + ring_radius * np.cos(angles), k2 + ring_radius * np.sin(angles)
+    )
+    ring_real = not (np.abs(np.linalg.eigvals(ring).imag) > 1e-7).any()
     real_radius = ring_radius if ring_real else 0.0
 
-    offsets = np.geomspace(1e-4, 1e-2, 9)
-    gaps = []
-    for dk in offsets:
-        g, _ = _pair_gap_and_overlap(
-            fam(k1 + dk * probe_direction[0], k2 + dk * probe_direction[1])
-        )
-        gaps.append(g)
-    exponent = float(np.polyfit(np.log(offsets), np.log(gaps), 1)[0])
+    exponent = float(np.polyfit(np.log(offsets), np.log(gaps[1:]), 1)[0])
 
     if coalescence < 0.5:
         kind = "hermitian_dp"
@@ -384,14 +413,12 @@ def overlap_scaling(
     offsets = np.asarray(offsets, dtype=float)
     if offsets.size < 2 or np.ptp(offsets) < 1e-15:
         raise ValueError("need at least two distinct offsets for the fit")
-    fam = family or _default_family
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
-    defects = []
-    for dk in offsets:
-        _, ov = _pair_gap_and_overlap(fam(center[0] + dk * d[0], center[1] + dk * d[1]))
-        defects.append(1.0 - ov)
-    defects = np.array(defects)
+    _, overlaps = _pair_gaps_and_overlaps(
+        _family_stack(family, center[0] + offsets * d[0], center[1] + offsets * d[1])
+    )
+    defects = 1.0 - overlaps
     slope = float(np.polyfit(np.log(offsets), np.log(defects), 1)[0])
     return slope, defects
 

@@ -10,11 +10,18 @@ matrix
 
 whose characteristic cubic, discriminant, line spectra, conical
 expansion and closed-form eigenstates are all available analytically.
+
+Eigenvalues come from the roots of the cubic (`cubic.solve_cubic`); only
+`spectrum` adds numeric eigenvectors. A sweep that needs no vectors
+(`sweep_tracked_eigenvalues`, behind `eplab spectrum`) and the cone
+sheets of `eplab cone` take the cubic roots alone. Sweeps track the
+eigenvalue order from point to point with a greedy nearest match, tabled
+for all six orders of the previous point and then chained.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +41,7 @@ __all__ = [
     "line_spectrum",
     "cone_expansion",
     "analytic_eigenstate",
+    "sweep_tracked_eigenvalues",
     "sweep_tracked_spectra",
 ]
 
@@ -250,19 +258,64 @@ def analytic_eigenstate(p: ModelParams, e: complex) -> np.ndarray:
     return v
 
 
-def _greedy_match(prev: list, new: list) -> list:
-    """Permutation of `new` minimizing total distance to `prev`, greedily.
+# the six orders of three eigenvalues; row 0 is the identity
+_PERMS = np.array(list(itertools.permutations(range(3))))
+# row of _PERMS with first two entries (a, b), at index 3 a + b
+_PERM_ROW = np.zeros(9, dtype=int)
+_PERM_ROW[3 * _PERMS[:, 0] + _PERMS[:, 1]] = np.arange(6)
 
-    Ties within 1e-12 in the per-step cost are broken by the lower prior
-    index, which keeps sweeps deterministic. Works on Python scalars: a
-    sweep calls it once per point.
+
+def _tracking_perms(vals: np.ndarray) -> np.ndarray:
+    """Continuity-tracking permutations (N, 3) of the eigenvalue rows (N, 3).
+
+    Row i orders vals[i] to follow on from the ordered row i - 1 (row 0
+    follows itself) by greedy matching: each earlier eigenvalue in turn
+    takes the nearest free new one, ties within 1e-12 going to the lower
+    index. The greedy result depends only on the two rows and the order
+    the earlier row is in, so it is tabled for all six orders at once,
+    (N, 6), in two vectorized rounds (the third pick is the index left),
+    and the table is then chained from the identity with N lookups.
     """
-    perm = []
-    for target in prev:
-        dists = [abs(e - target) if j not in perm else math.inf for j, e in enumerate(new)]
-        low = min(dists) + 1e-12
-        perm.append(next(j for j, dist in enumerate(dists) if dist <= low))
-    return perm
+    prev = np.concatenate([vals[:1], vals[:-1]])
+    targets = prev[:, _PERMS]  # (N, 6, 3): row i - 1 in each of the six orders
+    taken = np.zeros(targets.shape, dtype=bool)
+    picks = []
+    for r in range(2):
+        dist = np.abs(vals[:, None, :] - targets[:, :, r, None])
+        dist[taken] = np.inf
+        # np.minimum over the columns: a reduction over an axis of 3 is slow
+        low = np.minimum(np.minimum(dist[..., 0], dist[..., 1]), dist[..., 2]) + 1e-12
+        pick = np.argmax(dist <= low[..., None], axis=-1)  # the lowest index within the tie
+        taken |= pick[..., None] == np.arange(3)
+        picks.append(pick)
+    table = _PERM_ROW[3 * picks[0] + picks[1]].tolist()
+    order = []
+    row = 0
+    for successors in table:
+        row = successors[row]
+        order.append(row)
+    return _PERMS[order]
+
+
+def _check_sweep_path(path: ModelParams) -> None:
+    k1, k2 = np.broadcast_arrays(path.k1, path.k2)
+    if k1.ndim != 1:
+        raise ValueError("a sweep path is one-dimensional")
+    if np.any(np.hypot(np.diff(k1), np.diff(k2)) > 0.05 + 1e-12):
+        raise ValueError("consecutive path points farther than 0.05 apart")
+
+
+def sweep_tracked_eigenvalues(path: ModelParams) -> np.ndarray:
+    """Eigenvalues (N, 3) along a parameter path, continuity-tracked.
+
+    The roots of the characteristic cubic alone, in the order
+    `sweep_tracked_spectra` gives them (bit for bit), without the
+    eigenvectors; `path` is as there.
+    """
+    _check_sweep_path(path)
+    cp = char_poly(path)
+    vals = solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0)
+    return np.take_along_axis(vals, _tracking_perms(vals), axis=-1)
 
 
 def sweep_tracked_spectra(path: ModelParams) -> Spectrum:
@@ -274,20 +327,9 @@ def sweep_tracked_spectra(path: ModelParams) -> Spectrum:
     the previous point's by greedy nearest matching. Returns one stacked
     Spectrum tagged "sweep-tracked", eigenvalues (N, 3), vectors (N, 3, 3).
     """
-    k1, k2 = np.broadcast_arrays(path.k1, path.k2)
-    if k1.ndim != 1:
-        raise ValueError("a sweep path is one-dimensional")
-    if np.any(np.hypot(np.diff(k1), np.diff(k2)) > 0.05 + 1e-12):
-        raise ValueError("consecutive path points farther than 0.05 apart")
+    _check_sweep_path(path)
     sp = spectrum(path)
-    vals = sp.eigenvalues.tolist()
-    perms = []
-    prev = vals[0] if vals else []  # the first point keeps its own order
-    for row in vals:
-        perm = _greedy_match(prev, row)
-        prev = [row[j] for j in perm]
-        perms.append(perm)
-    perms = np.array(perms, dtype=int).reshape(-1, 3)
+    perms = _tracking_perms(sp.eigenvalues)
     return Spectrum(
         eigenvalues=np.take_along_axis(sp.eigenvalues, perms, axis=-1),
         right_vectors=np.take_along_axis(sp.right_vectors, perms[:, None, :], axis=-1),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -81,6 +82,68 @@ def test_atlas_finds_both_conical_points(capsys):
     assert len(records) == 2
     assert all(r["kind"] == "dirac" for r in records)
     assert np.allclose(locs, [(0.0, -1.0), (0.0, 1.0)], atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--resolution", "0"), "resolution must be in 3..1000, got 0"),
+        (("--resolution", "1"), "resolution must be in 3..1000, got 1"),
+        (("--resolution", "2"), "resolution must be in 3..1000, got 2"),
+        (("--resolution", "-3"), "resolution must be in 3..1000, got -3"),
+        (("--resolution", "100000"), "resolution must be in 3..1000, got 100000"),
+        (("--k2-min", "inf"), "scan ranges must be finite"),
+        (("--k1-min", "nan"), "scan ranges must be finite"),
+        (("--k1-max", "-inf"), "scan ranges must be finite"),
+        (("--k1-min", "1"), "scan ranges need min < max"),
+        (("--k2-min", "2.5"), "scan ranges need min < max"),
+    ],
+)
+def test_atlas_rejects_nonsensical_grids(capsys, argv, message):
+    # each used to print [] (inf also with a numpy RuntimeWarning), or
+    # numpy's "Number of samples" text for a negative resolution
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "atlas", *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+# SHA-256 of stdout, recorded before the spectral commands moved to
+# cubic-only sweeps, the tabled sweep match and the stacked atlas probes
+SPECTRAL_DIGESTS = [
+    (("spectrum", "--k2", "1", "--k1-range", "-1:1:0.005"),
+     "3a9e4c9eb73a17c102845436eaa7b79d5ff0360bb3508106134e65977d2e3500"),
+    (("spectrum", "--k2", "-1", "--k1-range", "-1:1:0.005"),
+     "ff8d6b4b87b567059f02e67f27ca049e0408081c9768fd70a1172f8f1be68499"),
+    (("spectrum", "--k2", "1", "--k1-range", "-1.137:0.863:0.005"),
+     "4cf18e21e0177b428d0924f2abf490217de4e258a6b922bf22ffd417a9b7cd0d"),
+    # through both conical points and across both PT-broken edges
+    (("spectrum", "--k1", "0", "--k2-range", "-1.6:1.6:0.005"),
+     "f294d9cd2bcca470fdfffe51431f72a81706c04417a2fb83f554a7520a7b7bae"),
+    (("spectrum", "--k1", "0", "--k2-range", "1.3:1.6:0.001"),
+     "24b42b821a5cb23c06ee5f786eccee79aac16dc0c9331dbd6002a5d7e9c8ab0a"),
+    (("cone", "--angles", "1"),
+     "8f5e8892512f7ef7e29452db81b7f5ec59dfd25592b78276ababdc3efa7b0394"),
+    (("cone", "--angles", "32"),
+     "cb40f445d9c7156e0da609d5b82e22a2ed557be00f36af210002aa5476647110"),
+    (("atlas", "--resolution", "41"),
+     "d0cec7fb9dad555dc79337994b51f9bad8605c9afd5066bcc470787e69e7f8c7"),
+    (("atlas", "--resolution", "45"),
+     "776134111f564d40bc448eacd4f8cdd2e11c0ab0b37194666b064d2f80b344b2"),
+    (("atlas", "--resolution", "49"),
+     "cbd1e90fa6095018179a213403651c0c10a11bda4299f08c73ae106476eb223a"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", SPECTRAL_DIGESTS, ids=[" ".join(argv) for argv, _ in SPECTRAL_DIGESTS]
+)
+def test_spectral_output_is_byte_identical(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from eplab.ep_atlas import (
+    EPRecord,
+    _coalescing_pair,
+    _grad_disc,
+    _gradient_newton,
     _hess_disc,
     classify_ep,
     locate_conical_points,
@@ -11,7 +15,8 @@ from eplab.ep_atlas import (
     scan_discriminant,
     trace_exceptional_line,
 )
-from eplab.model import ModelParams, build_tb_block, discriminant
+from eplab.model import ModelParams, build_hamiltonian, build_tb_block, discriminant
+from eplab.numerics import eig
 
 
 def test_scan_marks_sign_changes():
@@ -112,3 +117,129 @@ def test_line_degeneracy_locator_next_nearest():
     pts = locate_line_degeneracies(fam, (-1.0, 1.0))
     assert any(abs(p - 0.5) < 1e-6 for p in pts)
     assert any(abs(p + 0.5) < 1e-6 for p in pts)
+
+
+# The per-cell and per-probe loops the atlas ran before its probes were
+# stacked, kept as references for bit-identical results.
+
+
+def _loop_conical_points(k1_range, k2_range, resolution):
+    k1 = np.linspace(*k1_range, resolution)
+    k2 = np.linspace(*k2_range, resolution)
+    vals = discriminant(k1[:, None], k2[None, :])
+    found = []
+    for i in range(1, resolution - 1):
+        for j in range(1, resolution - 1):
+            patch = vals[i - 1 : i + 2, j - 1 : j + 2]
+            if vals[i, j] != patch.min() or vals[i, j] > 50.0:
+                continue
+            x = _gradient_newton(np.array([k1[i], k2[j]]))
+            if abs(float(discriminant(*x))) > 1e-12:
+                continue
+            sig = np.linalg.eigvalsh(_hess_disc(*x))
+            if sig[0] * sig[1] <= 0:
+                continue
+            if not any(np.hypot(x[0] - f[0], x[1] - f[1]) < 1e-4 for f in found):
+                found.append((float(x[0]), float(x[1])))
+    return sorted(found, key=lambda t: (t[1], t[0]))
+
+
+def _loop_pair_gap_and_overlap(h):
+    sp = eig(h)
+    i, j = _coalescing_pair(sp.eigenvalues)
+    gap = abs(sp.eigenvalues[i] - sp.eigenvalues[j])
+    ov = abs(np.vdot(sp.right_vectors[:, i], sp.right_vectors[:, j]))
+    return gap, ov
+
+
+def _loop_classify_ep(location, *, family=None, ring_radius=0.05):
+    fam = family or (lambda a, b: build_hamiltonian(ModelParams(a, b)))
+    k1, k2 = location
+    if family is None:
+        loc = refine_degeneracy(location, tol=1e-8)
+        k1, k2 = float(loc[0]), float(loc[1])
+    gap0, _ = _loop_pair_gap_and_overlap(fam(k1, k2))
+    assert gap0 <= 1e-4
+    probe = np.array([1.0, 0.0])
+    if family is None and np.linalg.norm(_grad_disc(k1, k2)) > 1e-6:
+        probe = _grad_disc(k1, k2) / np.linalg.norm(_grad_disc(k1, k2))
+    probe = probe / np.linalg.norm(probe)
+    _, coalescence = _loop_pair_gap_and_overlap(fam(k1 + 1e-6 * probe[0], k2 + 1e-6 * probe[1]))
+    ring_real = True
+    for a in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False):
+        vals = np.linalg.eigvals(fam(k1 + ring_radius * np.cos(a), k2 + ring_radius * np.sin(a)))
+        if np.abs(vals.imag).max() > 1e-7:
+            ring_real = False
+            break
+    offsets = np.geomspace(1e-4, 1e-2, 9)
+    gaps = [_loop_pair_gap_and_overlap(fam(k1 + dk * probe[0], k2 + dk * probe[1]))[0]
+            for dk in offsets]
+    exponent = float(np.polyfit(np.log(offsets), np.log(gaps), 1)[0])
+    if coalescence < 0.5:
+        kind = "hermitian_dp"
+    elif ring_real and 0.8 < exponent < 1.2:
+        kind = "dirac"
+    else:
+        kind = "typical"
+    return EPRecord((k1, k2), kind, exponent, float(coalescence),
+                    float(ring_radius if ring_real else 0.0))
+
+
+@pytest.mark.parametrize(
+    "k1_range, k2_range, resolution",
+    [((-1.0, 1.0), (-2.0, 2.0), r) for r in (11, 41, 45, 49, 80)]
+    + [((-0.5, 0.7), (0.0, 2.0), 37), ((-2.0, 2.0), (-3.0, 1.5), 57)],
+)
+def test_stacked_scan_equals_the_cell_loop(k1_range, k2_range, resolution):
+    got = locate_conical_points(k1_range, k2_range, resolution)
+    want = _loop_conical_points(k1_range, k2_range, resolution)
+    assert repr(got) == repr(want)
+
+
+def _typical_point():
+    trace = trace_exceptional_line((0.05, 1.44), 0.01)
+    return tuple(trace.vertices[len(trace.vertices) // 2])
+
+
+@pytest.mark.parametrize(
+    "location, family, ring_radius",
+    [
+        ((0.0, 1.0), None, 0.05),
+        ((0.0, -1.0), None, 0.05),
+        ((1e-3, 1.0005), None, 0.2),
+        (_typical_point(), None, 0.05),
+        ((1.5, 0.0), lambda k1, k2: np.diag([3 + 2 * k1, 0.0, 3 - 2 * k1]), 0.05),
+        ((0.0, 1.0), lambda k1, k2: build_hamiltonian(ModelParams(k1, k2)), 0.05),
+    ],
+)
+def test_stacked_classification_equals_the_probe_loops(location, family, ring_radius):
+    got = classify_ep(location, family=family, ring_radius=ring_radius)
+    want = _loop_classify_ep(location, family=family, ring_radius=ring_radius)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("center, direction", [((0.0, 1.0), (1.0, 0.0)), ((0.0, -1.0), (0.3, 1.0))])
+def test_stacked_overlaps_equal_the_probe_loop(center, direction):
+    offsets = np.geomspace(1e-3, 1e-1, 9)
+    d = np.asarray(direction) / np.linalg.norm(direction)
+    want = [1.0 - _loop_pair_gap_and_overlap(
+        build_hamiltonian(ModelParams(center[0] + dk * d[0], center[1] + dk * d[1])))[1]
+        for dk in offsets]
+    _, got = overlap_scaling(offsets, center=center, direction=direction)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "k1_range, k2_range, resolution, message",
+    [
+        ((-1.0, 1.0), (-2.0, 2.0), 2, "resolution"),
+        ((-1.0, 1.0), (-2.0, 2.0), 1001, "resolution"),
+        ((-1.0, np.inf), (-2.0, 2.0), 41, "finite"),
+        ((-1.0, 1.0), (np.nan, 2.0), 41, "finite"),
+        ((1.0, 1.0), (-2.0, 2.0), 41, "min < max"),
+        ((-1.0, 1.0), (2.0, -2.0), 41, "min < max"),
+    ],
+)
+def test_scan_rejects_grids_without_an_interior(k1_range, k2_range, resolution, message):
+    with pytest.raises(ValueError, match=message):
+        locate_conical_points(k1_range, k2_range, resolution)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eplab.cubic import solve_cubic
 from eplab.model import (
     ConeDirection,
     ModelParams,
@@ -13,8 +16,10 @@ from eplab.model import (
     discriminant,
     line_spectrum,
     spectrum,
+    sweep_tracked_eigenvalues,
     sweep_tracked_spectra,
 )
+from eplab.model import _tracking_perms
 
 
 def test_hamiltonian_entries():
@@ -152,6 +157,90 @@ def test_sweep_tracking_continuity():
     assert spectra.ordering_tag == "sweep-tracked"
     with pytest.raises(ValueError):
         sweep_tracked_spectra(ModelParams(np.array([0.0, 0.2]), 0.0))
+
+
+def _greedy_match(prev: list, new: list) -> list:
+    """The scalar greedy match the sweeps used to run per point: each
+    earlier eigenvalue takes the nearest free new one, ties within 1e-12
+    going to the lower index."""
+    perm = []
+    for target in prev:
+        dists = [abs(e - target) if j not in perm else math.inf for j, e in enumerate(new)]
+        low = min(dists) + 1e-12
+        perm.append(next(j for j, dist in enumerate(dists) if dist <= low))
+    return perm
+
+
+def _scalar_tracking_perms(vals: np.ndarray) -> np.ndarray:
+    perms = []
+    rows = vals.tolist()
+    prev = rows[0] if rows else []  # the first point keeps its own order
+    for row in rows:
+        perm = _greedy_match(prev, row)
+        prev = [row[j] for j in perm]
+        perms.append(perm)
+    return np.array(perms, dtype=int).reshape(-1, 3)
+
+
+def _random_walk(rng, n):
+    """n points from a random start, steps of length 0.05 or less."""
+    start = rng.uniform(-1.5, 1.5, 2)
+    angle = rng.uniform(0.0, 2.0 * np.pi, n - 1)
+    steps = rng.uniform(0.0, 0.05, n - 1)[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    pts = start + np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)])
+    return ModelParams(pts[:, 0], pts[:, 1])
+
+
+def _cubic_roots(path):
+    cp = char_poly(path)
+    return solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0)
+
+
+def _tracking_cases():
+    rng = np.random.default_rng(14)
+    for n in (2, 3, 17, 400):
+        yield _cubic_roots(_random_walk(rng, n))
+    # exact ties: (3, 3, 0) at k1 = 0 on the k2 = 1 line
+    yield _cubic_roots(ModelParams(np.linspace(-0.2, 0.2, 41), 1.0))
+    yield _cubic_roots(ModelParams(0.0, np.linspace(0.5, 1.5, 101)))
+    # complex pairs past the PT-broken edge on k1 = 0
+    yield _cubic_roots(ModelParams(0.0, np.linspace(1.46, 1.9, 45)))
+    yield _cubic_roots(ModelParams(np.linspace(-0.1, 0.1, 21), 1.7))
+    # constant rows, a single point and no point
+    yield _cubic_roots(ModelParams(np.zeros(5), 1.0))
+    yield np.full((6, 3), 2.0 + 1.0j)
+    yield _cubic_roots(ModelParams(np.array([0.3]), 0.4))
+    yield np.zeros((0, 3), dtype=complex)
+    # values from a small set, apart by exactly 0, by 1e-13 (inside the
+    # tie rule) and by 1e-11 (outside it)
+    levels = np.array([0.0, 1e-13, 1e-11, 1.0, 1.0 + 1e-13, 2.0, 1j, -1j])
+    for _ in range(20):
+        yield levels[rng.integers(0, levels.size, (50, 3))]
+
+
+@pytest.mark.parametrize("vals", list(_tracking_cases()))
+def test_tabled_tracking_equals_scalar_greedy_match(vals):
+    got = _tracking_perms(vals)
+    assert got.shape == vals.shape
+    assert np.array_equal(got, _scalar_tracking_perms(vals))
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ModelParams(np.arange(-1.0, 1.0001, 0.005), 1.0),
+        ModelParams(0.0, np.arange(-1.6, 1.6001, 0.005)),
+        ModelParams(np.array([0.25]), -1.0),
+        _random_walk(np.random.default_rng(3), 300),
+    ],
+)
+def test_eigenvalue_sweep_equals_tracked_spectra(path):
+    want = sweep_tracked_spectra(path).eigenvalues
+    got = sweep_tracked_eigenvalues(path)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(float), want.view(float))
+    with pytest.raises(ValueError, match="farther than 0.05"):
+        sweep_tracked_eigenvalues(ModelParams(np.array([0.0, 0.2]), 0.0))
 
 
 def _residual(p, vals, vecs):
