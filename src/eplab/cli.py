@@ -166,11 +166,9 @@ def _cmd_atlas(args) -> int:
 def _cone_sheets(c) -> np.ndarray:
     """Real parts of the spectrum at (0, 1) + dk (cos theta, sin theta),
     one descending row per direction of `c`."""
-    from .cubic import solve_cubic
-    from .model import ModelParams, char_poly
+    from .model import ModelParams, eigenvalues
 
-    cp = char_poly(ModelParams(c.dk1, 1.0 + c.dk2))
-    return -np.sort(-solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0).real)
+    return -np.sort(-eigenvalues(ModelParams(c.dk1, 1.0 + c.dk2)).real)
 
 
 def _cmd_cone(args) -> int:
@@ -252,7 +250,7 @@ def _cmd_pulses(args) -> int:
 
 
 def _cmd_eigensolve(args) -> int:
-    from .model import ModelParams, analytic_eigenstate, discriminant, spectrum
+    from .model import ModelParams, analytic_eigenstate, discriminant, eigenvalues
     from .readout import DEFAULT_SETTINGS, K_MAX, simulate_counts, solve_eigenvalues
 
     cfg = _effective_config(args, ("k1", "k2", "shots", "seed"))
@@ -273,7 +271,7 @@ def _cmd_eigensolve(args) -> int:
             f"PT-broken (discriminant {disc:.6g} < 0)"
         )
     p = ModelParams(k1, k2)
-    truth = spectrum(p).eigenvalues.real
+    truth = eigenvalues(p).real
     # shots=0 gives the exact populations, so both modes share one path
     rng = np.random.default_rng(int(cfg["seed"]))
     ps = [
@@ -375,10 +373,10 @@ def _cmd_verify(args) -> int:
     suite = cfg["suite"]
     checks = []
     if suite in ("line_spectra", "all"):
-        from .model import ModelParams, line_spectrum, spectrum
+        from .model import ModelParams, eigenvalues, line_spectrum
 
         k1s = np.linspace(-1, 1, 41)
-        got = -np.sort(-spectrum(ModelParams(k1s, 1.0)).eigenvalues.real)
+        got = -np.sort(-eigenvalues(ModelParams(k1s, 1.0)).real)
         want = -np.sort(-np.array([line_spectrum(ModelParams(float(k1), 1.0)) for k1 in k1s]))
         worst = float(np.abs(got - want).max())
         checks.append(("line_spectra", worst < 1e-9, f"max dev {worst:.3e}"))

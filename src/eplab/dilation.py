@@ -25,8 +25,7 @@ of their own.
 
 `dilated_evolve` hands the engine Gamma and Lambda as two independent
 3x3 blocks, with the joint state split into its two halves, so every
-exponential of the dilation is a 3x3 one, in closed form up to
-`numerics._CLOSED_FORM_MAX_NORM`. The 6x6
+exponential of the dilation is a 3x3 one, in closed form. The 6x6
 `DilationFrame.Htot` is assembled only on request, for pulse synthesis.
 
 Ancilla convention (used consistently by preparation, post-selection and
@@ -102,10 +101,21 @@ class JointState:
 
 
 def metric_M(h: np.ndarray, t: float | np.ndarray, m0_scale: float = DEFAULT_M0_SCALE) -> np.ndarray:
-    """M(t) = m0_scale E^dag E with E = exp(i H t), since exp(-i H^dag t) = E^dag."""
+    """M(t) = m0_scale E^dag E with E = exp(i H t), since exp(-i H^dag t) = E^dag.
+
+    Raises NumericsError naming the earliest model time whose M is not
+    finite: E^dag E overflows where H has a gain and t is long."""
     _check_m0_scale(m0_scale)
-    e = expm(1j * np.asarray(t, dtype=float)[..., None, None] * np.asarray(h, dtype=complex))
-    m = m0_scale * _matmul(_dag(e), e)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        e = expm(1j * t[..., None, None] * np.asarray(h, dtype=complex))
+        m = m0_scale * _matmul(_dag(e), e)
+    bad = np.flatnonzero(~np.isfinite(m).all(axis=(-2, -1)))
+    if bad.size:
+        raise NumericsError(
+            f"dilation metric overflows at model time "
+            f"{np.broadcast_to(t, m.shape[:-2]).flat[bad[0]]:.6g}: M(t) is not finite"
+        )
     return (m + _dag(m)) / 2.0
 
 

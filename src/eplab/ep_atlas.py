@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, build_hamiltonian, discriminant
+from .model import MAX_ABS_K, ModelParams, build_hamiltonian, discriminant
 from .numerics import eig
 
 __all__ = [
@@ -114,14 +114,40 @@ def _gradient_newton(x: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     return x
 
 
+# finest grid `scan_discriminant` and `locate_conical_points` take per
+# axis: 10^6 cells, 8 MB per float grid, a few tens of MB at peak
+MAX_RESOLUTION = 1000
+
+
+def _check_scan(k1_range, k2_range, resolution: int, min_resolution: int) -> None:
+    """Raise ValueError unless both scan ranges are finite, within
+    +-MAX_ABS_K and min < max, and min_resolution <= resolution <=
+    MAX_RESOLUTION."""
+    bounds = np.array((*k1_range, *k2_range), dtype=float)
+    if not np.all(np.abs(bounds) <= MAX_ABS_K):
+        if not np.all(np.isfinite(bounds)):
+            raise ValueError(f"scan ranges must be finite, got {k1_range} and {k2_range}")
+        raise ValueError(
+            f"scan ranges must lie within +-{MAX_ABS_K:g}, got {k1_range} and {k2_range}"
+        )
+    if k1_range[0] >= k1_range[1] or k2_range[0] >= k2_range[1]:
+        raise ValueError(f"scan ranges need min < max, got {k1_range} and {k2_range}")
+    if not min_resolution <= resolution <= MAX_RESOLUTION:
+        raise ValueError(
+            f"resolution must be in {min_resolution}..{MAX_RESOLUTION}, got {resolution}"
+        )
+
+
 def scan_discriminant(
     k1_range: tuple[float, float],
     k2_range: tuple[float, float],
     resolution: int,
 ) -> dict:
-    """Discriminant field on a grid, with sign-change cells marked."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2 per axis")
+    """Discriminant field on a grid, with sign-change cells marked.
+
+    Raises ValueError as `_check_scan` does, for a resolution outside
+    2..MAX_RESOLUTION."""
+    _check_scan(k1_range, k2_range, resolution, 2)
     k1 = np.linspace(*k1_range, resolution)
     k2 = np.linspace(*k2_range, resolution)
     field_vals = discriminant(k1[:, None], k2[None, :])
@@ -172,11 +198,6 @@ def refine_degeneracy(seed: tuple[float, float], tol: float = 1e-10) -> np.ndarr
     raise ValueError(f"seed {seed} not refinable to the degeneracy locus (delta={d:.3e})")
 
 
-# finest grid `locate_conical_points` scans per axis: 10^6 cells, 8 MB per
-# float grid, a few tens of MB at peak
-MAX_RESOLUTION = 1000
-
-
 def locate_conical_points(
     k1_range: tuple[float, float] = (-1.0, 1.0),
     k2_range: tuple[float, float] = (-2.0, 2.0),
@@ -189,17 +210,11 @@ def locate_conical_points(
     below 1e-12 and the Hessian is definite (isolated-zero structure).
     A cell is a candidate when it equals the minimum of its 3x3
     neighbourhood (nine shifted views of the grid) and is at most 50;
-    candidates are refined in row-major order. Raises ValueError for
-    non-finite or empty ranges and for a resolution outside
-    3..MAX_RESOLUTION (a grid needs an interior cell).
+    candidates are refined in row-major order. Raises ValueError as
+    `_check_scan` does, for a resolution outside 3..MAX_RESOLUTION (a
+    grid needs an interior cell).
     """
-    bounds = (*k1_range, *k2_range)
-    if not np.all(np.isfinite(bounds)):
-        raise ValueError(f"scan ranges must be finite, got {k1_range} and {k2_range}")
-    if k1_range[0] >= k1_range[1] or k2_range[0] >= k2_range[1]:
-        raise ValueError(f"scan ranges need min < max, got {k1_range} and {k2_range}")
-    if not 3 <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must be in 3..{MAX_RESOLUTION}, got {resolution}")
+    _check_scan(k1_range, k2_range, resolution, 3)
     k1 = np.linspace(*k1_range, resolution)
     k2 = np.linspace(*k2_range, resolution)
     vals = discriminant(k1[:, None], k2[None, :])

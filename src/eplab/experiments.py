@@ -24,12 +24,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cubic import solve_cubic
 from .model import (
     ModelParams,
     build_hamiltonian,
-    char_poly,
     discriminant,
+    eigenvalues,
     spectrum,
     sweep_tracked_spectra,
 )
@@ -198,8 +197,7 @@ def geometric_phase(
         overlaps = states @ psi0.conj()
         if np.abs(overlaps).min() < 1e-12:
             raise NumericsError("state lost all overlap with the initial eigenstate")
-        cp = char_poly(ModelParams(*loop.params(gauss_nodes(t))))
-        energy = solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0)[..., eigenindex - 1].real
+        energy = eigenvalues(ModelParams(*loop.params(gauss_nodes(t))))[..., eigenindex - 1].real
         phi = np.diff(t) * (energy[0] + energy[1]) / 2.0
         total += np.sum(np.log(overlaps[1:] / overlaps[:-1] * np.exp(1j * phi)))
         dynamical += np.sum(phi)

@@ -30,6 +30,7 @@ from .cubic import solve_cubic
 from .numerics import Spectrum, eig
 
 __all__ = [
+    "MAX_ABS_K",
     "ModelParams",
     "CharPoly",
     "ConeDirection",
@@ -37,6 +38,7 @@ __all__ = [
     "build_tb_block",
     "char_poly",
     "discriminant",
+    "eigenvalues",
     "spectrum",
     "line_spectrum",
     "cone_expansion",
@@ -46,12 +48,19 @@ __all__ = [
 ]
 
 
+# largest |k1|, |k2| the model takes. It lives at |k| <~ 2; up to 1e6 the
+# 256 k^6 term of `discriminant` stays below 1e39, so no polynomial of
+# the model overflows
+MAX_ABS_K = 1e6
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """A point (k1, k2) of the parameter plane plus the truncation variant.
 
     k1 and k2 may be arrays (a path or a grid of points) wherever a
-    function says it broadcasts; they must be finite."""
+    function says it broadcasts; they must be finite and at most
+    MAX_ABS_K in magnitude."""
 
     k1: float
     k2: float
@@ -59,8 +68,11 @@ class ModelParams:
     block: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.k1)) and np.all(np.isfinite(self.k2))):
-            raise ValueError("model parameters k1, k2 have non-finite entries")
+        # one comparison per parameter, also false for nan and inf
+        if not (np.all(np.abs(self.k1) <= MAX_ABS_K) and np.all(np.abs(self.k2) <= MAX_ABS_K)):
+            if not (np.all(np.isfinite(self.k1)) and np.all(np.isfinite(self.k2))):
+                raise ValueError("model parameters k1, k2 have non-finite entries")
+            raise ValueError(f"model parameters k1, k2 must lie within +-{MAX_ABS_K:g}")
         if self.variant not in ("nearest", "next_nearest"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.block is None:
@@ -172,6 +184,15 @@ def discriminant(k1, k2):
     )
 
 
+def eigenvalues(p: ModelParams) -> np.ndarray:
+    """Eigenvalues (..., 3) of the 3x3 model, complex: the roots of its
+    characteristic cubic in `spectrum` order (descending real part, ties
+    by descending imaginary part), without eigenvectors. Elementwise when
+    p.k1 and p.k2 are arrays."""
+    cp = char_poly(p)
+    return solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0)
+
+
 def spectrum(p: ModelParams) -> Spectrum:
     """Eigenvalues from the characteristic cubic plus numeric eigenvectors.
 
@@ -184,8 +205,7 @@ def spectrum(p: ModelParams) -> Spectrum:
     descending imaginary part) and vectors (..., 3, 3) in the columns. A
     scalar point gives shapes (3,) and (3, 3).
     """
-    cp = char_poly(p)
-    vals = solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0)
+    vals = eigenvalues(p)
     numeric = eig(build_hamiltonian(p))
     # column j of the result is the numeric vector nearest to vals[..., j]
     gap = np.abs(numeric.eigenvalues[..., None, :] - vals[..., :, None])
@@ -313,8 +333,7 @@ def sweep_tracked_eigenvalues(path: ModelParams) -> np.ndarray:
     eigenvectors; `path` is as there.
     """
     _check_sweep_path(path)
-    cp = char_poly(path)
-    vals = solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0)
+    vals = eigenvalues(path)
     return np.take_along_axis(vals, _tracking_perms(vals), axis=-1)
 
 

@@ -5,19 +5,19 @@ eigendecomposition with a deterministic ordering, the principal PSD
 square root, matrix exponentials and the one time-ordered propagation
 engine, `propagate_ordered`.
 
-There are two matrix exponentials, both scaling-and-squaring on the
-truncated Taylor series with one scaling per stack, and one dispatch
-between them, `_exp_stack`, behind `expm` and `step_propagators`.
-`_expm3_closed_form` reduces the series with Cayley-Hamilton to three
-scalar coefficients per 3x3 matrix (Moler and Van Loan, "Nineteen
+There is one matrix exponential for the 3x3 systems the package
+evolves, `_expm3_closed_form`: scaling and squaring on the truncated
+Taylor series with one scaling per stack, reduced with Cayley-Hamilton to
+three scalar coefficients per matrix (Moler and Van Loan, "Nineteen
 dubious ways to compute the exponential of a matrix, twenty-five years
-later", SIAM Rev. 45, 3, 2003) and serves every 3x3 stack whose largest
-||z H||_inf is at most `_CLOSED_FORM_MAX_NORM`: the loop and dilation
-step propagators, the metric's exp(i H t) and the CLI's direct reference.
-`_expm_taylor` sums the series as matrices for any n and serves the rest.
-Their products are `_matmul`: three broadcast multiply-adds over a 3x3
-stack, since `np.matmul` makes one BLAS call per small matrix, and
-`np.matmul` for any other n.
+later", SIAM Rev. 45, 3, 2003). It serves every 3x3 stack at any norm:
+the loop and dilation step propagators, the metric's exp(i H t), the
+CLI's direct reference and the readout's steady state. `_exp_stack`,
+behind `expm` and `step_propagators`, is the one dispatch: 3x3 stacks to
+the closed form, any other size to `scipy.linalg.expm`. Products are
+`_matmul`: three broadcast multiply-adds over a 3x3 stack, since
+`np.matmul` makes one BLAS call per small matrix, and `np.matmul` for
+any other n.
 
 `propagate_ordered` evolves a state over a time grid by one of two step
 rules, in slices of at most CHUNK_STEPS steps with the state carried from
@@ -186,12 +186,12 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
 
 def expm(m: np.ndarray) -> np.ndarray:
     """exp(m) for a stack of small dense matrices (..., n, n), by
-    `_exp_stack` on the flattened stack: the closed form for a 3x3 stack
-    whose largest inf-norm is at most `_CLOSED_FORM_MAX_NORM`, returned in
-    stack-last memory, and `_expm_taylor` for any other.
+    `_exp_stack` on the flattened stack: the closed form for a 3x3 stack,
+    returned in stack-last memory, and `scipy.linalg.expm` for any other n.
 
-    Both are scaling-and-squaring on a truncated Taylor series, which
-    needs no eigenvectors and so also covers defective matrices (at an EP).
+    The closed form is scaling-and-squaring on a truncated Taylor series,
+    which needs no eigenvectors and so also covers defective matrices (at
+    an EP).
     """
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
@@ -200,9 +200,9 @@ def expm(m: np.ndarray) -> np.ndarray:
     return _exp_stack(flat, np.ones(len(flat))).reshape(m.shape)
 
 
-# highest tabulated Taylor degree. After scaling to norm <= 1/2 the degree
-# of `_expm_taylor` never exceeds 14; the traceless part summed by
-# `_expm3_closed_form` has up to twice that norm, which needs degree 18.
+# highest tabulated Taylor degree. `_squarings` brings ||z H||_inf to at
+# most 1/2; the traceless part summed by `_expm3_closed_form` has up to
+# twice that norm, which needs degree 18
 _TAYLOR_MAX_ORDER = 18
 _INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(_TAYLOR_MAX_ORDER + 1))
 # largest scaled norm theta for which degree m keeps the first dropped term,
@@ -210,33 +210,6 @@ _INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(_TAYLOR_MAX_ORDER 
 _TAYLOR_THETA = np.array(
     [(math.factorial(m + 1) * 2.0**-53) ** (1.0 / (m + 1)) for m in range(_TAYLOR_MAX_ORDER + 1)]
 )
-
-
-def _paterson_stockmeyer(m: int) -> np.ndarray:
-    """Coefficients of sum_{k<=m} x^k / k! split for Paterson-Stockmeyer.
-
-    With block length s, the series is sum_j B_j (x^s)^j, where row j of
-    the returned (blocks, s + 1) array holds the coefficients of B_j on
-    I, x, ..., x^s. s minimises the matmul count: s - 1 powers plus one
-    Horner step per block after the top one. When s divides m, the lone
-    x^m term goes into the next block as its x^s coefficient instead of
-    forming a block of its own.
-    """
-    s = min(range(2, m + 1), key=lambda s: s - 1 + m // s - (m % s == 0))
-    coeffs = np.zeros((m // s + 1, s + 1))
-    for k in range(m + 1):
-        coeffs[k // s, k % s] = _INV_FACTORIAL[k]
-    if m % s == 0:
-        coeffs[-2, s] = coeffs[-1, 0]
-        coeffs = coeffs[:-1]
-    return coeffs
-
-
-_PS_COEFFS = {m: _paterson_stockmeyer(m) for m in range(2, _TAYLOR_MAX_ORDER + 1)}
-
-# bytes of one (rows, n, n) stack in a pass of the batched series; a pass
-# holds about ten such temporaries, so they stay under a MB
-_TAYLOR_PASS_BYTES = 1 << 16
 
 
 def _squarings(max_norm: float) -> int:
@@ -249,50 +222,6 @@ def _taylor_degree(theta: float) -> int:
     return max(2, int(np.searchsorted(_TAYLOR_THETA, theta)))
 
 
-def _taylor_polynomial(x: np.ndarray, m: int) -> np.ndarray:
-    """sum_{k<=m} x^k / k! (m >= 2) by Paterson-Stockmeyer, batched over
-    (N, n, n): s - 1 batched `_matmul` products for the powers, one
-    product with the coefficient table for all blocks, then Horner in x^s."""
-    coeffs = _PS_COEFFS[m]
-    s = coeffs.shape[1] - 1
-    powers = np.empty((s + 1, *x.shape), dtype=complex)
-    powers[0] = np.eye(x.shape[-1])
-    powers[1] = x
-    for k in range(2, s + 1):
-        powers[k] = _matmul(powers[k - 1], x)
-    blocks = np.matmul(coeffs, powers.reshape(s + 1, x.size)).reshape(len(coeffs), *x.shape)
-    acc = blocks[-1]
-    for block in blocks[-2::-1]:
-        acc = _matmul(acc, powers[s])
-        acc += block
-    return acc
-
-
-def _expm_taylor(ms: np.ndarray) -> np.ndarray:
-    """Batched scaling-and-squaring with a truncated Taylor series.
-
-    `ms` has shape (N, n, n). The batch shares one scaling 2^-s, chosen
-    from its largest inf-norm so that the scaled norm theta is at most 1/2,
-    and one Taylor degree: the smallest m with theta^(m+1)/(m+1)! <= 2^-53
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), evaluated with about
-    2 sqrt(m) batched `_matmul` products by Paterson-Stockmeyer. The
-    series runs over a few hundred matrices at a time, so beyond the
-    result its memory is a fixed amount under a MB.
-    """
-    ms = np.asarray(ms, dtype=complex)
-    max_norm = float(np.abs(ms).sum(axis=-1).max()) if ms.size else 0.0
-    squarings = _squarings(max_norm)
-    order = _taylor_degree(max_norm / 2.0**squarings)
-    rows = max(1, _TAYLOR_PASS_BYTES // ms[:1].nbytes) if ms.size else 1
-    result = np.empty(ms.shape, dtype=complex)
-    for lo in range(0, ms.shape[0], rows):
-        part = _taylor_polynomial(ms[lo : lo + rows] / 2.0**squarings, order)
-        for _ in range(squarings):
-            part = _matmul(part, part)
-        result[lo : lo + rows] = part
-    return result
-
-
 # steps per slice of `propagate_ordered`, for either rule: long enough to
 # amortize the per-call cost of the batched kernels, short enough that a
 # slice's 3x3 propagators take 2.4 MB and all a "cf4" slice holds, with
@@ -302,12 +231,6 @@ CHUNK_STEPS = 1 << 14
 # largest inf-norm of a slice's end state; its squared norm stays finite
 _STATE_NORM_CEILING = 1e100
 
-# largest inf-norm of a 3x3 exponent z H that takes the closed form, at most
-# five squarings: the metric's exp(i H t) reaches 10 at the criterion-7
-# points over t in [0, 2], and a "cf4" factor of `modeswitch` at dt 0.4
-# 1.2. Up to 16 the closed form stays within 1e-14 of `_expm_taylor`,
-# relative to each matrix, on random real and complex stacks
-_CLOSED_FORM_MAX_NORM = 16.0
 # rows per pass of the closed form, which holds about ten (rows, 3, 3)
 # temporaries; passes keep them near 3 MB whatever the stack length
 _CLOSED_FORM_PASS_ROWS = 1 << 12
@@ -374,17 +297,19 @@ def _expm3_closed_form(h: np.ndarray, z: np.ndarray, squarings: int) -> np.ndarr
 
 
 def _exp_stack(h: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """exp(z_j H_j) for a stack h (N, n, n) and scalars z (N,), with one
-    scaling from the stack's largest theta = ||z_j H_j||_inf: the one
-    dispatch behind `expm` and `step_propagators`. A 3x3 stack with theta
-    <= `_CLOSED_FORM_MAX_NORM` takes `_expm3_closed_form` and comes back
-    in stack-last memory; any other takes `_expm_taylor`."""
-    if h.shape[-1] == 3:
-        h_last = np.moveaxis(h, 0, -1)
-        theta = _max_scaled_norm(h_last, z)
-        if theta <= _CLOSED_FORM_MAX_NORM:
-            return _expm3_closed_form(h_last, z, _squarings(theta))
-    return _expm_taylor(z[:, None, None] * np.asarray(h, dtype=complex))
+    """exp(z_j H_j) for a stack h (N, n, n) and scalars z (N,): the one
+    dispatch behind `expm` and `step_propagators`. A 3x3 stack takes
+    `_expm3_closed_form` at any norm, with one scaling from its largest
+    theta = ||z_j H_j||_inf, and comes back in stack-last memory; any
+    other n takes `scipy.linalg.expm`."""
+    if h.shape[-1] != 3:
+        # imported here: scipy.linalg takes about 0.2 s to import, and no
+        # command exponentiates anything but 3x3 matrices
+        from scipy.linalg import expm as scipy_expm
+
+        return scipy_expm(z[:, None, None] * np.asarray(h, dtype=complex))
+    h_last = np.moveaxis(h, 0, -1)
+    return _expm3_closed_form(h_last, z, _squarings(_max_scaled_norm(h_last, z)))
 
 
 def step_propagators(h_mid: np.ndarray, dts: np.ndarray) -> np.ndarray:

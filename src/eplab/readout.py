@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .cubic import solve_cubic
-from .model import ModelParams, _eigenvector_polynomial, build_hamiltonian, char_poly
+from .model import ModelParams, _eigenvector_polynomial, build_hamiltonian, eigenvalues
 from .numerics import NumericsError, expm, psd_sqrt
 
 __all__ = [
@@ -301,8 +300,7 @@ def ratios_from_energies(
 def _spectra(k: np.ndarray) -> np.ndarray:
     """The (N, 3) complex spectra of an (N, 2) stack of (k1, k2), by one
     batched cubic in the `spectrum` order."""
-    cp = char_poly(ModelParams(k[:, 0], k[:, 1]))
-    return solve_cubic(cp.f3, cp.f2, cp.f1, cp.f0)
+    return eigenvalues(ModelParams(k[:, 0], k[:, 1]))
 
 
 def _ratio_residuals(

@@ -97,6 +97,7 @@ def test_atlas_finds_both_conical_points(capsys):
         (("--k1-max", "-inf"), "scan ranges must be finite"),
         (("--k1-min", "1"), "scan ranges need min < max"),
         (("--k2-min", "2.5"), "scan ranges need min < max"),
+        (("--k1-min", "-1e200", "--k1-max", "1e200"), "scan ranges must lie within +-1e+06"),
     ],
 )
 def test_atlas_rejects_nonsensical_grids(capsys, argv, message):
@@ -289,10 +290,18 @@ def test_tomography_eigenindex_out_of_range(capsys, index):
         (("pulses", "--scale", "-1"), "finite, positive rate"),
         (("pulses", "--span", "nan"), "finite, positive rate and span"),
         (("pulses", "--samples", "0"), "at least one sample"),
+        # the metric exp(i H t) overflows: each printed RuntimeWarnings and
+        # then LAPACK's "Eigenvalues did not converge"
+        (("dilate", "--k1", "1.5", "--k2", "1.5", "--time", "500", "--steps", "100"),
+         "dilation metric overflows at model time 312.5"),
+        (("dilate", "--k2", "1000"), "dilation metric overflows at model time 0.2505"),
+        (("pulses", "--k2", "-1e6"), "dilation metric overflows at model time 0.0004"),
     ],
 )
 def test_bad_dilation_inputs_are_domain_errors(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
     assert code == EXIT_DOMAIN
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -318,10 +327,18 @@ def test_non_finite_range_is_a_domain_error(capsys, sweep):
         (("cone", "--dk", "nan"), "dk must be finite and positive"),
         (("cone", "--angles", "0"), "angles must be >= 1"),
         (("cone", "--angles", "-3"), "angles must be >= 1"),
+        # each printed RuntimeWarnings first; spectrum ended in an
+        # OverflowError traceback
+        (("spectrum", "--k1", "1e200", "--k2-range", "0:0.1:0.05"), "within +-1e+06"),
+        (("cone", "--dk", "1e300"), "within +-1e+06"),
+        (("dilate", "--k1", "1e200"), "within +-1e+06"),
+        (("pulses", "--k1", "1e200"), "within +-1e+06"),
     ],
 )
 def test_bad_model_inputs_are_domain_errors(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
     assert code == EXIT_DOMAIN
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -266,7 +266,7 @@ def test_dilated_evolution_hermitian_h_constant_probability():
 
 def test_dilated_evolve_propagates_two_blocks(monkeypatch):
     # the engine evolves Gamma and Lambda as two 3x3 blocks and never sees
-    # the 6x6 Htot, which agrees with propagating Htot on _expm_taylor
+    # the 6x6 Htot, which agrees with propagating Htot on scipy's expm
     h = build_hamiltonian(ModelParams(0.3, 1.0))
     psi0 = np.array([0.0, 1.0, 0.0])
     times = np.linspace(0.0, 2.0, 301)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -238,8 +240,31 @@ def test_stacked_overlaps_equal_the_probe_loop(center, direction):
         ((-1.0, 1.0), (np.nan, 2.0), 41, "finite"),
         ((1.0, 1.0), (-2.0, 2.0), 41, "min < max"),
         ((-1.0, 1.0), (2.0, -2.0), 41, "min < max"),
+        ((-1e200, 1e200), (-2.0, 2.0), 41, "within"),
     ],
 )
 def test_scan_rejects_grids_without_an_interior(k1_range, k2_range, resolution, message):
     with pytest.raises(ValueError, match=message):
         locate_conical_points(k1_range, k2_range, resolution)
+
+
+@pytest.mark.parametrize(
+    "k1_range, k2_range, resolution, message",
+    [
+        ((0.0, 1.0), (0.0, 1.0), 1, "resolution must be in 2..1000, got 1"),
+        ((0.0, 1.0), (0.0, 1.0), 1001, "resolution must be in 2..1000, got 1001"),
+        # returned an all-NaN grid with no sign change after a RuntimeWarning
+        ((0.0, np.inf), (0.0, 1.0), 5, "finite"),
+        ((0.0, 1.0), (np.nan, 1.0), 5, "finite"),
+        ((0.0, 1e200), (0.0, 1.0), 5, "within"),
+        ((1.0, 1.0), (0.0, 1.0), 5, "min < max"),
+        ((0.0, 1.0), (1.0, 0.0), 5, "min < max"),
+    ],
+)
+def test_discriminant_scan_rejects_bad_grids(k1_range, k2_range, resolution, message):
+    # the scan keeps its own lowest resolution, 2: it needs no interior cell
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            scan_discriminant(k1_range, k2_range, resolution)
+    assert scan_discriminant((0.0, 1.0), (0.0, 1.0), 2)["delta"].shape == (2, 2)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from eplab.cubic import solve_cubic
 from eplab.model import (
+    MAX_ABS_K,
     ConeDirection,
     ModelParams,
     analytic_eigenstate,
@@ -14,6 +15,7 @@ from eplab.model import (
     char_poly,
     cone_expansion,
     discriminant,
+    eigenvalues,
     line_spectrum,
     spectrum,
     sweep_tracked_eigenvalues,
@@ -276,6 +278,23 @@ def test_stacked_spectrum_matches_point_by_point():
 def test_params_reject_non_finite(k1, k2):
     with pytest.raises(ValueError, match="non-finite entries"):
         ModelParams(k1, k2)
+
+
+@pytest.mark.parametrize("k1, k2", [(1e200, 0.0), (0.0, -1e7), (np.array([0.1, 2e6]), 1.0)])
+def test_params_reject_huge(k1, k2):
+    # 1e200 overflowed char_poly (an OverflowError traceback for a float)
+    with pytest.raises(ValueError, match=r"within \+-1e\+06"):
+        ModelParams(k1, k2)
+    ModelParams(MAX_ABS_K, -MAX_ABS_K)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        ModelParams(np.array([1e200, np.nan]), 0.0)
+
+
+def test_eigenvalues_are_the_spectrum_roots():
+    k1 = np.array([0.0, 0.3, -0.7, 0.05, 0.0])
+    k2 = np.array([1.0, 0.5, -1.0, 1.6, math.sqrt(17 / 8)])
+    assert np.array_equal(eigenvalues(ModelParams(k1, k2)), spectrum(ModelParams(k1, k2)).eigenvalues)
+    assert np.array_equal(eigenvalues(ModelParams(0.3, 1.0)), spectrum(ModelParams(0.3, 1.0)).eigenvalues)
 
 
 @pytest.mark.parametrize("theta, dk", [(np.nan, 1e-4), (0.0, np.inf), (0.0, np.nan), (0.0, 0.0)])

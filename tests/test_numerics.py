@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
@@ -188,7 +189,7 @@ def test_tree_modes_end_on_the_same_bits():
 
 def _hermitian_steps(rng, n_steps, dim):
     """step_propagators of random Hermitian H_j over dt = 0.05: the closed
-    form for dim 3, the Taylor kernel otherwise."""
+    form for dim 3, scipy's expm otherwise."""
     a = rng.normal(size=(n_steps, dim, dim)) + 1j * rng.normal(size=(n_steps, dim, dim))
     return step_propagators(a + np.conj(np.swapaxes(a, -1, -2)), np.full(n_steps, 0.05))
 
@@ -240,25 +241,31 @@ def test_step_propagators_across_scaling_regimes():
     assert step_propagators(np.zeros((0, 3, 3)), np.zeros(0)).shape == (0, 3, 3)
 
 
+def _counting(fn, calls):
+    """fn, recording the stack length of each call in `calls`."""
+    def wrapped(h, z, *args):
+        calls.append(z.size)
+        return fn(h, z, *args)
+    return wrapped
+
+
 def _closed_form_error(monkeypatch, hs, dts, relative=False):
     """Largest entry difference between step_propagators, which must take
-    the closed form, and `_expm_taylor` on the same exponents; with
+    the closed form, and scipy's expm on the same exponents; with
     `relative`, each matrix's difference over its own largest entry."""
-    want = numerics._expm_taylor(-1j * dts[:, None, None] * np.asarray(hs, dtype=complex))
-
-    def forbidden(ms):
-        raise AssertionError("the closed form fell back to _expm_taylor")
-
+    want = scipy_expm(-1j * dts[:, None, None] * np.asarray(hs, dtype=complex))
+    calls = []
     with monkeypatch.context() as m:
-        m.setattr(numerics, "_expm_taylor", forbidden)
+        m.setattr(numerics, "_expm3_closed_form", _counting(numerics._expm3_closed_form, calls))
         got = step_propagators(hs, dts)
+    assert len(calls) == 1, "the closed form was not taken"
     diff = np.abs(got - want).max(axis=(-2, -1))
     if relative:
         diff /= np.abs(want).max(axis=(-2, -1))
     return diff.max()
 
 
-def test_closed_form_matches_taylor_kernel(monkeypatch):
+def test_closed_form_matches_scipy_expm(monkeypatch):
     # model Hamiltonians at the conical points (0, +-1), on the exceptional
     # line (0, sqrt(17/8)) and in the complex-pair region beyond it, at the
     # old and new geophase and modeswitch steps, at dt = 1e-9 and at dt 0.35,
@@ -269,10 +276,10 @@ def test_closed_form_matches_taylor_kernel(monkeypatch):
         assert _closed_form_error(monkeypatch, model, np.full(4, dt)) < 1e-14, dt
     # theta = max ||dt H||_inf: small, either side of the 1/2 where one
     # squaring starts and of the 1 where the second starts, and up to 2;
-    # per-row dt, real and complex stacks. From 4 to just under the closed
-    # form's limit of 16 (three to five squarings) the entries of a
-    # non-unitary exponential span many orders, so each matrix is held to
-    # its own largest entry
+    # per-row dt, real and complex stacks. From 4 up (three squarings and
+    # more) the entries of a non-unitary exponential span many orders, so
+    # each matrix is held to its own largest entry: to 1e-14 up to 16, and
+    # to 1e-12 beyond it, where the rounding of the squarings grows
     rng = np.random.default_rng(6)
     stacks = [
         model,
@@ -286,34 +293,33 @@ def test_closed_form_matches_taylor_kernel(monkeypatch):
                       1.0 + 1e-9, 1.2, 1.5, 1.8, 2.0 - 1e-12):
             dts = spread * theta / norms.max()
             assert _closed_form_error(monkeypatch, hs, dts) < 1e-14, (hs.dtype, theta)
-        for theta in (4.0, 8.0, 12.0, 16.0 - 1e-12):
+        for theta, bound in ((4.0, 1e-14), (8.0, 1e-14), (12.0, 1e-14), (16.0 - 1e-12, 1e-14),
+                             (16.0 * (1 + 1e-9), 1e-12), (32.0, 1e-12), (64.0, 1e-12),
+                             (128.0, 1e-12)):
             dts = spread * theta / norms.max()
             err = _closed_form_error(monkeypatch, hs, dts, relative=True)
-            assert err < 1e-14, (hs.dtype, theta)
+            assert err < bound, (hs.dtype, theta)
 
 
 def test_step_propagators_dispatch(monkeypatch):
-    # 3x3 stacks with theta <= 16 take the closed form, from
-    # step_propagators and from expm; theta just over 16 and any other n
-    # stay on _expm_taylor
-    assert numerics._CLOSED_FORM_MAX_NORM == 16.0
-    calls = []
-    taylor = numerics._expm_taylor
-    monkeypatch.setattr(numerics, "_expm_taylor", lambda ms: calls.append(ms.shape) or taylor(ms))
+    # every 3x3 stack takes the closed form, from step_propagators and
+    # from expm, either side of theta 16 and at theta 100; any other n
+    # takes scipy's expm
+    closed, other = [], []
+    monkeypatch.setattr(numerics, "_expm3_closed_form", _counting(numerics._expm3_closed_form, closed))
+    monkeypatch.setattr(scipy.linalg, "expm", lambda m: other.append(m.shape) or scipy_expm(m))
     rng = np.random.default_rng(7)
     h3 = rng.normal(size=(5, 3, 3))
     norm = np.abs(h3).sum(axis=-1).max()
-    step_propagators(h3, np.full(5, 16.0 * (1.0 - 1e-12) / norm))
-    expm(1j * 16.0 * (1.0 - 1e-12) / norm * h3)
-    assert calls == []
-    dt = 16.0 * (1.0 + 1e-9) / norm
-    for got in (step_propagators(h3, np.full(5, dt)), expm(-1j * dt * h3)):
-        for h, u in zip(h3, got):
-            want = scipy_expm(-1j * dt * h)
-            assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
-    assert calls == [(5, 3, 3), (5, 3, 3)]
+    for theta in (16.0 * (1.0 - 1e-9), 16.0 * (1.0 + 1e-9), 100.0):
+        dt = theta / norm
+        for got in (step_propagators(h3, np.full(5, dt)), expm(-1j * dt * h3)):
+            for h, u in zip(h3, got):
+                want = scipy_expm(-1j * dt * h)
+                assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max(), theta
+    assert closed == [5] * 6 and other == []
     step_propagators(rng.normal(size=(5, 6, 6)), np.full(5, 0.01))
-    assert calls == [(5, 3, 3), (5, 3, 3), (5, 6, 6)]
+    assert closed == [5] * 6 and other == [(5, 6, 6)]
 
 
 def test_three_by_three_products_match_matmul():
@@ -348,7 +354,7 @@ def test_propagate_ordered_block_batch(monkeypatch):
     # the other's norm, so that its steps take three squarings to the
     # other's none: the batch gives the bits of each block propagated
     # alone, in both modes and by both rules, and agrees with the 6x6
-    # block-diagonal Hamiltonian on _expm_taylor
+    # block-diagonal Hamiltonian on scipy's expm
     rng = np.random.default_rng(12)
     a = rng.normal(size=(2, 2, 3, 3)) + 1j * rng.normal(size=(2, 2, 3, 3))
     a = (a + np.conj(np.swapaxes(a, -1, -2))) * np.array([1.0, 16.0])[:, None, None]
