@@ -250,7 +250,7 @@ def _cmd_pulses(args) -> int:
 
 
 def _cmd_eigensolve(args) -> int:
-    from .model import ModelParams, analytic_eigenstate, discriminant, eigenvalues
+    from .model import ModelParams, discriminant, spectrum
     from .readout import DEFAULT_SETTINGS, K_MAX, simulate_counts, solve_eigenvalues
 
     cfg = _effective_config(args, ("k1", "k2", "shots", "seed"))
@@ -270,13 +270,13 @@ def _cmd_eigensolve(args) -> int:
             f"eigensolve needs a real spectrum, but k1={cfg['k1']}, k2={cfg['k2']} is "
             f"PT-broken (discriminant {disc:.6g} < 0)"
         )
-    p = ModelParams(k1, k2)
-    truth = eigenvalues(p).real
+    sp = spectrum(ModelParams(k1, k2))
+    truth = sp.eigenvalues.real
     # shots=0 gives the exact populations, so both modes share one path
     rng = np.random.default_rng(int(cfg["seed"]))
     ps = [
-        simulate_counts(analytic_eigenstate(p, e), s, shots, rng=rng).populations
-        for e, s in zip(truth, DEFAULT_SETTINGS)
+        simulate_counts(v, s, shots, rng=rng).populations
+        for v, s in zip(sp.right_vectors.T, DEFAULT_SETTINGS)
     ]
     for i, pop in enumerate(ps):
         if pop[2] == 0.0:
@@ -313,7 +313,6 @@ def _cmd_tomography(args) -> int:
         raise ValueError("eigenindex must be 1, 2 or 3")
     sp = spectrum(ModelParams(float(cfg["k1"]), float(cfg["k2"])))
     psi = sp.right_vectors[:, index]
-    psi = psi / np.linalg.norm(psi)
     rng = np.random.default_rng(int(cfg["seed"]))
     records = [
         simulate_counts(psi, s, int(cfg["shots"]), rng=rng)

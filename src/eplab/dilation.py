@@ -105,18 +105,28 @@ def metric_M(h: np.ndarray, t: float | np.ndarray, m0_scale: float = DEFAULT_M0_
 
     Raises NumericsError naming the earliest model time whose M is not
     finite: E^dag E overflows where H has a gain and t is long."""
+    m, over = _metric(h, t, m0_scale)
+    if over is not None:
+        raise _metric_overflow(t, m, over)
+    return m
+
+
+def _metric(h, t, m0_scale) -> tuple[np.ndarray, int | None]:
+    """The symmetrised M(t) of `metric_M` and the flat index of its
+    earliest non-finite frame (None if every frame is finite)."""
     _check_m0_scale(m0_scale)
     t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the callers
         e = expm(1j * t[..., None, None] * np.asarray(h, dtype=complex))
         m = m0_scale * _matmul(_dag(e), e)
-    bad = np.flatnonzero(~np.isfinite(m).all(axis=(-2, -1)))
-    if bad.size:
-        raise NumericsError(
-            f"dilation metric overflows at model time "
-            f"{np.broadcast_to(t, m.shape[:-2]).flat[bad[0]]:.6g}: M(t) is not finite"
-        )
-    return (m + _dag(m)) / 2.0
+        bad = np.flatnonzero(~np.isfinite(m).all(axis=(-2, -1)))
+        return (m + _dag(m)) / 2.0, (int(bad[0]) if bad.size else None)
+
+
+def _metric_overflow(t, m: np.ndarray, frame: int) -> NumericsError:
+    """The overflow error of `metric_M`, naming the model time of `frame`."""
+    when = np.broadcast_to(np.asarray(t, dtype=float), m.shape[:-2]).flat[frame]
+    return NumericsError(f"dilation metric overflows at model time {when:.6g}: M(t) is not finite")
 
 
 def _check_m0_scale(m0_scale: float) -> None:
@@ -244,20 +254,23 @@ def build_frame(
 
     One batched eigendecomposition M - I = V diag(lambda) V^dag per stack
     gives everything past the metric: the window check (the earliest
-    model time with lambda below -POSITIVITY_MARGIN), eta = V
+    model time with lambda below -POSITIVITY_MARGIN, checked up to the
+    first overflowing metric, so the earlier failure is raised), eta = V
     diag(sqrt(lambda)) V^dag, d(eta)/dt by the Sylvester solve in the
     basis V, and M^-1 = V diag(1 / (1 + lambda)) V^dag.
     """
     h = np.asarray(h, dtype=complex)
-    m = metric_M(h, t, m0_scale)
-    vals, vecs = _shifted_eigh(m)
-    vecs = _stack_last(vecs)
+    m, over = _metric(h, t, m0_scale)
+    vals, vecs = _shifted_eigh(m if over is None else m.reshape(-1, *m.shape[-2:])[:over])
     lost = _window_lost(vals)
     if lost.size:
         raise NumericsError(
             f"dilation window exceeded at model time {np.ravel(t)[lost[0]]:.6g}: "
             "M - I lost positivity"
         )
+    if over is not None:
+        raise _metric_overflow(t, m, over)
+    vecs = _stack_last(vecs)
     eta, roots = _eta_from_eigh(vals, vecs)
     deta = _eta_rate_in_basis(h, m, roots, vecs)
     minv = _matmul(vecs / (1.0 + vals)[..., None, :], _dag(vecs))

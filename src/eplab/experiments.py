@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import (
+    MAX_ABS_K,
     ModelParams,
     build_hamiltonian,
     discriminant,
@@ -87,6 +88,8 @@ class LoopSpec:
             raise ValueError("loop duration must be positive")
         if self.kind == "custom" and (self.k1_of is None or self.k2_of is None):
             raise ValueError("custom loops need k1_of and k2_of callables")
+        if self.kind == "circle" and max(map(abs, self.center)) + self.R > MAX_ABS_K:
+            raise ValueError(f"circle loop must lie within +-{MAX_ABS_K:g} in k1 and k2")
         k10, k20 = self.params(0.0)
         k1t, k2t = self.params(self.T)
         if abs(k10 - k1t) > 1e-9 or abs(k20 - k2t) > 1e-9:
@@ -141,9 +144,7 @@ def _start_eigenstate(loop: LoopSpec, eigenindex: int) -> np.ndarray:
     if eigenindex not in (1, 2, 3):
         raise ValueError("eigenindex must be 1, 2 or 3")
     k1, k2 = loop.params(0.0)
-    sp = spectrum(ModelParams(float(k1), float(k2)))
-    psi = sp.right_vectors[:, eigenindex - 1]
-    return psi / np.linalg.norm(psi)
+    return spectrum(ModelParams(float(k1), float(k2))).right_vectors[:, eigenindex - 1]
 
 
 def _time_grid(loop: LoopSpec, dt: float) -> np.ndarray:
@@ -246,10 +247,7 @@ def mode_switch(
 
     k1e, k2e = loop.params(loop.T)
     sp = spectrum(ModelParams(float(k1e), float(k2e)))
-    ovl = []
-    for j in range(3):
-        v = sp.right_vectors[:, j]
-        ovl.append(abs(np.vdot(v / np.linalg.norm(v), psi_hat)))
+    ovl = [abs(np.vdot(sp.right_vectors[:, j], psi_hat)) for j in range(3)]
     end_index = int(np.argmax(ovl)) + 1
     return SwitchReport(
         start_index=start_index,
@@ -285,7 +283,6 @@ def adiabaticity_check(
     k1c, k2c = loop.params(times[idx])
     sp = sweep_tracked_spectra(ModelParams(np.atleast_1d(k1c), np.atleast_1d(k2c)))
     v = sp.right_vectors[:, :, eigenindex - 1]
-    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
     s = states / np.linalg.norm(states, axis=-1, keepdims=True)
     leak = 1.0 - np.abs(np.sum(v.conj() * s, axis=-1))
     return max(0.0, float(leak.max()))

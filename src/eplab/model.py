@@ -11,12 +11,12 @@ matrix
 whose characteristic cubic, discriminant, line spectra, conical
 expansion and closed-form eigenstates are all available analytically.
 
-Eigenvalues come from the roots of the cubic (`cubic.solve_cubic`); only
-`spectrum` adds numeric eigenvectors. A sweep that needs no vectors
-(`sweep_tracked_eigenvalues`, behind `eplab spectrum`) and the cone
-sheets of `eplab cone` take the cubic roots alone. Sweeps track the
-eigenvalue order from point to point with a greedy nearest match, tabled
-for all six orders of the previous point and then chained.
+Eigenvalues come from the roots of the cubic (`cubic.solve_cubic`), and
+every eigenvector from one closed form, `_eigenvectors`. A sweep that
+needs no vectors (`sweep_tracked_eigenvalues`, behind `eplab spectrum`)
+and the cone sheets of `eplab cone` take the cubic roots alone. Sweeps
+track the eigenvalue order from point to point with a greedy nearest
+match, tabled for all six orders of the previous point and then chained.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cubic import solve_cubic
-from .numerics import Spectrum, eig
+from .numerics import Spectrum
 
 __all__ = [
     "MAX_ABS_K",
@@ -194,24 +194,18 @@ def eigenvalues(p: ModelParams) -> np.ndarray:
 
 
 def spectrum(p: ModelParams) -> Spectrum:
-    """Eigenvalues from the characteristic cubic plus numeric eigenvectors.
+    """Eigenvalues from the characteristic cubic plus closed-form eigenvectors.
 
     The cubic route keeps full accuracy at (near-)degeneracies where a
-    generic eigensolver only delivers ~sqrt(machine epsilon). Vectors
-    are matched to the cubic roots by nearest eigenvalue.
+    generic eigensolver only delivers ~sqrt(machine epsilon), and each
+    `_eigenvectors` column is exact for its root, also where two coalesce.
 
-    Broadcasts over array p.k1, p.k2: one `solve_cubic` and one stacked
-    `eig` call give eigenvalues (..., 3) in descending real part (ties by
-    descending imaginary part) and vectors (..., 3, 3) in the columns. A
-    scalar point gives shapes (3,) and (3, 3).
+    Broadcasts over array p.k1, p.k2: eigenvalues (..., 3) in descending
+    real part (ties by descending imaginary part) and vectors (..., 3, 3)
+    in the columns. A scalar point gives shapes (3,) and (3, 3).
     """
     vals = eigenvalues(p)
-    numeric = eig(build_hamiltonian(p))
-    # column j of the result is the numeric vector nearest to vals[..., j]
-    gap = np.abs(numeric.eigenvalues[..., None, :] - vals[..., :, None])
-    nearest = np.argmin(gap, axis=-1)
-    vecs = np.take_along_axis(numeric.right_vectors, nearest[..., None, :], axis=-1)
-    return Spectrum(eigenvalues=vals, right_vectors=vecs)
+    return Spectrum(eigenvalues=vals, right_vectors=_eigenvectors(vals, p.k1, p.k2))
 
 
 def line_spectrum(p: ModelParams) -> np.ndarray:
@@ -245,8 +239,10 @@ def cone_expansion(c: ConeDirection) -> tuple[float, float]:
 
 
 def _eigenvector_polynomial(e, k1, k2) -> np.ndarray:
-    """Unnormalized right eigenvector of the 3x3 model for eigenvalue e,
-    a polynomial in (e, k1, k2); complex arguments are allowed."""
+    """Column 0 of adj(H - e I) (rows 1 x 2 of H - e I), a polynomial in
+    (e, k1, k2) of one shape: an unnormalized right eigenvector for an
+    eigenvalue e, which can vanish only on k2 = -1; complex arguments
+    are allowed."""
     return np.array(
         [
             e * (e + 2.0 * k1 - 3.0) + k2**2 - 1.0,
@@ -257,21 +253,36 @@ def _eigenvector_polynomial(e, k1, k2) -> np.ndarray:
     )
 
 
-def analytic_eigenstate(p: ModelParams, e: complex) -> np.ndarray:
-    """Closed-form normalized eigenstate of the 3x3 model for eigenvalue e.
+def _eigenvectors(vals, k1, k2) -> np.ndarray:
+    """Unit right eigenvectors (..., 3, n), in the columns, of the 3x3
+    model for eigenvalues vals (..., n) at k1, k2 (broadcasting to (...)).
 
-    The unnormalized vector is
-        (e (e + 2 k1 - 3) + k2^2 - 1,
-         (e + 2 k1 - 3) (1 + k2),
-         (1 + k2)^2).
+    Each is the largest of the three columns of adj(H - E I), the cross
+    products of pairs of rows of H - E I. A nonzero column is an exact
+    eigenvector wherever H - E I has rank 2 (Kopp, Int. J. Mod. Phys. C
+    19, 523, 2008), and here it always has, even at both conical points:
+    columns 0 and 2 hold the minors (1 + k2)^2 and (1 - k2)^2, which
+    cannot both vanish. Column 2 is column 0 of the mirrored model
+    (k1, k2) -> (-k1, -k2) with its entries reversed.
     """
-    if abs(1.0 + p.k2) < 1e-12:
-        raise ValueError(
-            "closed-form eigenstate vanishes at k2 = -1; use numeric eigenvectors"
-        )
+    e = np.asarray(vals)
+    k1, k2 = (np.broadcast_to(np.asarray(k)[..., None], e.shape) for k in (k1, k2))
+    up, down = e - 3.0 - 2.0 * k1, e - 3.0 + 2.0 * k1  # E - H00, E - H22
+    cols = np.stack([
+        _eigenvector_polynomial(e, k1, k2),
+        np.array([(1.0 - k2) * down, up * down, (1.0 + k2) * up], dtype=complex),
+        _eigenvector_polynomial(e, -k1, -k2)[::-1],
+    ])  # (column, component, ..., n)
+    sq = np.sum(np.abs(cols) ** 2, axis=1)
+    best = np.argmax(sq, axis=0)
+    return np.moveaxis(np.choose(best, cols) / np.sqrt(np.choose(best, sq)), 0, -2)
+
+
+def analytic_eigenstate(p: ModelParams, e: complex) -> np.ndarray:
+    """Closed-form unit eigenstate of the 3x3 model for eigenvalue e, the
+    `_eigenvectors` column. Raises if e is not an eigenvalue at p."""
     h = build_hamiltonian(p)
-    v = _eigenvector_polynomial(e, p.k1, p.k2)
-    v = v / np.linalg.norm(v)
+    v = _eigenvectors(np.array([e]), p.k1, p.k2)[:, 0]
     resid = np.linalg.norm(h @ v - e * v)
     if resid > 1e-8 * max(np.linalg.norm(h, 2), 1.0):
         raise ValueError(f"{e!r} is not an eigenvalue (residual {resid:.3e})")
@@ -328,9 +339,9 @@ def _check_sweep_path(path: ModelParams) -> None:
 def sweep_tracked_eigenvalues(path: ModelParams) -> np.ndarray:
     """Eigenvalues (N, 3) along a parameter path, continuity-tracked.
 
-    The roots of the characteristic cubic alone, in the order
-    `sweep_tracked_spectra` gives them (bit for bit), without the
-    eigenvectors; `path` is as there.
+    `path` holds the points as 1-D arrays k1, k2 (a scalar broadcasts),
+    at most 0.05 apart. Each point's cubic roots are permuted to follow
+    on from the previous point's by greedy nearest matching.
     """
     _check_sweep_path(path)
     vals = eigenvalues(path)
@@ -338,19 +349,12 @@ def sweep_tracked_eigenvalues(path: ModelParams) -> np.ndarray:
 
 
 def sweep_tracked_spectra(path: ModelParams) -> Spectrum:
-    """Spectra along a parameter path with continuity-tracked ordering.
-
-    `path` holds the points as 1-D arrays k1, k2 (a scalar broadcasts),
-    at most 0.05 apart. The spectra come from one `spectrum` call; each
-    point's eigenvalues and vectors are then permuted to follow on from
-    the previous point's by greedy nearest matching. Returns one stacked
-    Spectrum tagged "sweep-tracked", eigenvalues (N, 3), vectors (N, 3, 3).
-    """
-    _check_sweep_path(path)
-    sp = spectrum(path)
-    perms = _tracking_perms(sp.eigenvalues)
+    """`sweep_tracked_eigenvalues` plus the closed-form vector of each
+    eigenvalue. Returns one stacked Spectrum tagged "sweep-tracked",
+    eigenvalues (N, 3), vectors (N, 3, 3)."""
+    vals = sweep_tracked_eigenvalues(path)
     return Spectrum(
-        eigenvalues=np.take_along_axis(sp.eigenvalues, perms, axis=-1),
-        right_vectors=np.take_along_axis(sp.right_vectors, perms[:, None, :], axis=-1),
+        eigenvalues=vals,
+        right_vectors=_eigenvectors(vals, path.k1, path.k2),
         ordering_tag="sweep-tracked",
     )

@@ -1,9 +1,10 @@
 """Dense complex-matrix kernels for small (3/5/6-level) systems.
 
 Everything here is a pure function of immutable array inputs:
-eigendecomposition with a deterministic ordering, the principal PSD
-square root, matrix exponentials and the one time-ordered propagation
-engine, `propagate_ordered`.
+eigendecomposition with a deterministic ordering (`eig`, now only for the
+`ep_atlas` probes of arbitrary families), the principal PSD square root,
+matrix exponentials and the one time-ordered propagation engine,
+`propagate_ordered`.
 
 There is one matrix exponential for the 3x3 systems the package
 evolves, `_expm3_closed_form`: scaling and squaring on the truncated

@@ -270,6 +270,7 @@ def _ratio_map(
     (N,) model parameters k1, k2: F^(i) = P2/P3 of eigenstate i rotated by
     us[i]. Returns the (N, 3) ratios and the (N, 3) mask of entries whose
     level-3 weight is at most 1e-300 (ratio set to inf)."""
+    # P2/P3 is scale-free, and on the window the last entry (1 + k2)^2 >= 1
     vec = _eigenvector_polynomial(
         es, k1[:, None], np.broadcast_to(k2[:, None], es.shape)
     )  # (component, N, setting)

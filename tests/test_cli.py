@@ -267,6 +267,33 @@ def test_bad_duration_is_a_domain_error(capsys, command, duration):
     assert err.startswith("error: loop duration, radius and center must be finite")
 
 
+def test_huge_loop_radius_is_a_domain_error(capsys):
+    # printed "loop is not closed: k(0) != k(T)", the rounding of 1e200 cos/sin
+    code, out, err = run(capsys, "geophase", "--radius", "1e200", "--duration", "10")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err == "error: circle loop must lie within +-1e+06 in k1 and k2\n"
+
+
+def test_model_eigenvectors_need_no_lapack_eig(capsys, monkeypatch):
+    from eplab.experiments import LoopSpec, adiabaticity_check
+    from eplab.model import ModelParams, analytic_eigenstate, spectrum, sweep_tracked_spectra
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
+    path = ModelParams(np.linspace(-0.2, 0.2, 9), 1.0)
+    assert spectrum(path).right_vectors.shape == (9, 3, 3)
+    assert sweep_tracked_spectra(path).right_vectors.shape == (9, 3, 3)
+    point = ModelParams(0.3, 0.5)
+    assert analytic_eigenstate(point, spectrum(point).eigenvalues[0]).shape == (3,)
+    assert adiabaticity_check(LoopSpec(T=200.0), 1) < 1.0
+    for argv in (("tomography",), ("eigensolve", "--shots", "0"), ("modeswitch", "--duration", "2000")):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+
+
 @pytest.mark.parametrize("index", ["0", "4"])
 def test_tomography_eigenindex_out_of_range(capsys, index):
     code, out, err = run(capsys, "tomography", "--eigenindex", index)
@@ -290,11 +317,13 @@ def test_tomography_eigenindex_out_of_range(capsys, index):
         (("pulses", "--scale", "-1"), "finite, positive rate"),
         (("pulses", "--span", "nan"), "finite, positive rate and span"),
         (("pulses", "--samples", "0"), "at least one sample"),
-        # the metric exp(i H t) overflows: each printed RuntimeWarnings and
-        # then LAPACK's "Eigenvalues did not converge"
+        # PT-broken: the window is lost at the first frame, before the metric
+        # of the same slice overflows (at model times 312.5 and 0.2505)
         (("dilate", "--k1", "1.5", "--k2", "1.5", "--time", "500", "--steps", "100"),
-         "dilation metric overflows at model time 312.5"),
-        (("dilate", "--k2", "1000"), "dilation metric overflows at model time 0.2505"),
+         "dilation window exceeded at model time 2.5"),
+        (("dilate", "--k2", "1000"), "dilation window exceeded at model time 0.0015"),
+        # the metric exp(i H t) overflows at the first frame: this printed
+        # RuntimeWarnings and then LAPACK's "Eigenvalues did not converge"
         (("pulses", "--k2", "-1e6"), "dilation metric overflows at model time 0.0004"),
     ],
 )

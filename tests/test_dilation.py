@@ -296,6 +296,20 @@ def test_dilation_window_exceeded_reports_time():
     assert str(exc.value) == "dilation window exceeded at model time 0.0935: M - I lost positivity"
 
 
+def test_window_loss_is_reported_before_a_later_overflow():
+    # PT-broken: M - I loses positivity at the first frame, and the metric
+    # of the same stack overflows from model time 317.5 on
+    h = build_hamiltonian(ModelParams(1.5, 1.5))
+    t = np.linspace(2.5, 497.5, 100)
+    with pytest.raises(NumericsError, match="^dilation metric overflows at model time 317.5: "):
+        metric_M(h, t)
+    with pytest.raises(NumericsError, match="^dilation window exceeded at model time 2.5: "):
+        build_frame(h, t)
+    # with the window kept up to the overflow, the overflow is reported
+    with pytest.raises(NumericsError, match="^dilation metric overflows at model time 317.5: "):
+        build_frame(h, t[63:])
+
+
 def test_dilation_window_error_found_in_a_later_slice(monkeypatch):
     # one step per slice: the failing frame is in the second slice
     monkeypatch.setattr(numerics, "CHUNK_STEPS", 1)

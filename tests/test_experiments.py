@@ -27,6 +27,12 @@ def test_loop_validation():
         LoopSpec(kind="custom")
     with pytest.raises(ValueError, match="not closed"):
         LoopSpec(kind="custom", k1_of=lambda u: u, k2_of=lambda u: 0.5 * u)
+    # a circle reaching past the model's +-1e6 was "not closed" (rounding)
+    with pytest.raises(ValueError, match=r"within \+-1e\+06"):
+        LoopSpec(R=1e200, T=10.0)
+    with pytest.raises(ValueError, match=r"within \+-1e\+06"):
+        LoopSpec(center=(-1e6, 0.0), R=0.5)
+    LoopSpec(center=(0.0, 1.0), R=1e6 - 1.0)
 
 
 def test_direction_reversal_retraces_the_curve():

@@ -22,6 +22,7 @@ from eplab.model import (
     sweep_tracked_spectra,
 )
 from eplab.model import _tracking_perms
+from eplab.numerics import Spectrum, eig
 
 
 def test_hamiltonian_entries():
@@ -123,8 +124,10 @@ def test_analytic_eigenstate_examples():
     assert np.allclose(np.abs(v), [0.0, 0.0, 1.0], atol=1e-12)
     v0 = analytic_eigenstate(ModelParams(0.0, 1.0), 0.0)
     assert np.allclose(np.abs(v0), np.abs(np.array([0.0, -6.0, 4.0]) / np.sqrt(52.0)))
-    with pytest.raises(ValueError):
-        analytic_eigenstate(ModelParams(0.0, -1.0), 3.0)
+    # the other conical point, on k2 = -1, where column 0 of the adjugate
+    # vanishes and column 2 gives the vector
+    v = analytic_eigenstate(ModelParams(0.0, -1.0), 3.0)
+    assert np.allclose(np.abs(v), [1.0, 0.0, 0.0], atol=1e-12)
     with pytest.raises(ValueError):
         analytic_eigenstate(ModelParams(0.0, 1.0), 1.2345)  # not an eigenvalue
 
@@ -272,6 +275,69 @@ def test_stacked_spectrum_matches_point_by_point():
         assert _residual(p, vals, vecs) < 1e-8
     grid = spectrum(ModelParams(k1[:6, None], k2[None, :4]))
     assert grid.eigenvalues.shape == (6, 4, 3) and grid.right_vectors.shape == (6, 4, 3, 3)
+
+
+@pytest.mark.parametrize("k2", [1.0, -1.0])
+def test_eigenvectors_coalesce_at_the_dirac_eps(k2):
+    # the two E = 3 vectors of a conical point are one vector, the
+    # coalescence that tells an EP from a Hermitian degeneracy
+    sp = spectrum(ModelParams(0.0, k2))
+    assert np.array_equal(sp.eigenvalues, [3.0, 3.0, 0.0])
+    v = sp.right_vectors
+    assert abs(np.vdot(v[:, 0], v[:, 1])) >= 1.0 - 1e-12
+    assert abs(np.vdot(v[:, 0], v[:, 2])) < 0.9
+
+
+def _relative_residuals(p, sp):
+    h = build_hamiltonian(p)
+    v, e = sp.right_vectors, sp.eigenvalues
+    resid = np.linalg.norm(h @ v - v * e[..., None, :], axis=-2)
+    return resid / np.linalg.norm(h, 2, axis=(-2, -1))[..., None]
+
+
+def _check_unit_eigenvectors(p, sp):
+    assert np.isfinite(sp.right_vectors).all()
+    assert np.abs(np.linalg.norm(sp.right_vectors, axis=-2) - 1.0).max() <= 1e-15
+    assert _relative_residuals(p, sp).max() <= 1e-14
+
+
+def test_eigenvectors_at_extreme_inputs():
+    k = MAX_ABS_K
+    corners = ModelParams(np.array([k, k, -k, -k]), np.array([k, -k, k, -k]))
+    _check_unit_eigenvectors(corners, spectrum(corners))
+    tiny = ModelParams(5e-324, 5e-324)
+    _check_unit_eigenvectors(tiny, spectrum(tiny))
+    line = ModelParams(np.linspace(-1.6, 1.6, 65), -1.0)
+    _check_unit_eigenvectors(line, spectrum(line))
+    _check_unit_eigenvectors(line, sweep_tracked_spectra(line))
+    broken = ModelParams(np.array([0.0, 0.05, 1.5, -0.3]), np.array([1.6, 1.8, 1.5, -1.7]))
+    assert (discriminant(broken.k1, broken.k2) < 0).all()
+    _check_unit_eigenvectors(broken, spectrum(broken))
+    ep = ModelParams(0.0, -1.0)
+    v = analytic_eigenstate(ep, 3.0)
+    _check_unit_eigenvectors(ep, Spectrum(eigenvalues=np.array([3.0]), right_vectors=v[:, None]))
+
+
+def test_eigenvectors_match_the_lapack_reference():
+    rng = np.random.default_rng(20)
+    k = np.concatenate([
+        rng.uniform(-1.6, 1.6, (20000, 2)),
+        np.column_stack([np.linspace(-1.6, 1.6, 401), np.full(401, -1.0)]),
+        [[0.0, 1.0], [0.0, -1.0], [0.0, math.sqrt(17 / 8)]],
+    ])
+    p = ModelParams(k[:, 0], k[:, 1])
+    sp = spectrum(p)
+    assert _relative_residuals(p, sp).max() <= 1e-14
+    vals = sp.eigenvalues
+    gap = np.min(np.abs(vals[:, [0, 0, 1]] - vals[:, [1, 2, 2]]), axis=-1)
+    ref = eig(build_hamiltonian(p))
+    # the reference orders complex pairs by their rounding, so its vectors
+    # are matched to the cubic roots by nearest eigenvalue
+    near = np.argmin(np.abs(ref.eigenvalues[:, None, :] - vals[:, :, None]), axis=-1)
+    want = np.take_along_axis(ref.right_vectors, near[:, None, :], axis=-1)
+    overlap = np.abs(np.sum(want.conj() * sp.right_vectors, axis=-2))
+    assert (gap > 1e-3).sum() > 20000
+    assert overlap[gap > 1e-3].min() >= 1.0 - 1e-12
 
 
 @pytest.mark.parametrize("k1, k2", [(np.inf, 0.0), (0.0, np.nan), (np.array([0.1, np.inf]), 1.0)])
