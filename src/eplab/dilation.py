@@ -12,16 +12,14 @@ from H, eta and d(eta)/dt. Hermiticity of both blocks is the correctness
 certificate of the construction and is checked on every frame. Frames
 broadcast over t: an array of times gives stacks (*t.shape, n, n).
 
-`build_frame` makes one batched eigendecomposition of the symmetrised
-M - I = V diag(lambda) V^dag per stack and copies V once into stack-last
-memory, so that every 3x3 product of the frame (the broadcast
-`numerics._matmul`) runs along the stack; the metric's exp(i H t) comes
-from the closed-form `expm` in that memory already. V gives the window
-check (lambda >= -POSITIVITY_MARGIN), eta = V diag(sqrt(lambda)) V^dag,
-d(eta)/dt by the Sylvester solve in the basis V, and
-M^-1 = V diag(1 / (1 + lambda)) V^dag. The public `eta_of_t`, `eta_rate`
-and `gamma_lambda` run the same private helpers on a basis or an inverse
-of their own.
+`build_frame` is the one route from (H, t) to these objects. It makes
+one batched eigendecomposition of the symmetrised M - I = V diag(lambda)
+V^dag per stack and copies V once into stack-last memory, so that every
+3x3 product of the frame (the broadcast `numerics._matmul`) runs along
+the stack; the metric's exp(i H t) comes from the closed-form `expm` in
+that memory already. V gives the window check (every lambda at least
+POSITIVITY_MARGIN), eta = V diag(sqrt(lambda)) V^dag, d(eta)/dt by the
+Sylvester solve in the basis V, and M^-1 = V diag(1 / (1 + lambda)) V^dag.
 
 `dilated_evolve` hands the engine Gamma and Lambda as two independent
 3x3 blocks, with the joint state split into its two halves, so every
@@ -42,8 +40,6 @@ import numpy as np
 from .numerics import (
     NumericsError,
     Trajectory,
-    _check_hermitian,
-    _check_psd_floor,
     _dag,
     _matmul,
     expm,
@@ -52,13 +48,8 @@ from .numerics import (
 
 __all__ = [
     "DilationFrame",
-    "JointState",
     "DEFAULT_M0_SCALE",
-    "DEFAULT_TIME_SCALE",
     "metric_M",
-    "eta_of_t",
-    "eta_rate",
-    "gamma_lambda",
     "assemble_htot",
     "build_frame",
     "prepare_initial",
@@ -67,9 +58,9 @@ __all__ = [
 ]
 
 DEFAULT_M0_SCALE = 1.3
-DEFAULT_TIME_SCALE = 5.0e4  # physical rate in Hz; configurable 3e4..5e4
 
-# minimum eigenvalue of M - I before the dilation window is declared lost
+# smallest eigenvalue of M - I inside the dilation window; it keeps eta
+# positive definite, so the Sylvester solve for d(eta)/dt is well posed
 POSITIVITY_MARGIN = 1e-8
 
 # most steps `dilated_evolve` takes: its joint and post-selected
@@ -81,23 +72,16 @@ MAX_DILATION_STEPS = 10**6
 
 @dataclass(frozen=True)
 class DilationFrame:
-    t: float | np.ndarray
     M: np.ndarray
     eta: np.ndarray
+    deta: np.ndarray  # d(eta)/dt
     Gamma: np.ndarray
     Lambda: np.ndarray
-    s: float
 
     @property
     def Htot(self) -> np.ndarray:
-        """s * (Gamma (x) |1><1| + Lambda (x) |0><0|), assembled on request."""
-        return assemble_htot(self.Gamma, self.Lambda, self.s)
-
-
-@dataclass(frozen=True)
-class JointState:
-    amplitudes: np.ndarray  # 6 complex amplitudes, levels 1..6
-    eta0: float
+        """Gamma (x) |1><1| + Lambda (x) |0><0|, assembled on request."""
+        return assemble_htot(self.Gamma, self.Lambda)
 
 
 def metric_M(h: np.ndarray, t: float | np.ndarray, m0_scale: float = DEFAULT_M0_SCALE) -> np.ndarray:
@@ -147,44 +131,26 @@ def _stack_last(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.moveaxis(a, (-2, -1), (0, 1)).copy(), (0, 1), (-2, -1))
 
 
-def _window_lost(vals: np.ndarray) -> np.ndarray:
-    """Flat indices of the frames whose M - I has an eigenvalue below
-    -POSITIVITY_MARGIN, from the ascending eigenvalues of M - I."""
-    return np.flatnonzero(vals[..., 0] < -POSITIVITY_MARGIN)
-
-
-def _eta_from_eigh(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eta = V diag(sqrt(lambda)) V^dag and its eigenvalues sqrt(lambda).
-
-    Eigenvalues in [-1e-10 max(|lambda_max|, 1), 0) are clamped to zero;
-    anything below that floor raises, as in `numerics.psd_sqrt`.
-    """
-    _check_psd_floor(vals)
-    roots = np.sqrt(np.clip(vals, 0.0, None))
-    eta = _matmul(vecs * roots[..., None, :], _dag(vecs))
-    return (eta + _dag(eta)) / 2.0, roots
-
-
-def _eta_rate_in_basis(
-    h: np.ndarray, m: np.ndarray, roots: np.ndarray, vecs: np.ndarray
-) -> np.ndarray:
-    """d(eta)/dt from eta X + X eta = dM/dt, solved in the eigenbasis V of
-    eta, whose ascending eigenvalues are `roots`."""
-    bad = np.flatnonzero(roots[..., 0] < 1e-12)
-    if bad.size:
-        raise NumericsError(
-            f"eta has a near-zero eigenvalue in frame {bad[0]}; Sylvester solve ill-posed"
-        )
+def _eta_rate(h: np.ndarray, m: np.ndarray, roots: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """d(eta)/dt from eta X + X eta = dM/dt = i (M H - H^dag M), solved in
+    the eigenbasis V of eta, whose eigenvalues are `roots`."""
     dm = 1j * (_matmul(m, h) - _matmul(_dag(h), m))
-    rhs = _matmul(_matmul(_dag(vecs), dm), vecs)
-    x = rhs / (roots[..., :, None] + roots[..., None, :])
+    x = _matmul(_matmul(_dag(vecs), dm), vecs) / (roots[..., :, None] + roots[..., None, :])
     return _matmul(_matmul(vecs, x), _dag(vecs))
 
 
 def _blocks(
     h: np.ndarray, eta: np.ndarray, deta: np.ndarray, minv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma and Lambda from H, eta, d(eta)/dt and M^-1 (see `gamma_lambda`)."""
+    """The two Hermitian blocks of the dilated Hamiltonian,
+
+      Gamma = Lhat + Ghat, Lambda = Lhat - Ghat with
+      Lhat = {H + [i deta + eta H] eta} M^-1
+      Ghat = i [H eta - eta H - i deta] M^-1,
+
+    from H, eta, deta = d(eta)/dt and M^-1. Hermiticity within 1e-9 is
+    enforced frame by frame; it fails only if the inputs are inconsistent.
+    """
     eta_h = _matmul(eta, h)
     lhat = _matmul(h + _matmul(1j * deta + eta_h, eta), minv)
     ghat = 1j * _matmul(_matmul(h, eta) - eta_h - 1j * deta, minv)
@@ -200,69 +166,31 @@ def _blocks(
     return gamma, lam
 
 
-def eta_of_t(m: np.ndarray) -> np.ndarray:
-    """eta = principal square root of M - I (gauge U = I), frame by frame."""
-    m = np.asarray(m, dtype=complex)
-    _check_hermitian(m, "M")
-    vals, vecs = _shifted_eigh(m)
-    if _window_lost(vals).size:
-        raise NumericsError("dilation window exceeded: M - I lost positivity")
-    return _eta_from_eigh(vals, vecs)[0]
-
-
-def eta_rate(h: np.ndarray, m: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """d(eta)/dt from the two-sided relation eta X + X eta = dM/dt.
-
-    dM/dt = i (M H - H^dag M) follows from the metric flow; the Sylvester
-    equation is solved exactly in the eigenbasis of eta.
-    """
-    roots, vecs = np.linalg.eigh(eta)
-    return _eta_rate_in_basis(np.asarray(h, dtype=complex), m, roots, vecs)
-
-
-def gamma_lambda(
-    h: np.ndarray, m: np.ndarray, eta: np.ndarray, deta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two Hermitian blocks of the dilated Hamiltonian.
-
-    Gamma = Lhat + Ghat, Lambda = Lhat - Ghat with
-      Lhat = {H + [i deta + eta H] eta} M^-1
-      Ghat = i [H eta - eta H - i deta] M^-1
-    Hermiticity within 1e-9 is enforced frame by frame; it fails only if
-    the inputs are inconsistent.
-    """
-    return _blocks(np.asarray(h, dtype=complex), eta, deta, np.linalg.inv(m))
-
-
-def assemble_htot(gamma: np.ndarray, lam: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """s * (Gamma (x) |1><1| + Lambda (x) |0><0|), levels 1-3 then 4-6."""
+def assemble_htot(gamma: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Gamma (x) |1><1| + Lambda (x) |0><0|, levels 1-3 then 4-6."""
     n = gamma.shape[-1]
     htot = np.zeros((*gamma.shape[:-2], 2 * n, 2 * n), dtype=complex)
     htot[..., :n, :n] = gamma
     htot[..., n:, n:] = lam
-    return s * htot
+    return htot
 
 
 def build_frame(
-    h: np.ndarray,
-    t: float | np.ndarray,
-    *,
-    m0_scale: float = DEFAULT_M0_SCALE,
-    s: float = 1.0,
+    h: np.ndarray, t: float | np.ndarray, *, m0_scale: float = DEFAULT_M0_SCALE
 ) -> DilationFrame:
     """All time-local dilation objects for a constant H at model time(s) t.
 
     One batched eigendecomposition M - I = V diag(lambda) V^dag per stack
-    gives everything past the metric: the window check (the earliest
-    model time with lambda below -POSITIVITY_MARGIN, checked up to the
-    first overflowing metric, so the earlier failure is raised), eta = V
-    diag(sqrt(lambda)) V^dag, d(eta)/dt by the Sylvester solve in the
+    gives everything past the metric. The window rule: the earliest model
+    time with lambda below POSITIVITY_MARGIN raises, checked up to the
+    first overflowing metric, so the earlier failure is raised. Then eta =
+    V diag(sqrt(lambda)) V^dag, d(eta)/dt by the Sylvester solve in the
     basis V, and M^-1 = V diag(1 / (1 + lambda)) V^dag.
     """
     h = np.asarray(h, dtype=complex)
     m, over = _metric(h, t, m0_scale)
     vals, vecs = _shifted_eigh(m if over is None else m.reshape(-1, *m.shape[-2:])[:over])
-    lost = _window_lost(vals)
+    lost = np.flatnonzero(vals[..., 0] < POSITIVITY_MARGIN)
     if lost.size:
         raise NumericsError(
             f"dilation window exceeded at model time {np.ravel(t)[lost[0]]:.6g}: "
@@ -271,11 +199,13 @@ def build_frame(
     if over is not None:
         raise _metric_overflow(t, m, over)
     vecs = _stack_last(vecs)
-    eta, roots = _eta_from_eigh(vals, vecs)
-    deta = _eta_rate_in_basis(h, m, roots, vecs)
+    roots = np.sqrt(vals)
+    eta = _matmul(vecs * roots[..., None, :], _dag(vecs))
+    eta = (eta + _dag(eta)) / 2.0
+    deta = _eta_rate(h, m, roots, vecs)
     minv = _matmul(vecs / (1.0 + vals)[..., None, :], _dag(vecs))
     gamma, lam = _blocks(h, eta, deta, minv)
-    return DilationFrame(t=t, M=m, eta=eta, Gamma=gamma, Lambda=lam, s=s)
+    return DilationFrame(M=m, eta=eta, deta=deta, Gamma=gamma, Lambda=lam)
 
 
 def _ancilla_minus_plus() -> tuple[np.ndarray, np.ndarray]:
@@ -293,10 +223,11 @@ def _ancilla_minus_plus() -> tuple[np.ndarray, np.ndarray]:
     return minus, carrier
 
 
-def prepare_initial(psi0: np.ndarray, eta0: float) -> JointState:
-    """Normalized joint state ~ psi0 (x) |-> + eta0 psi0 (x) |+>."""
-    if eta0 <= 0:
-        raise ValueError("eta0 must be positive")
+def prepare_initial(psi0: np.ndarray, eta0: float) -> np.ndarray:
+    """The 6 amplitudes (levels 1..6) of the normalized joint state
+    ~ psi0 (x) |-> + eta0 psi0 (x) |+>."""
+    if not 0.0 < eta0 < np.inf:
+        raise ValueError("eta0 must be finite and positive")
     psi0 = np.asarray(psi0, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
     minus, plus = _ancilla_minus_plus()
@@ -306,7 +237,7 @@ def prepare_initial(psi0: np.ndarray, eta0: float) -> JointState:
             psi0 * (minus[1] + eta0 * plus[1]),
         ]
     )
-    return JointState(amplitudes=joint / np.linalg.norm(joint), eta0=eta0)
+    return joint / np.linalg.norm(joint)
 
 
 def postselect(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,15 +263,16 @@ def dilated_evolve(
     h: np.ndarray,
     total_time: float,
     *,
-    eta0: float | None = None,
     m0_scale: float = DEFAULT_M0_SCALE,
     steps: int = 4000,
 ) -> tuple[Trajectory, Trajectory, np.ndarray]:
     """Joint unitary evolution under Htot(t) for a constant model H.
 
     Returns (joint trajectory, post-selected renormalized trajectory,
-    post-selection probabilities). Positivity of M - I is checked at
-    every frame; the earliest failing time is reported.
+    post-selection probabilities). The joint state starts with eta0 =
+    sqrt(m0_scale - 1), the eta(0) of the metric. The window rule of
+    `build_frame` holds at every frame; the earliest failing time is
+    reported.
     """
     if steps < 1 or not 0.0 < total_time < np.inf:
         raise ValueError("dilation needs steps >= 1 and a finite, positive total time")
@@ -348,8 +280,6 @@ def dilated_evolve(
         raise ValueError(f"dilation steps {steps} exceed the {MAX_DILATION_STEPS} allowed")
     _check_m0_scale(m0_scale)
     h = np.asarray(h, dtype=complex)
-    if eta0 is None:
-        eta0 = float(np.sqrt(m0_scale - 1.0))
     times = np.linspace(0.0, total_time, steps + 1)
 
     def blocks(t):
@@ -358,7 +288,7 @@ def dilated_evolve(
 
     # the engine evolves the Gamma and Lambda halves of the joint state as
     # two independent 3x3 blocks
-    joint0 = prepare_initial(psi0, eta0).amplitudes.reshape(2, -1)
+    joint0 = prepare_initial(psi0, np.sqrt(m0_scale - 1.0)).reshape(2, -1)
     slices = propagate_ordered(blocks, joint0, times)
     # each slice repeats the previous one's end state as its first row
     states = np.concatenate([piece[1:] if start else piece for start, _, piece in slices])

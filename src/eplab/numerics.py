@@ -147,28 +147,23 @@ def _check_hermitian(m: np.ndarray, what: str) -> None:
         )
 
 
-def _check_psd_floor(vals: np.ndarray, eig_floor: float = -1e-10) -> None:
-    """Raise if the smallest of a frame's eigenvalues (..., n) lies below
-    eig_floor times max(|largest|, 1), naming the earliest such frame."""
-    low = vals.min(axis=-1)
-    bad = np.flatnonzero(low < eig_floor * np.maximum(np.abs(vals.max(axis=-1)), 1.0))
-    if bad.size:
-        raise NumericsError(
-            f"metric violation in frame {bad[0]}: eigenvalue {low.flat[bad[0]]:.3e} below PSD floor"
-        )
-
-
-def psd_sqrt(m: np.ndarray, *, eig_floor: float = -1e-10) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Principal square root of each Hermitian PSD matrix in a stack.
 
-    Eigenvalues in [eig_floor, 0) are clamped to zero; anything below
-    eig_floor signals a metric violation and raises. Each matrix is held
-    to its own scale; an error names the earliest failing one.
+    Eigenvalues in [-1e-10 max(|largest|, 1), 0) are clamped to zero;
+    anything below that floor signals a metric violation and raises. Each
+    matrix is held to its own scale; an error names the earliest failing
+    one.
     """
     m = np.asarray(m, dtype=complex)
     _check_hermitian(m, "psd_sqrt input")
     vals, vecs = np.linalg.eigh((m + _dag(m)) / 2.0)
-    _check_psd_floor(vals, eig_floor)
+    low = vals.min(axis=-1)
+    bad = np.flatnonzero(low < -1e-10 * np.maximum(np.abs(vals.max(axis=-1)), 1.0))
+    if bad.size:
+        raise NumericsError(
+            f"metric violation in frame {bad[0]}: eigenvalue {low.flat[bad[0]]:.3e} below PSD floor"
+        )
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ _dag(vecs)
     return (root + _dag(root)) / 2.0
 

@@ -335,4 +335,4 @@ def model_htot_path(
     h = build_hamiltonian(ModelParams(k1, k2)).astype(complex)
     taus = np.linspace(0.0, t_model_span, n_samples)
     rate = 2.0 * np.pi * s
-    return taus / rate, build_frame(h, taus, m0_scale=m0_scale, s=rate).Htot
+    return taus / rate, rate * build_frame(h, taus, m0_scale=m0_scale).Htot

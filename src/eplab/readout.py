@@ -167,6 +167,11 @@ def setting_unitary(s: MeasurementSetting) -> np.ndarray:
     return rotation_u(s.a, s.b) @ rotation_v(s.c, s.d)
 
 
+# most steps `steady_state_eigenstate` takes: each is a few 3-vector
+# operations in Python, about 14 us, so a call stays under about 15 s
+MAX_STEADY_STATE_STEPS = 10**6
+
+
 def steady_state_eigenstate(
     p: ModelParams,
     g: GFunction,
@@ -183,8 +188,17 @@ def steady_state_eigenstate(
     `change_tol`. If the horizon is exhausted first, the best iterate is
     returned with converged=False and an "unresolved within horizon"
     message (this happens e.g. for the defective pair at an EP, where
-    the approach is algebraic rather than exponential).
+    the approach is algebraic rather than exponential). dt and the
+    horizon must be finite and positive, with at most
+    MAX_STEADY_STATE_STEPS steps of dt in the horizon.
     """
+    if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
+        raise ValueError("steady state needs a finite, positive dt and horizon")
+    steps = np.ceil(horizon / dt)
+    if steps > MAX_STEADY_STATE_STEPS:
+        raise ValueError(
+            f"steady state steps {steps:.6g} exceed the {MAX_STEADY_STATE_STEPS} allowed"
+        )
     h = build_hamiltonian(p).astype(complex)
     gh = g.apply(h)
     if psi_init is None:
@@ -194,9 +208,8 @@ def steady_state_eigenstate(
         psi = np.asarray(psi_init, dtype=complex)
     psi = psi / np.linalg.norm(psi)
     prop = expm(-1j * dt * gh)
-    steps = int(np.ceil(horizon / dt))
     converged = False
-    for _ in range(steps):
+    for _ in range(int(steps)):
         nxt = prop @ psi
         nxt = nxt / np.linalg.norm(nxt)
         ov = np.vdot(psi, nxt)

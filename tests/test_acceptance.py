@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from eplab.dilation import dilated_evolve, gamma_lambda, build_frame
+from eplab.dilation import dilated_evolve, build_frame
 from eplab.ep_atlas import (
     classify_ep,
     locate_conical_points,

@@ -4,13 +4,9 @@ import pytest
 from eplab import dilation, numerics
 from eplab.dilation import (
     POSITIVITY_MARGIN,
-    JointState,
     assemble_htot,
     build_frame,
     dilated_evolve,
-    eta_of_t,
-    eta_rate,
-    gamma_lambda,
     metric_M,
     postselect,
     prepare_initial,
@@ -62,80 +58,62 @@ def test_metric_flow_equation():
 
 
 def test_eta_initial_and_square():
-    m = metric_M(H_REF, 0.0, m0_scale=1.3)
-    eta0 = eta_of_t(m)
+    eta0 = build_frame(H_REF, 0.0, m0_scale=1.3).eta
     assert np.allclose(eta0, np.sqrt(0.3) * np.eye(3), atol=1e-12)
-    mt = metric_M(H_REF, 0.5, m0_scale=6.0)
-    eta = eta_of_t(mt)
-    assert np.allclose(eta @ eta, mt - np.eye(3), atol=1e-10)
+    frame = build_frame(H_REF, 0.5, m0_scale=6.0)
+    assert np.allclose(frame.eta @ frame.eta, frame.M - np.eye(3), atol=1e-10)
 
 
 def test_eta_positivity_window_violation():
-    with pytest.raises(NumericsError, match="positivity"):
-        eta_of_t(np.diag([2.0, 0.5, 2.0]))
-
-
-def test_eta_below_psd_floor_inside_the_window():
-    # -1e-9 passes the window margin (1e-8) but not the PSD floor (1e-10)
-    m = np.stack([np.diag([2.0, 1.5, 2.0]), np.diag([2.0, 1.0 - 1e-9, 2.0])])
-    with pytest.raises(
-        NumericsError, match=r"^metric violation in frame 1: eigenvalue -1\.000e-09 below PSD floor$"
-    ):
-        eta_of_t(m)
-
-
-def test_eta_rejects_non_hermitian_metric():
-    m = np.stack([2.0 * np.eye(3), 2.0 * np.eye(3) + np.triu(np.ones((3, 3)), 1)])
-    with pytest.raises(NumericsError, match="M not Hermitian in frame 1"):
-        eta_of_t(m)
-
-
-def test_eta_rate_rejects_near_zero_eta():
-    m = np.stack([2.0 * np.eye(3), np.diag([2.0, 1.0, 2.0])])
-    eta = eta_of_t(m)
+    # one window rule: a frame whose M - I has an eigenvalue below
+    # POSITIVITY_MARGIN is outside the window, even a positive one
+    h = np.diag([1.0, 2.0, 3.0])
     with pytest.raises(
         NumericsError,
-        match=r"^eta has a near-zero eigenvalue in frame 1; Sylvester solve ill-posed$",
+        match=r"^dilation window exceeded at model time 0: M - I lost positivity$",
     ):
-        eta_rate(H_REF, m, eta)
+        build_frame(h, 0.0, m0_scale=1.0 + 5e-9)
+    eta = build_frame(h, 0.0, m0_scale=1.0 + 2.0 * POSITIVITY_MARGIN).eta
+    assert np.allclose(eta, np.sqrt(2.0 * POSITIVITY_MARGIN) * np.eye(3), rtol=1e-6, atol=0.0)
 
 
 def test_eta_rate_matches_finite_difference():
     t, dt = 0.3, 1e-6
-    m = metric_M(H_REF, t, 6.0)
-    eta = eta_of_t(m)
-    rate = eta_rate(H_REF, m, eta)
+    rate = build_frame(H_REF, t, m0_scale=6.0).deta
     fd = (
-        eta_of_t(metric_M(H_REF, t + dt, 6.0))
-        - eta_of_t(metric_M(H_REF, t - dt, 6.0))
+        build_frame(H_REF, t + dt, m0_scale=6.0).eta
+        - build_frame(H_REF, t - dt, m0_scale=6.0).eta
     ) / (2 * dt)
     assert np.abs(rate - fd).max() < 1e-5
 
 
 def test_blocks_hermitian_and_assembled_block_diagonal():
-    frame = build_frame(H_REF, 0.6, m0_scale=6.0, s=2.0)
+    frame = build_frame(H_REF, 0.6, m0_scale=6.0)
     assert np.abs(frame.Gamma - frame.Gamma.conj().T).max() < 1e-10
     assert np.abs(frame.Lambda - frame.Lambda.conj().T).max() < 1e-10
     htot = frame.Htot
-    assert np.allclose(htot[:3, :3], 2.0 * frame.Gamma)
-    assert np.allclose(htot[3:, 3:], 2.0 * frame.Lambda)
+    assert np.array_equal(htot[:3, :3], frame.Gamma)
+    assert np.array_equal(htot[3:, 3:], frame.Lambda)
     assert np.abs(htot[:3, 3:]).max() == 0.0
-    assert np.abs(assemble_htot(frame.Gamma, frame.Lambda) - htot / 2.0).max() < 1e-12
+    assert np.array_equal(assemble_htot(frame.Gamma, frame.Lambda), htot)
 
 
 def test_gamma_lambda_rejects_inconsistent_inputs():
-    m = metric_M(H_REF, 0.4, 6.0)
-    eta = eta_of_t(m)
-    bad_rate = np.ones((3, 3))  # not the actual d(eta)/dt
+    # the Hermiticity certificate of the blocks, fed a d(eta)/dt that is
+    # not the frame's own
+    frame = build_frame(H_REF, 0.4, m0_scale=6.0)
+    minv = np.linalg.inv(frame.M)
+    bad_rate = np.ones((3, 3))
     with pytest.raises(NumericsError, match="Hermiticity"):
-        gamma_lambda(H_REF, m, eta, 1j * bad_rate + bad_rate @ m)
+        dilation._blocks(H_REF, frame.eta, 1j * bad_rate + bad_rate @ frame.M, minv)
     # a stack of consistent frames with one bad frame in the middle
     frames = build_frame(H_REF, np.array([0.2, 0.4, 0.6]), m0_scale=6.0)
-    deta = eta_rate(H_REF, frames.M, frames.eta)
-    gamma_lambda(H_REF, frames.M, frames.eta, deta)
+    minv = np.linalg.inv(frames.M)
+    dilation._blocks(H_REF, frames.eta, frames.deta, minv)
+    deta = frames.deta.copy()
     deta[1] = 1j * bad_rate + bad_rate @ frames.M[1]
     with pytest.raises(NumericsError, match="Hermiticity in frame 1"):
-        gamma_lambda(H_REF, frames.M, frames.eta, deta)
+        dilation._blocks(H_REF, frames.eta, deta, minv)
 
 
 @pytest.mark.parametrize(
@@ -146,9 +124,9 @@ def test_gamma_lambda_rejects_inconsistent_inputs():
     ],
 )
 def test_frame_over_times_matches_scalar_frames(h, m0_scale, ts):
-    stacked = build_frame(h, ts, m0_scale=m0_scale, s=2.0)
-    singles = [build_frame(h, t, m0_scale=m0_scale, s=2.0) for t in ts]
-    for name in ("M", "eta", "Gamma", "Lambda", "Htot"):
+    stacked = build_frame(h, ts, m0_scale=m0_scale)
+    singles = [build_frame(h, t, m0_scale=m0_scale) for t in ts]
+    for name in ("M", "eta", "deta", "Gamma", "Lambda", "Htot"):
         want = np.stack([getattr(f, name) for f in singles])
         assert getattr(stacked, name).shape == want.shape
         assert np.abs(getattr(stacked, name) - want).max() < 1e-12, name
@@ -171,7 +149,7 @@ def test_build_frame_makes_one_eigendecomposition(monkeypatch):
     frame = build_frame(H_REF, np.linspace(0.0, 0.7, 50), m0_scale=6.0)
     assert calls == {"eigh": 1, "eigvalsh": 0, "inv": 0}
     # the eigenvectors are copied stack-last once, and so is every product
-    for name in ("M", "eta", "Gamma", "Lambda"):
+    for name in ("M", "eta", "deta", "Gamma", "Lambda"):
         assert getattr(frame, name).strides[0] == np.dtype(complex).itemsize, name
 
 
@@ -193,30 +171,23 @@ def test_frame_matches_three_decomposition_reference(k1, k2, m0_scale, span):
     h = build_hamiltonian(ModelParams(k1, k2))
     ts = np.random.default_rng(7).uniform(0.0, span, 64)
     frame = build_frame(h, ts, m0_scale=m0_scale)
-    want = _reference_frame(h, ts, m0_scale)
-    # Gamma and Lambda carry the frame's own d(eta)/dt; `eta_rate` solves
-    # the same Sylvester equation in the eigenbasis of the frame's eta
-    got = {
-        "eta": frame.eta,
-        "deta": eta_rate(h, frame.M, frame.eta),
-        "Gamma": frame.Gamma,
-        "Lambda": frame.Lambda,
-    }
-    for name, ref in want.items():
-        assert np.abs(got[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+    for name, ref in _reference_frame(h, ts, m0_scale).items():
+        got = getattr(frame, name)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
 def test_prepare_and_postselect_roundtrip():
     psi = np.array([0.2, -0.5j, 1.0])
     joint = prepare_initial(psi, 0.7)
-    assert isinstance(joint, JointState)
-    assert abs(np.linalg.norm(joint.amplitudes) - 1.0) < 1e-12
-    recovered, prob = postselect(joint.amplitudes)
+    assert joint.shape == (6,)
+    assert abs(np.linalg.norm(joint) - 1.0) < 1e-12
+    recovered, prob = postselect(joint)
     phase = recovered[2] / abs(recovered[2])
     assert np.allclose(recovered / phase, psi / np.linalg.norm(psi), atol=1e-12)
     assert prob == pytest.approx(1.0 / (1.0 + 0.7**2))
-    with pytest.raises(ValueError):
-        prepare_initial(psi, 0.0)
+    for eta0 in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eta0 must be finite and positive"):
+            prepare_initial(psi, eta0)
 
 
 def test_postselect_stack_matches_rows():
@@ -272,7 +243,7 @@ def test_dilated_evolve_propagates_two_blocks(monkeypatch):
     times = np.linspace(0.0, 2.0, 301)
     [(_, _, want)] = numerics.propagate_ordered(
         lambda t: build_frame(h, t, m0_scale=12.0).Htot,
-        prepare_initial(psi0, np.sqrt(11.0)).amplitudes,
+        prepare_initial(psi0, np.sqrt(11.0)),
         times,
     )
 

@@ -90,6 +90,26 @@ def test_steady_state_defective_pair_reports_unresolved():
     assert res.eigenvalue.real == pytest.approx(3.0, abs=0.1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"dt": 0.0}, "finite, positive dt and horizon"),
+        ({"dt": -0.1}, "finite, positive dt and horizon"),
+        ({"dt": np.nan}, "finite, positive dt and horizon"),
+        ({"dt": np.inf}, "finite, positive dt and horizon"),
+        ({"horizon": 0.0}, "finite, positive dt and horizon"),
+        ({"horizon": -200.0}, "finite, positive dt and horizon"),
+        ({"horizon": np.nan}, "finite, positive dt and horizon"),
+        ({"horizon": np.inf}, "finite, positive dt and horizon"),
+        ({"horizon": 1e6, "dt": 1e-3}, r"steady state steps 1e\+09 exceed the 1000000 allowed"),
+        ({"horizon": 1e308, "dt": 1e-10}, r"steady state steps inf exceed the 1000000 allowed"),
+    ],
+)
+def test_steady_state_rejects_bad_dt_and_horizon(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        steady_state_eigenstate(ModelParams(0.3, 1.0), GFunction("i_h"), **kwargs)
+
+
 def test_population_ratio_examples():
     assert population_ratios(
         np.array([0.0, 6.0, 4.0]), MeasurementSetting(0, 0, 0, 0)
