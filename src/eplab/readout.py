@@ -21,6 +21,13 @@ per call of `ratios_from_energies` (its one-triple wrapper) or
 The solver runs its Gauss-Newton starts in lockstep, two map calls per
 iteration: one for the residuals and finite-difference Jacobian columns
 of every live start, one for all of their line-search candidates.
+
+Tomography maximizes the multinomial likelihood over rho = T^dag T /
+tr(T^dag T), T a full 3x3 complex matrix, by a damped Newton
+(Levenberg-Marquardt) solver in this module with the exact gradient and
+Hessian of the NLL in the 18 real parameters of T, from the maximally
+mixed state. It needs no SciPy, so `eigensolve` and `tomography` import
+none.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import ModelParams, _eigenvector_polynomial, build_hamiltonian, eigenvalues
 from .numerics import NumericsError, expm, psd_sqrt
@@ -112,7 +118,7 @@ class TomographyRecord:
         if self.shots < 0:
             raise ValueError("shots must be >= 0")
         p = np.asarray(self.populations, dtype=float)
-        if p.shape != (3,) or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-12:
+        if p.shape != (3,) or not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= 1e-12):
             raise ValueError("populations must be 3 nonnegative reals summing to 1")
 
 
@@ -188,12 +194,15 @@ def steady_state_eigenstate(
     `change_tol`. If the horizon is exhausted first, the best iterate is
     returned with converged=False and an "unresolved within horizon"
     message (this happens e.g. for the defective pair at an EP, where
-    the approach is algebraic rather than exponential). dt and the
-    horizon must be finite and positive, with at most
-    MAX_STEADY_STATE_STEPS steps of dt in the horizon.
+    the approach is algebraic rather than exponential). dt, the horizon
+    and `change_tol` must be finite and positive, with at most
+    MAX_STEADY_STATE_STEPS steps of dt in the horizon, and `psi_init`
+    must have a finite, nonzero norm.
     """
     if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
         raise ValueError("steady state needs a finite, positive dt and horizon")
+    if not 0.0 < change_tol < np.inf:
+        raise ValueError(f"change_tol must be finite and positive, got {change_tol}")
     steps = np.ceil(horizon / dt)
     if steps > MAX_STEADY_STATE_STEPS:
         raise ValueError(
@@ -206,7 +215,10 @@ def steady_state_eigenstate(
         psi = rng.normal(size=3) + 1j * rng.normal(size=3)
     else:
         psi = np.asarray(psi_init, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
+    norm = np.linalg.norm(psi)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"psi_init needs a finite, nonzero norm, got {norm}")
+    psi = psi / norm
     prop = expm(-1j * dt * gh)
     converged = False
     for _ in range(int(steps)):
@@ -494,60 +506,105 @@ def _check_complete(records) -> None:
         )
 
 
+# stop rule and cap of `mle_reconstruct`: it has converged once the NLL
+# gradient norm is at most MLE_GRAD_TOL times the total weighted count (the
+# rounding floor of the gradient is about 1e-15 of it), and it raises
+# NumericsError if that takes more than MLE_MAX_ITER iterations
+MLE_GRAD_TOL = 1e-12
+MLE_MAX_ITER = 200
+
+
+def _quadratic_forms(records) -> np.ndarray:
+    """The (K, 18, 18) real symmetric A_k of the K = 3 len(records) rank-1
+    POVM elements Pi_k = a_k a_k^dag, with x^T A_k x = ||T a_k||^2 =
+    tr(Pi_k T^dag T) for the 3x3 complex T = (x[:9] + 1j x[9:]).reshape(3, 3)."""
+    a = np.concatenate([setting_unitary(r.setting).conj() for r in records])
+    b = np.kron(np.eye(3), a[:, None, :])  # b[k, i, 3i + j] = a_k[j]
+    b = np.concatenate([b, 1j * b], axis=2)  # T a_k = b_k @ x
+    return np.einsum("kip,kiq->kpq", b.conj(), b).real
+
+
 def mle_reconstruct(records) -> np.ndarray:
     """Maximum-likelihood density matrix from population records.
 
-    rho = T^dag T / tr(T^dag T) with T lower triangular, so the result
-    is positive semidefinite with unit trace by construction. Quasi-
-    Newton minimization of the multinomial negative log-likelihood with
-    the analytic gradient; noiseless records (shots=0) enter with unit
-    weight.
+    rho = T^dag T / tr(T^dag T) with T a full 3x3 complex matrix, so the
+    result is positive semidefinite with unit trace by construction. With
+    the real and imaginary parts of the 9 entries of T in x, the
+    multinomial negative log-likelihood is NLL(x) = -sum_k c_k log(x^T A_k x) + (sum_k c_k)
+    log(x^T x), where c_k is the recorded population times the shots
+    (unit weight for noiseless records, shots=0) and A_k comes from the
+    setting rows.
+
+    Damped Newton (Levenberg-Marquardt) with the exact gradient and
+    Hessian, from the maximally mixed state T = I / sqrt(3): each step
+    solves (H + mu I) d = -g on the unit sphere of x (H is the Hessian with
+    the scale direction x projected out), with mu raised above
+    -lambda_min(H) when H is indefinite, and x + d is renormalized. The
+    damping also covers the null directions T -> U T, U unitary. A step is
+    kept when it lowers the NLL, and mu follows the ratio of the actual to
+    the predicted decrease (Nielsen's rule). The solver stops once the
+    gradient norm is at most MLE_GRAD_TOL times sum_k c_k, and raises
+    NumericsError with the final gradient norm when it meets a non-finite
+    value or MLE_MAX_ITER iterations pass first.
     """
     records = list(records)
     if not records:
         raise ValueError("no tomography records")
     _check_complete(records)
-    ops = np.concatenate([_projectors(r.setting) for r in records])
-    pobs = np.concatenate([np.asarray(r.populations, float) for r in records])
-    weights = np.concatenate(
-        [np.full(3, float(r.shots) if r.shots > 0 else 1.0) for r in records]
-    )
-    tril = np.tril_indices(3)
-
-    def unpack(x):
-        t = np.zeros((3, 3), dtype=complex)
-        t[tril] = x[:6] + 1j * x[6:]
-        return t
-
-    def nll_grad(x):
-        t = unpack(x)
-        s = t.conj().T @ t
-        trs = np.real(np.trace(s))
-        if trs < 1e-300:
-            return 1e12, np.zeros_like(x)
-        rho = s / trs
-        p = np.real(np.einsum("kij,ji->k", ops, rho))
-        p = np.clip(p, 1e-12, None)
-        f = float(-(weights * pobs * np.log(p)).sum())
-        coef = -(weights * pobs / p)
-        g_rho = np.einsum("k,kij->ij", coef, ops)
-        g_s = (g_rho - np.real(np.trace(g_rho @ rho)) * np.eye(3)) / trs
-        g_s = (g_s + g_s.conj().T) / 2.0
-        gt = t @ g_s  # dL/dT_ij lives in (G T^dag)_{ji} = (T G)_{ij}
-        grad = np.concatenate([2.0 * gt[tril].real, 2.0 * gt[tril].imag])
-        return f, grad
-
-    x0 = np.zeros(12)
-    x0[[0, 3, 5]] = 1.0 / np.sqrt(3.0)
-    res = minimize(
-        nll_grad, x0, jac=True, method="L-BFGS-B",
-        options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12},
-    )
-    t = unpack(res.x)
-    s = t.conj().T @ t
-    rho = s / np.real(np.trace(s))
-    rho = (rho + rho.conj().T) / 2.0
-    return rho
+    forms = _quadratic_forms(records)
+    counts = np.concatenate([
+        np.asarray(r.populations, float) * (float(r.shots) if r.shots > 0 else 1.0)
+        for r in records
+    ])
+    # a zero count adds 0 log 0 = 0, and so does a noiseless population at
+    # most 1e-12, the tolerance of TomographyRecord: near the optimum its
+    # x^T A_k x would sink below the rounding of its increments
+    keep = counts > 1e-12
+    forms, counts = forms[keep], counts[keep]
+    total = counts.sum()
+    x = np.zeros(18)
+    x[[0, 4, 8]] = 1.0 / np.sqrt(3.0)  # the diagonal of T
+    # mu is the damping in units of `total`, floored at 1e-12 so that the
+    # null directions of H stay damped; nu is its growth on a rejected step
+    mu, nu = 0.1, 2.0
+    tol = MLE_GRAD_TOL * total
+    for it in range(MLE_MAX_ITER + 1):
+        v = forms @ x
+        q = v @ x  # tr(Pi_k rho), as x^T x = 1
+        w = counts / q
+        grad = 2.0 * (total * x - w @ v)
+        gnorm = float(np.linalg.norm(grad))
+        if np.isfinite(gnorm) and gnorm <= tol:
+            t = (x[:9] + 1j * x[9:]).reshape(3, 3)
+            s = t.conj().T @ t
+            rho = s / np.real(np.trace(s))
+            return (rho + rho.conj().T) / 2.0
+        if it == MLE_MAX_ITER or not np.isfinite(gnorm):
+            raise NumericsError(
+                f"tomography MLE stopped at iteration {it} with gradient norm "
+                f"{gnorm:.3e}; convergence needs <= {tol:.3e} within "
+                f"{MLE_MAX_ITER} iterations"
+            )
+        # the Hessian on the sphere x^T x = 1 is P G P + 2 total P, where G is
+        # the Hessian of -sum_k c_k log(x^T A_k x) and P the projector off x;
+        # 2 total x x^T is added so that x itself takes no step
+        proj = np.eye(18) - np.outer(x, x)
+        hess = proj @ (4.0 * (v.T * (w / q)) @ v - 2.0 * np.tensordot(w, forms, 1)) @ proj
+        hess += 2.0 * total * np.eye(18)
+        lam, vec = np.linalg.eigh(hess)
+        shift = max(0.0, -lam[0]) + mu * total
+        step = -vec @ ((vec.T @ grad) / (lam + shift))
+        # the NLL change from the increments of x^T A_k x and x^T x: near the
+        # optimum it is far below the rounding of the NLL itself
+        dq = (2.0 * v + forms @ step) @ step
+        change = total * np.log1p(step @ (2.0 * x + step)) - counts @ np.log1p(dq / q)
+        if change < 0.0:
+            ratio = change / (grad @ step + 0.5 * step @ hess @ step)
+            mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 1e-12)
+            nu = 2.0
+            x = (x + step) / np.linalg.norm(x + step)
+        else:
+            mu, nu = mu * nu, 2.0 * nu
 
 
 def fidelity(rho_i: np.ndarray, rho_j: np.ndarray) -> float:

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eplab
 from eplab import __version__
 from eplab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _csv_rows, _parse_range, _parser, main
 
@@ -292,6 +297,22 @@ def test_model_eigenvectors_need_no_lapack_eig(capsys, monkeypatch):
     for argv in (("tomography",), ("eigensolve", "--shots", "0"), ("modeswitch", "--duration", "2000")):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (EXIT_OK, "")
+
+
+def test_readout_commands_import_no_scipy(tmp_path):
+    # a fresh interpreter, so no other test has imported scipy already
+    code = (
+        "import sys\n"
+        "from eplab import cli\n"
+        f"assert cli.main(['eigensolve', '--shots', '0', '-o', {str(tmp_path / 'e.out')!r}]) == 0\n"
+        f"assert cli.main(['tomography', '--shots', '1000', '-o', {str(tmp_path / 't.out')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(eplab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("index", ["0", "4"])

@@ -110,6 +110,25 @@ def test_steady_state_rejects_bad_dt_and_horizon(kwargs, message):
         steady_state_eigenstate(ModelParams(0.3, 1.0), GFunction("i_h"), **kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"change_tol": -1.0}, "change_tol must be finite and positive"),
+        ({"change_tol": 0.0}, "change_tol must be finite and positive"),
+        ({"change_tol": np.nan}, "change_tol must be finite and positive"),
+        ({"change_tol": np.inf}, "change_tol must be finite and positive"),
+        ({"psi_init": np.zeros(3)}, "psi_init needs a finite, nonzero norm"),
+        ({"psi_init": np.array([np.nan, 1.0, 0.0])}, "psi_init needs a finite, nonzero norm"),
+        ({"psi_init": np.array([np.inf, 0.0, 0.0])}, "psi_init needs a finite, nonzero norm"),
+    ],
+)
+def test_steady_state_rejects_bad_change_tol_and_psi_init(kwargs, message):
+    # a negative or nan change_tol ran the whole horizon, and a zero psi_init
+    # divided by its zero norm
+    with pytest.raises(ValueError, match=message):
+        steady_state_eigenstate(ModelParams(0.3, 1.0), GFunction("i_h"), **kwargs)
+
+
 def test_population_ratio_examples():
     assert population_ratios(
         np.array([0.0, 6.0, 4.0]), MeasurementSetting(0, 0, 0, 0)
@@ -379,6 +398,8 @@ def test_record_validation():
         TomographyRecord(s, 10, np.array([0.5, 0.6, 0.2]))
     with pytest.raises(ValueError):
         TomographyRecord(s, -1, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        TomographyRecord(s, 10, np.array([np.nan, 0.5, 0.5]))
 
 
 def test_mle_noiseless_fixed_point():
@@ -399,6 +420,39 @@ def test_mle_noisy_high_fidelity():
     rho = mle_reconstruct(records)
     target = np.outer(psi, psi.conj())
     assert fidelity(rho, target) > 0.999
+
+
+def test_mle_recovers_mixed_states():
+    # noiseless records of three full-rank and four rank-2 states: a start
+    # with row 1 of a lower-triangular T at zero, whose gradient stays zero,
+    # could not leave rank 2 (errors 0.01-0.21 here), and a lower-triangular
+    # T stalls on one of the rank-2 states, whose kernel is almost
+    # orthogonal to level 1
+    rng = np.random.default_rng(4)
+    for rank in (3, 3, 3, 2, 2, 2, 2):
+        a = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
+        rho = a @ a.conj().T
+        rho = rho / np.trace(rho).real
+        records = []
+        for s in TOMOGRAPHY_SETTINGS:
+            u = setting_unitary(s)
+            p = np.diag(u @ rho @ u.conj().T).real
+            records.append(TomographyRecord(s, 0, p / p.sum()))
+        assert np.abs(mle_reconstruct(records) - rho).max() <= 1e-9
+
+
+def test_mle_non_convergence_is_a_numerics_error(monkeypatch):
+    psi = np.array([0.2, -0.5j, 1.0]) / np.linalg.norm([0.2, 0.5, 1.0])
+    records = [simulate_counts(psi, s, 0) for s in TOMOGRAPHY_SETTINGS]
+    with monkeypatch.context() as m:
+        m.setattr(readout, "MLE_MAX_ITER", 3)
+        with pytest.raises(NumericsError, match=r"stopped at iteration 3 with gradient norm \d"):
+            mle_reconstruct(records)
+    # 1e308 shots per setting overflow the total count
+    huge = [TomographyRecord(r.setting, 10**308, r.populations) for r in records]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match="stopped at iteration 0 with gradient norm nan"):
+            mle_reconstruct(huge)
 
 
 def test_mle_incomplete_settings_rejected():
