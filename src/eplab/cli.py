@@ -50,18 +50,36 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _check_file_value(key: str, value, default) -> None:
+    """Raise ValueError unless a config file value has the JSON type of
+    its flag's default: a string for a string flag, a number for a float
+    flag and an integral number for an int flag (a bool is no number)."""
+    if isinstance(default, str):
+        ok = isinstance(value, str)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if ok and isinstance(default, int):
+            ok = isinstance(value, int) or value.is_integer()
+    if not ok:
+        kind = {str: "a string", int: "an integer", float: "a number"}[type(default)]
+        raise ValueError(f"config key {key!r} needs {kind}, got {json.dumps(value)}")
+
+
 def _effective_config(args, keys) -> dict:
     """Defaults from argparse, overridden by --config file, overridden by
-    explicitly passed flags."""
+    explicitly passed flags. The file must hold a JSON object of known
+    keys with values as `_check_file_value` takes them; else ValueError."""
     cfg = {k: getattr(args, k) for k in keys}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file must hold a JSON object, not {type(file_cfg).__name__}")
         for k, v in file_cfg.items():
-            if k in cfg:
-                cfg[k] = v
-            else:
+            if k not in cfg:
                 raise ValueError(f"unknown config key {k!r}")
+            _check_file_value(k, v, cfg[k])
+            cfg[k] = v
         # explicit CLI flags win over the file
         for k in keys:
             if k in getattr(args, "_explicit", set()):
@@ -103,7 +121,9 @@ class _TrackingParser(argparse.ArgumentParser):
     """
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # no prefixes: `_explicit` is read off the raw tokens, so an
+        # abbreviated flag would set its value but lose to --config
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def parse_args(self, argv=None, namespace=None):

@@ -1,9 +1,10 @@
 """Locating and classifying the degeneracies of the lattice model.
 
-The degeneracy locus is the zero set of the explicit discriminant
-polynomial, so refinement uses exact derivatives throughout: Newton on
-the gradient for the conical point (where the gradient itself vanishes)
-and predictor-corrector walking for the square-root exceptional line.
+The degeneracy locus is the zero set of the characteristic cubic's
+discriminant, and refinement uses its exact chain-rule derivatives from
+`model` throughout: Newton on the gradient for the conical point (where
+the gradient itself vanishes) and predictor-corrector walking for the
+square-root exceptional line.
 
 The atlas probes are stacked: the conical-point scan takes every cell's
 3x3-neighbourhood minimum from nine shifted views of the grid, and
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import MAX_ABS_K, ModelParams, build_hamiltonian, discriminant
+from .model import _discriminant_derivatives
 from .numerics import eig
 
 __all__ = [
@@ -53,50 +55,6 @@ class TraceResult:
     hessian_signature: tuple[int, int] | None = None
 
 
-def _grad_disc(k1: float, k2: float) -> np.ndarray:
-    a, b = k1 * k1, k2 * k2
-    d1 = k1 * (
-        6 * 256.0 * a**2
-        - 4 * 768.0 * a
-        + 2 * 2928.0
-        - 4 * 384.0 * a * b
-        - 2 * 1824.0 * b
-        + 2 * 192.0 * b**2
-    )
-    d2 = k2 * (
-        -2 * 384.0 * a**2
-        - 2 * 1824.0 * a
-        + 4 * 192.0 * a * b
-        - 2 * 168.0
-        + 4 * 132.0 * b
-        - 6 * 32.0 * b**2
-    )
-    return np.array([d1, d2])
-
-
-def _hess_disc(k1: float, k2: float) -> np.ndarray:
-    """Exact Hessian of `discriminant`, differentiated from `_grad_disc`."""
-    a, b = k1 * k1, k2 * k2
-    d11 = (
-        30 * 256.0 * a**2
-        - 12 * 768.0 * a
-        + 2 * 2928.0
-        - 12 * 384.0 * a * b
-        - 2 * 1824.0 * b
-        + 2 * 192.0 * b**2
-    )
-    d22 = (
-        -2 * 384.0 * a**2
-        - 2 * 1824.0 * a
-        + 12 * 192.0 * a * b
-        - 2 * 168.0
-        + 12 * 132.0 * b
-        - 30 * 32.0 * b**2
-    )
-    d12 = k1 * k2 * (-8 * 384.0 * a - 4 * 1824.0 + 8 * 192.0 * b)
-    return np.array([[d11, d12], [d12, d22]])
-
-
 def _gradient_newton(x: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     """Newton on grad(delta) = 0 from x: at most 50 steps, stopping after
     a step shorter than tol. Converges to a critical point of the
@@ -104,8 +62,9 @@ def _gradient_newton(x: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     isolated and plain Newton on delta stalls."""
     x = np.array(x, dtype=float)
     for _ in range(50):
+        grad, hess = _discriminant_derivatives(*x)
         try:
-            step = np.linalg.solve(_hess_disc(*x), _grad_disc(*x))
+            step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             break
         x = x - step
@@ -170,7 +129,7 @@ def refine_degeneracy(seed: tuple[float, float], tol: float = 1e-10) -> np.ndarr
     x = np.array(seed, dtype=float)
     for _ in range(60):
         d = float(discriminant(*x))
-        g = _grad_disc(*x)
+        g = _discriminant_derivatives(*x)[0]
         gn = float(np.dot(g, g))
         if gn < 1e-12:
             # singular point: drive the gradient itself to zero
@@ -183,7 +142,7 @@ def refine_degeneracy(seed: tuple[float, float], tol: float = 1e-10) -> np.ndarr
     if abs(d) < max(tol, 1e-10):
         return x
     # bisection fallback along the gradient direction
-    g = _grad_disc(*x)
+    g = _discriminant_derivatives(*x)[0]
     gdir = g / max(np.linalg.norm(g), 1e-300)
     lo, hi = -0.05, 0.05
     f = lambda s: float(discriminant(*(x + s * gdir)))
@@ -227,7 +186,7 @@ def locate_conical_points(
         x = _gradient_newton(np.array([k1[i], k2[j]]))
         if abs(float(discriminant(*x))) > 1e-12:
             continue
-        sig = np.linalg.eigvalsh(_hess_disc(*x))
+        sig = np.linalg.eigvalsh(_discriminant_derivatives(*x)[1])
         if sig[0] * sig[1] <= 0:
             continue
         if not any(np.hypot(x[0] - f[0], x[1] - f[1]) < 1e-4 for f in found):
@@ -242,24 +201,22 @@ def trace_exceptional_line(
     max_steps: int = 2000,
     bounds: tuple[float, float, float, float] = (-3.0, 3.0, -3.0, 3.0),
 ) -> TraceResult:
-    """Predictor-corrector walk along the discriminant zero line."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    """Predictor-corrector walk along the discriminant zero line.
+
+    Raises ValueError for a step that is not finite and positive."""
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
     x = refine_degeneracy(seed)
-    g = _grad_disc(*x)
+    g, hess = _discriminant_derivatives(*x)
     # a gradient-Newton polish that stays nearby flags a singular point
     # (the conical degeneracy is an isolated zero, not a regular curve)
     xs = _gradient_newton(x)
-    singular_nearby = (
-        np.linalg.norm(xs - x) < 1e-3
-        and abs(float(discriminant(*xs))) < 1e-12
-        and np.linalg.norm(_grad_disc(*xs)) < 1e-8
-    )
-    if singular_nearby:
-        x, g = xs, _grad_disc(*xs)
+    if np.linalg.norm(xs - x) < 1e-3 and abs(float(discriminant(*xs))) < 1e-12:
+        gs, hs = _discriminant_derivatives(*xs)
+        if np.linalg.norm(gs) < 1e-8:
+            x, g, hess = xs, gs, hs
     if np.linalg.norm(g) < 1e-8:
         # conical point: the zero set is not a regular curve here
-        hess = _hess_disc(*x)
         sig_vals = np.linalg.eigvalsh(hess)
         signature = (int(np.sum(sig_vals > 0)), int(np.sum(sig_vals < 0)))
         if signature[0] == 2 or signature[1] == 2:
@@ -289,7 +246,7 @@ def trace_exceptional_line(
         if cur is None:
             terminated = "lost_track"
             break
-        g = _grad_disc(*cur)
+        g = _discriminant_derivatives(*cur)[0]
         new_tan = np.array([-g[1], g[0]])
         new_tan /= max(np.linalg.norm(new_tan), 1e-300)
         if np.dot(new_tan, tangent) < 0:
@@ -308,7 +265,7 @@ def _newton_corrector(x0: np.ndarray) -> np.ndarray | None:
         d = float(discriminant(*x))
         if abs(d) < 1e-10:
             return x
-        g = _grad_disc(*x)
+        g = _discriminant_derivatives(*x)[0]
         gn = float(np.dot(g, g))
         if gn < 1e-20:
             return None
@@ -357,8 +314,11 @@ def classify_ep(
     on a ring of radius `ring_radius`, and the log-log dispersion
     exponent of the eigenvalue splitting over radial offsets 1e-4..1e-2.
     The 24 ring points go through one stacked `eigvals` and the ten
-    probe offsets through one stacked `eig`.
+    probe offsets through one stacked `eig`. Raises ValueError for a
+    ring_radius that is not finite and positive.
     """
+    if not (np.isfinite(ring_radius) and ring_radius > 0):
+        raise ValueError(f"ring_radius must be finite and positive, got {ring_radius}")
     k1, k2 = location
     if family is None:
         loc = refine_degeneracy(location, tol=1e-8)
@@ -371,7 +331,7 @@ def classify_ep(
 
     if probe_direction is None:
         if family is None:
-            g = _grad_disc(k1, k2)
+            g = _discriminant_derivatives(k1, k2)[0]
             if np.linalg.norm(g) > 1e-6:
                 probe_direction = g / np.linalg.norm(g)  # normal to the line
             else:

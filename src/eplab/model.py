@@ -10,6 +10,8 @@ matrix
 
 whose characteristic cubic, discriminant, line spectra, conical
 expansion and closed-form eigenstates are all available analytically.
+The discriminant is the cubic's, in its coefficients f1 and f0, and
+`_discriminant_derivatives` differentiates it exactly by the chain rule.
 
 Eigenvalues come from the roots of the cubic (`cubic.solve_cubic`), and
 every eigenvector from one closed form, `_eigenvectors`. A sweep that
@@ -49,8 +51,8 @@ __all__ = [
 
 
 # largest |k1|, |k2| the model takes. It lives at |k| <~ 2; up to 1e6 the
-# 256 k^6 term of `discriminant` stays below 1e39, so no polynomial of
-# the model overflows
+# 4 f1^3 term of `discriminant` stays below 1e39, so no polynomial of the
+# model overflows
 MAX_ABS_K = 1e6
 
 
@@ -153,6 +155,12 @@ def build_tb_block(p: ModelParams) -> np.ndarray:
     return h
 
 
+def _cubic_coefficients(k1, k2):
+    """(f1, f0), the k-dependent coefficients of the characteristic cubic
+    -E^3 + 6 E^2 + f1 E + f0; elementwise for arrays."""
+    return 4.0 * k1**2 - 2.0 * k2**2 - 7.0, 6.0 * (k2**2 - 1.0)
+
+
 def char_poly(p: ModelParams) -> CharPoly:
     """P(E) = det[H - E] for the nearest 3x3 model.
 
@@ -160,28 +168,30 @@ def char_poly(p: ModelParams) -> CharPoly:
     """
     if p.variant != "nearest":
         raise ValueError("characteristic cubic is specific to variant='nearest'")
-    f3, f2 = -1.0, 6.0
-    f1 = 4.0 * p.k1**2 - 2.0 * p.k2**2 - 7.0
-    f0 = 6.0 * (p.k2**2 - 1.0)
-    return CharPoly(f3, f2, f1, f0)
+    return CharPoly(-1.0, 6.0, *_cubic_coefficients(p.k1, p.k2))
 
 
 def discriminant(k1, k2):
-    """Degeneracy-locus polynomial of the 3x3 model; accepts arrays."""
-    k1sq = np.asarray(k1) ** 2
-    k2sq = np.asarray(k2) ** 2
-    return (
-        256.0 * k1sq**3
-        - 768.0 * k1sq**2
-        + 2928.0 * k1sq
-        - 384.0 * k1sq**2 * k2sq
-        - 1824.0 * k1sq * k2sq
-        + 192.0 * k1sq * k2sq**2
-        - 168.0 * k2sq
-        + 132.0 * k2sq**2
-        - 32.0 * k2sq**3
-        + 68.0
-    )
+    """Discriminant of the characteristic cubic, the degeneracy-locus
+    polynomial of the 3x3 model; accepts arrays. In Horner form it is
+    4 f1^3 + 36 f1^2 - 108 f1 f0 - 27 f0^2 - 864 f0."""
+    f1, f0 = _cubic_coefficients(np.asarray(k1), np.asarray(k2))
+    return ((4.0 * f1 + 36.0) * f1 - 108.0 * f0) * f1 - (27.0 * f0 + 864.0) * f0
+
+
+def _discriminant_derivatives(k1: float, k2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradient (2,) and Hessian (2, 2) of `discriminant` at a scalar
+    point, by the chain rule through f1 (k-gradient (8 k1, -4 k2)) and f0
+    ((0, 12 k2)); the second partials in (f1, f0) are 24 f1 + 72, -108, -54."""
+    f1, f0 = _cubic_coefficients(k1, k2)
+    d1 = (12.0 * f1 + 72.0) * f1 - 108.0 * f0  # dDelta/df1
+    d0 = -108.0 * f1 - 54.0 * f0 - 864.0  # dDelta/df0
+    d11 = 24.0 * f1 + 72.0  # d2Delta/df1^2
+    a1, a2, b2 = 8.0 * k1, -4.0 * k2, 12.0 * k2  # df1/dk1, df1/dk2, df0/dk2
+    h12 = a1 * (d11 * a2 - 108.0 * b2)
+    h22 = (d11 * a2 - 216.0 * b2) * a2 - 54.0 * b2 * b2 - 4.0 * d1 + 12.0 * d0
+    grad = np.array([d1 * a1, d1 * a2 + d0 * b2])
+    return grad, np.array([[d11 * a1 * a1 + 8.0 * d1, h12], [h12, h22]])
 
 
 def eigenvalues(p: ModelParams) -> np.ndarray:

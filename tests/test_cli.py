@@ -175,6 +175,62 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "walrus" in err
 
 
+@pytest.mark.parametrize(
+    "file_cfg, argv",
+    [
+        ({"duration": 500}, ["geophase", "--dur", "100"]),
+        ({"resolution": 11}, ["atlas", "--res", "41"]),
+        ({"k1": 0.3}, ["eigensolve", "--sho", "0"]),
+    ],
+)
+def test_abbreviated_flags_are_usage_errors(tmp_path, capsys, file_cfg, argv):
+    # a prefix set the value but was not recorded as explicit, so the
+    # file value won: geophase ran T=500 with --dur 100
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("[1, 2]", ["spectrum"], "JSON object, not list"),
+        ('"k1"', ["eigensolve"], "JSON object, not str"),
+        ('{"k1": null}', ["spectrum"], "'k1' needs a number, got null"),
+        ('{"k1": true}', ["eigensolve"], "'k1' needs a number, got true"),
+        ('{"k1": "0.3"}', ["eigensolve"], "'k1' needs a number"),
+        ('{"eigenindex": [1]}', ["geophase"], "'eigenindex' needs an integer"),
+        ('{"resolution": 11.5}', ["atlas"], "'resolution' needs an integer, got 11.5"),
+        ('{"shots": Infinity}', ["eigensolve"], "'shots' needs an integer, got Infinity"),
+        ('{"k1_range": {"lo": 0}}', ["spectrum"], "'k1_range' needs a string"),
+        ('{"preset": 1}', ["modeswitch"], "'preset' needs a string, got 1"),
+    ],
+)
+def test_malformed_config_files_are_domain_errors(tmp_path, capsys, text, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_valid_config_values_keep_their_hash(tmp_path, capsys):
+    # an integer for a float flag and an integral float for an int flag
+    # still run, and hash as the file wrote them
+    cfg = tmp_path / "cfg.json"
+    file_cfg = {"k1": 0, "k2": 1, "shots": 0.0, "seed": 3}
+    cfg.write_text(json.dumps(file_cfg))
+    code, out, _ = run(capsys, "eigensolve", "--config", str(cfg))
+    assert code == EXIT_OK
+    blob = json.dumps(file_cfg, sort_keys=True, separators=(",", ":"))
+    assert out.startswith(f"# config_hash={hashlib.sha256(blob.encode()).hexdigest()[:16]} ")
+
+
 def test_output_file(tmp_path, capsys):
     out = tmp_path / "cone.csv"
     code, stdout, _ = run(capsys, "cone", "--angles", "4", "-o", str(out))

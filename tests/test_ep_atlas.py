@@ -6,9 +6,7 @@ import pytest
 from eplab.ep_atlas import (
     EPRecord,
     _coalescing_pair,
-    _grad_disc,
     _gradient_newton,
-    _hess_disc,
     classify_ep,
     locate_conical_points,
     locate_line_degeneracies,
@@ -17,7 +15,13 @@ from eplab.ep_atlas import (
     scan_discriminant,
     trace_exceptional_line,
 )
-from eplab.model import ModelParams, build_hamiltonian, build_tb_block, discriminant
+from eplab.model import (
+    ModelParams,
+    _discriminant_derivatives,
+    build_hamiltonian,
+    build_tb_block,
+    discriminant,
+)
 from eplab.numerics import eig
 
 
@@ -43,7 +47,7 @@ def test_conical_points_found_exactly():
 
 def test_hessian_exact_at_conical_points():
     for k2 in (1.0, -1.0):
-        assert np.array_equal(_hess_disc(0.0, k2), [[2592.0, 0.0], [0.0, 288.0]])
+        assert np.array_equal(_discriminant_derivatives(0.0, k2)[1], [[2592.0, 0.0], [0.0, 288.0]])
 
 
 def test_classify_conical_point():
@@ -138,7 +142,7 @@ def _loop_conical_points(k1_range, k2_range, resolution):
             x = _gradient_newton(np.array([k1[i], k2[j]]))
             if abs(float(discriminant(*x))) > 1e-12:
                 continue
-            sig = np.linalg.eigvalsh(_hess_disc(*x))
+            sig = np.linalg.eigvalsh(_discriminant_derivatives(*x)[1])
             if sig[0] * sig[1] <= 0:
                 continue
             if not any(np.hypot(x[0] - f[0], x[1] - f[1]) < 1e-4 for f in found):
@@ -163,8 +167,9 @@ def _loop_classify_ep(location, *, family=None, ring_radius=0.05):
     gap0, _ = _loop_pair_gap_and_overlap(fam(k1, k2))
     assert gap0 <= 1e-4
     probe = np.array([1.0, 0.0])
-    if family is None and np.linalg.norm(_grad_disc(k1, k2)) > 1e-6:
-        probe = _grad_disc(k1, k2) / np.linalg.norm(_grad_disc(k1, k2))
+    g = _discriminant_derivatives(k1, k2)[0]
+    if family is None and np.linalg.norm(g) > 1e-6:
+        probe = g / np.linalg.norm(g)
     probe = probe / np.linalg.norm(probe)
     _, coalescence = _loop_pair_gap_and_overlap(fam(k1 + 1e-6 * probe[0], k2 + 1e-6 * probe[1]))
     ring_real = True
@@ -268,3 +273,22 @@ def test_discriminant_scan_rejects_bad_grids(k1_range, k2_range, resolution, mes
         with pytest.raises(ValueError, match=message):
             scan_discriminant(k1_range, k2_range, resolution)
     assert scan_discriminant((0.0, 1.0), (0.0, 1.0), 2)["delta"].shape == (2, 2)
+
+
+@pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -0.01])
+def test_trace_rejects_bad_step(step):
+    # nan returned terminated="lost_track" with one vertex; inf warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            trace_exceptional_line((0.05, 1.44), step)
+
+
+@pytest.mark.parametrize("ring_radius", [-0.05, 0.0, np.nan, np.inf])
+def test_classify_rejects_bad_ring_radius(ring_radius):
+    # -0.05 gave kind "dirac" with spectrum_real_radius -0.05, and 0 tested
+    # reality on 24 copies of the EP itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="ring_radius must be finite and positive"):
+            classify_ep((0.0, 1.0), ring_radius=ring_radius)

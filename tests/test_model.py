@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from eplab.model import (
     sweep_tracked_eigenvalues,
     sweep_tracked_spectra,
 )
-from eplab.model import _tracking_perms
+from eplab.model import _discriminant_derivatives, _tracking_perms
 from eplab.numerics import Spectrum, eig
 
 
@@ -80,6 +81,48 @@ def test_discriminant_matches_cubic_formula():
         assert discriminant(k1, k2) == pytest.approx(
             cubic_discriminant(cp.f3, cp.f2, cp.f1, cp.f0), rel=1e-10, abs=1e-9
         )
+
+
+def _expanded_discriminant(k1, k2) -> Fraction:
+    """The discriminant as a polynomial in k1^2, k2^2, evaluated exactly."""
+    a, b = Fraction(k1) ** 2, Fraction(k2) ** 2
+    return (
+        256 * a**3 - 768 * a**2 + 2928 * a - 384 * a**2 * b - 1824 * a * b
+        + 192 * a * b**2 - 168 * b + 132 * b**2 - 32 * b**3 + 68
+    )
+
+
+def test_discriminant_matches_the_exact_expansion():
+    rng = np.random.default_rng(3)
+    for k1, k2 in rng.uniform(-2.0, 2.0, size=(50, 2)):
+        # the error scale is the size of the terms that cancel
+        f1, f0 = 4 * k1**2 - 2 * k2**2 - 7, 6 * (k2**2 - 1)
+        terms = 4 * abs(f1) ** 3 + 36 * f1**2 + 108 * abs(f1 * f0) + 27 * f0**2 + 864 * abs(f0)
+        error = Fraction(float(discriminant(k1, k2))) - _expanded_discriminant(k1, k2)
+        assert abs(error) <= 1e-14 * terms
+    # near the conical points the terms cancel to zero: an absolute bound,
+    # below the 1e-12 `locate_conical_points` accepts a zero at
+    r = 1e-4 * np.sqrt(rng.uniform(size=400))
+    t = rng.uniform(0.0, 2.0 * np.pi, size=400)
+    for k1, k2 in zip(r * np.cos(t), rng.choice([-1.0, 1.0], size=400) + r * np.sin(t)):
+        assert abs(Fraction(float(discriminant(k1, k2))) - _expanded_discriminant(k1, k2)) <= 1e-12
+
+
+def test_discriminant_derivatives_match_central_differences():
+    rng = np.random.default_rng(4)
+    h = 1e-4
+    e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
+    for x in rng.uniform(-2.0, 2.0, size=(50, 2)):
+        grad, hess = _discriminant_derivatives(*x)
+        d = lambda dx: float(discriminant(*(x + dx)))
+        fd_grad = [(d(e) - d(-e)) / (2 * h) for e in (e1, e2)]
+        fd_hess = [
+            [(d(a + b) - d(a - b) - d(b - a) + d(-a - b)) / (4 * h * h) for b in (e1, e2)]
+            for a in (e1, e2)
+        ]
+        scale = 1.0 + np.abs(hess).max()
+        assert np.allclose(grad, fd_grad, rtol=1e-7, atol=1e-7 * scale)
+        assert np.allclose(hess, fd_hess, rtol=1e-5, atol=1e-5 * scale)
 
 
 def test_spectrum_exact_at_conical_point():
