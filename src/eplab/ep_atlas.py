@@ -49,7 +49,7 @@ class EPRecord:
 @dataclass(frozen=True)
 class TraceResult:
     vertices: np.ndarray  # (n, 2) points on the zero set
-    terminated: str  # boundary | max_steps | singular_seed
+    terminated: str  # boundary | max_steps | lost_track | singular_seed
     singular: bool = False
     branch_directions: np.ndarray | None = None
     hessian_signature: tuple[int, int] | None = None
@@ -194,14 +194,18 @@ def locate_conical_points(
     return sorted(found, key=lambda t: (t[1], t[0]))
 
 
+# most predictor-corrector steps `trace_exceptional_line` takes
+TRACE_MAX_STEPS = 2000
+
+
 def trace_exceptional_line(
     seed: tuple[float, float],
     step: float,
     *,
-    max_steps: int = 2000,
     bounds: tuple[float, float, float, float] = (-3.0, 3.0, -3.0, 3.0),
 ) -> TraceResult:
-    """Predictor-corrector walk along the discriminant zero line.
+    """Predictor-corrector walk along the discriminant zero line, for at
+    most TRACE_MAX_STEPS steps.
 
     Raises ValueError for a step that is not finite and positive."""
     if not (np.isfinite(step) and step > 0):
@@ -240,7 +244,7 @@ def trace_exceptional_line(
     tangent /= np.linalg.norm(tangent)
     k1min, k1max, k2min, k2max = bounds
     terminated = "max_steps"
-    for _ in range(max_steps):
+    for _ in range(TRACE_MAX_STEPS):
         pred = vertices[-1] + step * tangent
         cur = _newton_corrector(pred)
         if cur is None:
@@ -306,14 +310,14 @@ def classify_ep(
     *,
     family=None,
     ring_radius: float = 0.05,
-    probe_direction: np.ndarray | None = None,
 ) -> EPRecord:
     """Classify a degeneracy as conical (dirac), typical EP or Hermitian DP.
 
     Three tests: eigenvector coalescence at offset 1e-6, spectrum reality
     on a ring of radius `ring_radius`, and the log-log dispersion
-    exponent of the eigenvalue splitting over radial offsets 1e-4..1e-2.
-    The 24 ring points go through one stacked `eigvals` and the ten
+    exponent of the eigenvalue splitting over radial offsets 1e-4..1e-2,
+    along the unit discriminant gradient where it exceeds 1e-6 (the model
+    only), else along k1. The 24 ring points go through one stacked `eigvals` and the ten
     probe offsets through one stacked `eig`. Raises ValueError for a
     ring_radius that is not finite and positive.
     """
@@ -329,17 +333,14 @@ def classify_ep(
     if gap0 > 1e-4:
         raise ValueError(f"({k1}, {k2}) is not on the degeneracy locus (gap {gap0:.3e})")
 
-    if probe_direction is None:
-        if family is None:
-            g = _discriminant_derivatives(k1, k2)[0]
-            if np.linalg.norm(g) > 1e-6:
-                probe_direction = g / np.linalg.norm(g)  # normal to the line
-            else:
-                probe_direction = np.array([1.0, 0.0])
-        else:
-            probe_direction = np.array([1.0, 0.0])
-    probe_direction = np.asarray(probe_direction, dtype=float)
-    probe_direction = probe_direction / np.linalg.norm(probe_direction)
+    probe_direction = np.array([1.0, 0.0])
+    if family is None:
+        g = _discriminant_derivatives(k1, k2)[0]
+        if np.linalg.norm(g) > 1e-6:
+            probe_direction = g / np.linalg.norm(g)  # normal to the line
+            # divided once more by its norm, within an ulp of 1: the atlas
+            # output is pinned to these bits
+            probe_direction = probe_direction / np.linalg.norm(probe_direction)
 
     # the coalescence offset first, then the nine dispersion offsets
     offsets = np.geomspace(1e-4, 1e-2, 9)
@@ -383,13 +384,17 @@ def overlap_scaling(
     """Fit exponent of 1 - F12 vs offset along a ray from a degeneracy.
 
     F12 is the overlap modulus of the two coalescing normalized right
-    eigenvectors. Returns (fitted exponent, 1 - F12 samples).
+    eigenvectors. Returns (fitted exponent, 1 - F12 samples). Raises
+    ValueError for a direction that is not finite or has zero norm.
     """
     offsets = np.asarray(offsets, dtype=float)
     if offsets.size < 2 or np.ptp(offsets) < 1e-15:
         raise ValueError("need at least two distinct offsets for the fit")
     d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
+    norm = np.linalg.norm(d)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"direction must be finite and nonzero, got {direction}")
+    d = d / norm
     _, overlaps = _pair_gaps_and_overlaps(
         _family_stack(family, center[0] + offsets * d[0], center[1] + offsets * d[1])
     )
@@ -398,23 +403,24 @@ def overlap_scaling(
     return slope, defects
 
 
-def locate_line_degeneracies(
-    family,
-    k1_range: tuple[float, float],
-    *,
-    resolution: int = 201,
-    gap_tol: float = 1e-6,
-) -> list[float]:
+# grid points of the gap scan of `locate_line_degeneracies`, and the
+# largest refined gap it accepts as a degeneracy
+LINE_SCAN_POINTS = 201
+LINE_GAP_TOL = 1e-6
+
+
+def locate_line_degeneracies(family, k1_range: tuple[float, float]) -> list[float]:
     """Degeneracy points of a one-parameter Hamiltonian family.
 
-    Scans the minimal eigenvalue gap of family(k1) over the range, then
-    drives each local minimum to zero with a golden-section refinement.
+    Scans the minimal eigenvalue gap of family(k1) on LINE_SCAN_POINTS
+    points of the range, then drives each local minimum to zero with a
+    golden-section refinement, keeping those below LINE_GAP_TOL.
     Used for the larger truncation blocks where no closed-form
     discriminant is available.
     """
     from scipy.optimize import minimize_scalar
 
-    k1s = np.linspace(*k1_range, resolution)
+    k1s = np.linspace(*k1_range, LINE_SCAN_POINTS)
 
     def min_gap(k1: float) -> float:
         vals = np.sort(np.linalg.eigvals(family(k1)).real)
@@ -422,13 +428,13 @@ def locate_line_degeneracies(
 
     gaps = np.array([min_gap(k) for k in k1s])
     found = []
-    for i in range(1, resolution - 1):
+    for i in range(1, LINE_SCAN_POINTS - 1):
         if gaps[i] <= gaps[i - 1] and gaps[i] <= gaps[i + 1]:
             res = minimize_scalar(
                 min_gap, bracket=None, bounds=(k1s[i - 1], k1s[i + 1]),
                 method="bounded", options={"xatol": 1e-12},
             )
-            if res.fun < gap_tol:
+            if res.fun < LINE_GAP_TOL:
                 k = float(res.x)
                 if not any(abs(k - f) < 1e-6 for f in found):
                     found.append(k)

@@ -20,7 +20,7 @@ i * sum(phi_j) is added back. The geometric phase is the difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,10 @@ __all__ = [
 
 # slow-passage duration (model time) reproducing the adiabatic switching
 DEFAULT_SWITCH_TIME = 5.0e4
+
+# largest leakage 1 - |<psi0|psi(T)>| `geometric_phase` accepts at the end
+# of the loop
+LEAKAGE_TOL = 0.05
 
 # most steps a loop's time grid may have: the grid is the one array that
 # grows with the step count, 8 bytes a step (80 MB here), and a loop this
@@ -181,14 +185,13 @@ def geometric_phase(
     eigenindex: int,
     *,
     dt: float = 0.2,
-    leakage_tol: float = 0.05,
 ) -> PhaseReport:
     """Total, dynamical and geometric phase of one eigenstate around a loop.
 
     Requires an all-real spectrum along the path (discriminant > 0),
-    checked before propagating, and adiabatic transport; excessive leakage
-    out of the tracked eigenstate raises with the advice to slow the loop
-    down.
+    checked before propagating, and adiabatic transport; a leakage out of
+    the tracked eigenstate above LEAKAGE_TOL raises with the advice to
+    slow the loop down.
     """
     times = _time_grid(loop, dt)
     _require_real_spectrum(loop, times)
@@ -207,9 +210,9 @@ def geometric_phase(
     # leakage check against the (identical) start-point eigenbasis at t=T
     final = states[-1] / np.linalg.norm(states[-1])
     leak = 1.0 - abs(np.vdot(psi0, final))
-    if leak > leakage_tol:
+    if leak > LEAKAGE_TOL:
         raise NumericsError(
-            f"non-adiabatic leakage {leak:.3e} exceeds {leakage_tol}; "
+            f"non-adiabatic leakage {leak:.3e} exceeds {LEAKAGE_TOL}; "
             "increase the loop duration T"
         )
     return PhaseReport(
@@ -220,23 +223,16 @@ def geometric_phase(
     )
 
 
-def mode_switch(
-    loop: LoopSpec,
-    start_index: int,
-    direction: str | None = None,
-    *,
-    dt: float = 0.4,
-) -> SwitchReport:
+def mode_switch(loop: LoopSpec, start_index: int, *, dt: float = 0.4) -> SwitchReport:
     """Propagate a start eigenstate around a slow loop through the
-    conical point and report which eigenstate it lands on.
+    conical point, in the loop's direction, and report which eigenstate
+    it lands on.
 
     The norm is never renormalized during the loop; the efficiency is
     the bare norm-squared ratio. The end labels come from the instant
     eigenbasis at t = T (the start point, since the loop is closed),
     ordered by descending eigenvalue.
     """
-    if direction is not None and direction != loop.direction:
-        loop = replace(loop, direction=direction)
     times = _time_grid(loop, dt)
     psi0 = _start_eigenstate(loop, start_index)
     slices = propagate_ordered(loop.hamiltonian, psi0, times, trajectory=False, rule="cf4")

@@ -1,8 +1,6 @@
 """The PT-symmetric three-level lattice model and its closed-form spectra.
 
-The family is a non-reciprocal tight-binding chain truncated to a small
-block around the origin; the nearest-neighbour truncation is the 3x3
-matrix
+The model is the 3x3 matrix of `build_hamiltonian`,
 
     [[3 + 2 k1, 1 - k2,   0      ],
      [1 + k2,   0,        1 - k2 ],
@@ -12,6 +10,11 @@ whose characteristic cubic, discriminant, line spectra, conical
 expansion and closed-form eigenstates are all available analytically.
 The discriminant is the cubic's, in its coefficients f1 and f0, and
 `_discriminant_derivatives` differentiates it exactly by the chain rule.
+`build_tb_block` is a different matrix: the literal truncation of the
+non-reciprocal tight-binding chain to the sites m = -reach..reach. At
+(0.3, 0.5) its three-site spectrum is about [-0.257, 0.718, 1.809], the
+model's [-0.449, 2.621, 3.827], and on k2 = 1 it degenerates at k1 = 0
+and +-1/2. Acceptance criterion 6 locates those of the five-site block.
 
 Eigenvalues come from the roots of the cubic (`cubic.solve_cubic`), and
 every eigenvector from one closed form, `_eigenvectors`. A sweep that
@@ -24,7 +27,7 @@ match, tabled for all six orders of the previous point and then chained.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +61,7 @@ MAX_ABS_K = 1e6
 
 @dataclass(frozen=True)
 class ModelParams:
-    """A point (k1, k2) of the parameter plane plus the truncation variant.
+    """A point (k1, k2) of the parameter plane.
 
     k1 and k2 may be arrays (a path or a grid of points) wherever a
     function says it broadcasts; they must be finite and at most
@@ -66,8 +69,6 @@ class ModelParams:
 
     k1: float
     k2: float
-    variant: str = "nearest"
-    block: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         # one comparison per parameter, also false for nan and inf
@@ -75,16 +76,6 @@ class ModelParams:
             if not (np.all(np.isfinite(self.k1)) and np.all(np.isfinite(self.k2))):
                 raise ValueError("model parameters k1, k2 have non-finite entries")
             raise ValueError(f"model parameters k1, k2 must lie within +-{MAX_ABS_K:g}")
-        if self.variant not in ("nearest", "next_nearest"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.block is None:
-            size = 1 if self.variant == "nearest" else 2
-            object.__setattr__(self, "block", tuple(range(-size, size + 1)))
-        want = 3 if self.variant == "nearest" else 5
-        if len(self.block) != want or tuple(sorted(self.block)) != tuple(
-            -m for m in sorted(self.block, reverse=True)
-        ):
-            raise ValueError("block must be symmetric about 0 with the variant size")
 
 
 @dataclass(frozen=True)
@@ -122,12 +113,10 @@ class ConeDirection:
 
 
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
-    """3x3 nearest-truncation Hamiltonian (real, non-symmetric for k2 != 0).
+    """The 3x3 model Hamiltonian (real, non-symmetric for k2 != 0).
 
     Broadcasts: shape (..., 3, 3) when p.k1 and p.k2 are arrays.
     """
-    if p.variant != "nearest":
-        raise ValueError("closed-form 3x3 Hamiltonian exists for variant='nearest'")
     k1, k2 = p.k1, p.k2
     h = np.zeros((*np.broadcast(k1, k2).shape, 3, 3))
     h[..., 0, 0] = 3.0 + 2.0 * k1
@@ -137,18 +126,20 @@ def build_hamiltonian(p: ModelParams) -> np.ndarray:
     return h
 
 
-def build_tb_block(p: ModelParams) -> np.ndarray:
-    """Literal truncation of the tight-binding chain onto `p.block`.
+def build_tb_block(p: ModelParams, reach: int = 1) -> np.ndarray:
+    """Literal truncation of the tight-binding chain onto the sites
+    m = -reach..reach, reach 1 or 2, with hops of distance 1 to reach.
 
     Diagonal (m + k1)^2, rightward hops (1 - k2)/2, leftward hops
-    (1 + k2)/2; the next-nearest variant repeats the same couplings on
-    the distance-2 hops.
+    (1 + k2)/2, the same couplings at every hop distance. This is not the
+    3x3 model of `build_hamiltonian`, even at reach 1.
     """
-    ms = np.array(sorted(p.block), dtype=float)
+    if reach not in (1, 2):
+        raise ValueError(f"reach must be 1 or 2, got {reach!r}")
+    ms = np.arange(-reach, reach + 1, dtype=float)
     n = ms.size
     h = np.diag((ms + p.k1) ** 2)
-    hops = [1] if p.variant == "nearest" else [1, 2]
-    for d in hops:
+    for d in range(1, reach + 1):
         for i in range(n - d):
             h[i, i + d] += (1.0 - p.k2) / 2.0  # |m><m+d|
             h[i + d, i] += (1.0 + p.k2) / 2.0  # |m><m-d|
@@ -162,12 +153,10 @@ def _cubic_coefficients(k1, k2):
 
 
 def char_poly(p: ModelParams) -> CharPoly:
-    """P(E) = det[H - E] for the nearest 3x3 model.
+    """P(E) = det[H - E] for the 3x3 model.
 
     Elementwise when p.k1 and p.k2 are arrays (as for `discriminant`).
     """
-    if p.variant != "nearest":
-        raise ValueError("characteristic cubic is specific to variant='nearest'")
     return CharPoly(-1.0, 6.0, *_cubic_coefficients(p.k1, p.k2))
 
 

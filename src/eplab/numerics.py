@@ -6,10 +6,10 @@ eigendecomposition with a deterministic ordering (`eig`, now only for the
 matrix exponentials and the one time-ordered propagation engine,
 `propagate_ordered`.
 
-There is one matrix exponential for the 3x3 systems the package
-evolves, `_expm3_closed_form`: scaling and squaring on the truncated
-Taylor series with one scaling per stack, reduced with Cayley-Hamilton to
-three scalar coefficients per matrix (Moler and Van Loan, "Nineteen
+There is one matrix exponential for the 3x3 systems the package evolves,
+`_expm3_closed_form`: scaling and squaring on the truncated Taylor
+series with one scaling per pass of rows, reduced with Cayley-Hamilton
+to three scalar coefficients per matrix (Moler and Van Loan, "Nineteen
 dubious ways to compute the exponential of a matrix, twenty-five years
 later", SIAM Rev. 45, 3, 2003). It serves every 3x3 stack at any norm:
 the loop and dilation step propagators, the metric's exp(i H t), the
@@ -83,15 +83,12 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray  # shape (len(times), dim)
-    norms: np.ndarray = field(default=None)  # type: ignore[assignment]
+    norms: np.ndarray = field(init=False)  # the norm of each state
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
-        if self.norms is None:
-            object.__setattr__(
-                self, "norms", np.linalg.norm(self.states, axis=-1)
-            )
+        object.__setattr__(self, "norms", np.linalg.norm(self.states, axis=-1))
 
 
 def eig(m: np.ndarray) -> Spectrum:
@@ -196,10 +193,10 @@ def expm(m: np.ndarray) -> np.ndarray:
     return _exp_stack(flat, np.ones(len(flat))).reshape(m.shape)
 
 
-# highest tabulated Taylor degree. `_squarings` brings ||z H||_inf to at
-# most 1/2; the traceless part summed by `_expm3_closed_form` has up to
-# twice that norm, which needs degree 18
-_TAYLOR_MAX_ORDER = 18
+# highest tabulated Taylor degree: `_squarings` brings the scaled norm of
+# the traceless part that `_expm3_closed_form` sums to at most 1/2, and
+# `_taylor_degree(0.5)` is 14
+_TAYLOR_MAX_ORDER = 14
 _INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(_TAYLOR_MAX_ORDER + 1))
 # largest scaled norm theta for which degree m keeps the first dropped term,
 # theta^(m+1)/(m+1)!, within the unit roundoff 2^-53
@@ -234,29 +231,28 @@ _CLOSED_FORM_PASS_ROWS = 1 << 12
 
 def _max_scaled_norm(m: np.ndarray, scale: np.ndarray) -> float:
     """max_j |scale_j| ||m_j||_inf over 3x3 matrices stored matrix axes
-    first, (3, 3, N)."""
-    if not scale.size:
-        return 0.0
+    first, (3, 3, N), N >= 1."""
     a = np.abs(m)
     return float(((a[:, 0] + a[:, 1] + a[:, 2]) * np.abs(scale)).max())
 
 
-def _expm3_closed_form(h: np.ndarray, z: np.ndarray, squarings: int) -> np.ndarray:
+def _expm3_closed_form(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     """exp(z_j H_j) for 3x3 matrices stored matrix axes first, h (3, 3, N),
     and scalars z (N,): e^{z tr H / 3} (A I + B G + C G^2) with G the
     traceless part of H, as an (N, 3, 3) view of (3, 3, N) memory.
 
-    The Taylor series of Y = z G / 2^s is truncated at the degree
-    `_taylor_degree` gives for the largest ||Y||_inf of each pass of
-    `_CLOSED_FORM_PASS_ROWS` rows and reduced with Cayley-Hamilton,
-    Y^3 = det(Y) I - sigma Y with sigma = -tr(Y^2)/2, so that
+    Each pass of `_CLOSED_FORM_PASS_ROWS` rows takes one norm, theta, the
+    largest ||z_j G_j||_inf of its rows, so a row's bits do not depend on
+    the rows of other passes: s = `_squarings(theta)` squarings bring
+    Y = z G / 2^s to ||Y||_inf <= 1/2, and its Taylor series is truncated
+    at degree `_taylor_degree(theta / 2^s)` and reduced with
+    Cayley-Hamilton, Y^3 = det(Y) I - sigma Y with sigma = -tr(Y^2)/2, so that
     Y^k = a_k I + b_k Y + c_k Y^2 with (a, b, c) -> (c det Y, a - c sigma, b).
     Horner's rule on that recurrence and the s squarings run on N-length
     coefficient arrays; the only matrix product is one G^2 per step. Every
     operation, here and in the tree's products, runs along the stack on
     the last axis; numpy's loops over a length-3 last axis cost more.
     """
-    y = z / 2.0**squarings
     result = np.empty((3, 3, z.size), dtype=complex)
     for lo in range(0, z.size, _CLOSED_FORM_PASS_ROWS):
         part = slice(lo, lo + _CLOSED_FORM_PASS_ROWS)
@@ -264,8 +260,11 @@ def _expm3_closed_form(h: np.ndarray, z: np.ndarray, squarings: int) -> np.ndarr
         third = (gp[0, 0] + gp[1, 1] + gp[2, 2]) / 3.0
         for i in range(3):
             gp[i, i] -= third
-        yp = y[part]
-        inv_fact = _INV_FACTORIAL[: _taylor_degree(_max_scaled_norm(gp, yp)) + 1]
+        zp = z[part]
+        theta = _max_scaled_norm(gp, zp)
+        squarings = _squarings(theta)
+        yp = zp / 2.0**squarings
+        inv_fact = _INV_FACTORIAL[: _taylor_degree(theta / 2.0**squarings) + 1]
         g2 = gp[:, 0, None] * gp[0] + gp[:, 1, None] * gp[1] + gp[:, 2, None] * gp[2]
         sigma = -(g2[0, 0] + g2[1, 1] + g2[2, 2]) / 2.0 * yp**2
         det = yp**3 * (
@@ -283,7 +282,7 @@ def _expm3_closed_form(h: np.ndarray, z: np.ndarray, squarings: int) -> np.ndarr
                 2.0 * a * b - 2.0 * b * c * sigma + c * c * det,
                 b * b + 2.0 * a * c - c * c * sigma,
             )
-        phase = np.exp(z[part] * third)
+        phase = np.exp(zp * third)
         out = (b * yp * phase) * gp
         out += (c * yp**2 * phase) * g2
         for i in range(3):
@@ -295,17 +294,15 @@ def _expm3_closed_form(h: np.ndarray, z: np.ndarray, squarings: int) -> np.ndarr
 def _exp_stack(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     """exp(z_j H_j) for a stack h (N, n, n) and scalars z (N,): the one
     dispatch behind `expm` and `step_propagators`. A 3x3 stack takes
-    `_expm3_closed_form` at any norm, with one scaling from its largest
-    theta = ||z_j H_j||_inf, and comes back in stack-last memory; any
-    other n takes `scipy.linalg.expm`."""
+    `_expm3_closed_form` at any norm and comes back in stack-last memory;
+    any other n takes `scipy.linalg.expm`."""
     if h.shape[-1] != 3:
         # imported here: scipy.linalg takes about 0.2 s to import, and no
         # command exponentiates anything but 3x3 matrices
         from scipy.linalg import expm as scipy_expm
 
         return scipy_expm(z[:, None, None] * np.asarray(h, dtype=complex))
-    h_last = np.moveaxis(h, 0, -1)
-    return _expm3_closed_form(h_last, z, _squarings(_max_scaled_norm(h_last, z)))
+    return _expm3_closed_form(np.moveaxis(h, 0, -1), z)
 
 
 def step_propagators(h_mid: np.ndarray, dts: np.ndarray) -> np.ndarray:

@@ -136,12 +136,13 @@ def _dshift_integrals(d_schedule: np.ndarray, times: np.ndarray) -> dict:
     return out
 
 
+# largest coupling, relative to max(|Htot|, 1), that `synthesize_pulses`
+# lets stand between levels no control channel drives
+COUPLING_TOL = 1e-9
+
+
 def synthesize_pulses(
-    htot_samples: np.ndarray,
-    times: np.ndarray,
-    levels: LevelStructure,
-    *,
-    coupling_tol: float = 1e-9,
+    htot_samples: np.ndarray, times: np.ndarray, levels: LevelStructure
 ) -> tuple[list[PulseChannel], np.ndarray]:
     """Invert the rotating-wave matching equations sample by sample.
 
@@ -171,7 +172,7 @@ def synthesize_pulses(
             if (i, j) in driven:
                 continue
             stray = np.abs(htot[:, i, j]).max()
-            if stray > coupling_tol * scale:
+            if stray > COUPLING_TOL * scale:
                 raise NumericsError(
                     f"unreachable coupling: element ({i + 1},{j + 1}) of "
                     f"magnitude {stray:.3e} has no control channel"

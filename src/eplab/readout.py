@@ -131,7 +131,9 @@ class SteadyStateResult:
     message: str = ""
 
 
-# default eigenvalue-readout settings, chosen by condition-number screening
+# default eigenvalue-readout settings. Setting 2, V(pi/4, 0) on levels 2-3,
+# gives P2/P3 = 1 for every real eigenvector, so only two of the three
+# ratios carry information
 DEFAULT_SETTINGS = (
     MeasurementSetting(np.pi / 4, 0.0, 0.0, 0.0),
     MeasurementSetting(0.0, 0.0, np.pi / 4, 0.0),
@@ -177,6 +179,10 @@ def setting_unitary(s: MeasurementSetting) -> np.ndarray:
 # operations in Python, about 14 us, so a call stays under about 15 s
 MAX_STEADY_STATE_STEPS = 10**6
 
+# `steady_state_eigenstate` has converged once the phase-aligned state
+# change per unit model time drops below this
+STEADY_CHANGE_TOL = 1e-10
+
 
 def steady_state_eigenstate(
     p: ModelParams,
@@ -185,24 +191,21 @@ def steady_state_eigenstate(
     horizon: float = 200.0,
     *,
     dt: float = 0.1,
-    change_tol: float = 1e-10,
 ) -> SteadyStateResult:
     """Filter an eigenstate of H by long evolution under g(H).
 
     The state is renormalized every step; convergence means the
     phase-aligned state change per unit model time drops below
-    `change_tol`. If the horizon is exhausted first, the best iterate is
-    returned with converged=False and an "unresolved within horizon"
-    message (this happens e.g. for the defective pair at an EP, where
-    the approach is algebraic rather than exponential). dt, the horizon
-    and `change_tol` must be finite and positive, with at most
+    STEADY_CHANGE_TOL. If the horizon is exhausted first, the best
+    iterate is returned with converged=False and an "unresolved within
+    horizon" message (this happens e.g. for the defective pair at an EP,
+    where the approach is algebraic rather than exponential). dt and the
+    horizon must be finite and positive, with at most
     MAX_STEADY_STATE_STEPS steps of dt in the horizon, and `psi_init`
     must have a finite, nonzero norm.
     """
     if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
         raise ValueError("steady state needs a finite, positive dt and horizon")
-    if not 0.0 < change_tol < np.inf:
-        raise ValueError(f"change_tol must be finite and positive, got {change_tol}")
     steps = np.ceil(horizon / dt)
     if steps > MAX_STEADY_STATE_STEPS:
         raise ValueError(
@@ -228,7 +231,7 @@ def steady_state_eigenstate(
         aligned = nxt * (np.conj(ov) / abs(ov)) if abs(ov) > 0 else nxt
         change = np.linalg.norm(aligned - psi) / dt
         psi = aligned
-        if change < change_tol:
+        if change < STEADY_CHANGE_TOL:
             converged = True
             break
     eigval = complex(np.vdot(psi, h @ psi))
@@ -237,7 +240,7 @@ def steady_state_eigenstate(
     if not converged:
         msg = (
             f"unresolved within horizon {horizon}: state change stayed above "
-            f"{change_tol:.1e}/unit time (eigen-residual {residual:.3e})"
+            f"{STEADY_CHANGE_TOL:.1e}/unit time (eigen-residual {residual:.3e})"
         )
     elif residual > 1e-6:
         converged = False
@@ -329,14 +332,12 @@ def _spectra(k: np.ndarray) -> np.ndarray:
     return eigenvalues(ModelParams(k[:, 0], k[:, 1]))
 
 
-def _ratio_residuals(
-    k: np.ndarray, ratios: np.ndarray, us: np.ndarray, k_max: float
-) -> np.ndarray:
+def _ratio_residuals(k: np.ndarray, ratios: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Residuals F(k1, k2) - ratios for an (N, 2) stack of (k1, k2). A
     dead row gets 1e6 in every entry: one outside the box
-    0 <= k1, k2 <= k_max, one whose spectrum is not real, or one the
+    0 <= k1, k2 <= K_MAX, one whose spectrum is not real, or one the
     forward model rejects (a level-3 weight at most 1e-300)."""
-    inside = ((k >= 0.0) & (k <= k_max)).all(axis=1)
+    inside = ((k >= 0.0) & (k <= K_MAX)).all(axis=1)
     k = np.where(inside[:, None], k, 0.0)  # keeps the cubic finite on dead rows
     es = _spectra(k)
     f, dead = _ratio_map(es, k[:, 0], k[:, 1], us)
@@ -362,13 +363,13 @@ _LAMBDAS = 0.5 ** np.arange(20)
 
 
 def _descend(
-    starts, ratios: np.ndarray, us: np.ndarray, stop: float, k_max: float
+    starts, ratios: np.ndarray, us: np.ndarray, stop: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Gauss-Newton from every (k1, k2) row of `starts` in lockstep.
 
     Each iteration evaluates the residual and its two forward-difference
     Jacobian columns (step 1e-7, taken toward the interior where it would
-    cross k_max) for every live start in one call of the vectorized map,
+    cross K_MAX) for every live start in one call of the vectorized map,
     and all 20 line-search candidates x + lam * step, lam = 1, 1/2, ...,
     2^-19, in a second call. A start takes the minimum-norm least-squares
     step and the first candidate that lowers its residual norm. It stops
@@ -383,9 +384,9 @@ def _descend(
     live = np.arange(len(x))
     for _ in range(60):
         xl = x[live]
-        h = np.where(xl + eps > k_max, -eps, eps)  # (live, 2)
+        h = np.where(xl + eps > K_MAX, -eps, eps)  # (live, 2)
         probes = xl + np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[:, None] * h  # x, x + h_k e_k
-        r = _ratio_residuals(probes.reshape(-1, 2), ratios, us, k_max)
+        r = _ratio_residuals(probes.reshape(-1, 2), ratios, us)
         r = r.reshape(3, len(live), 3)
         rnorm[live] = np.linalg.norm(r[0], axis=1)
         jac = ((r[1:] - r[0]) / h.T[:, :, None]).transpose(1, 2, 0)  # (live, 3, 2)
@@ -397,7 +398,7 @@ def _descend(
         step = -(np.linalg.pinv(jac, rtol=None) @ r0[:, :, None])[:, :, 0]
         cand = xl + _LAMBDAS[:, None, None] * step  # (20, live, 2)
         cnorm = np.linalg.norm(
-            _ratio_residuals(cand.reshape(-1, 2), ratios, us, k_max), axis=1
+            _ratio_residuals(cand.reshape(-1, 2), ratios, us), axis=1
         ).reshape(len(_LAMBDAS), len(live))
         lower = cnorm < rnorm[live]
         first = lower.argmax(axis=0)
@@ -418,12 +419,11 @@ def solve_eigenvalues(
     settings=DEFAULT_SETTINGS,
     *,
     residual_tol: float = 1e-6,
-    k_max: float = K_MAX,
 ) -> np.ndarray:
     """Invert three measured ratios to the eigenvalue triple.
 
     Damped Gauss-Newton over the model parameters (k1, k2) on the box
-    0 <= k1, k2 <= k_max, from the four `_K_STARTS` in one lockstep round
+    0 <= k1, k2 <= K_MAX, from the four `_K_STARTS` in one lockstep round
     of `_descend`; a start also stops once its residual norm is at
     rounding level (`_ROUNDING_STOP`). Points outside the box or with a
     complex spectrum are dead, so every end is a readable point. The end
@@ -443,7 +443,7 @@ def solve_eigenvalues(
         raise ValueError(f"ratios must be finite, got {ratios}")
     us = _setting_unitaries(settings)
     scale = max(np.linalg.norm(ratios), 1.0)
-    x, rnorm = _descend(_K_STARTS, ratios, us, _ROUNDING_STOP * scale, k_max)
+    x, rnorm = _descend(_K_STARTS, ratios, us, _ROUNDING_STOP * scale)
     best = int(rnorm.argmin())
     if not rnorm[best] <= residual_tol * scale:
         lines = ", ".join(f"start {s} -> residual {r:.3e}" for s, r in zip(_K_STARTS, rnorm))
@@ -465,10 +465,13 @@ def simulate_counts(
     """Populations after the setting rotation, optionally multinomial-sampled.
 
     shots=0 returns the exact populations; otherwise a seeded multinomial
-    draw renormalized to sum 1.
+    draw renormalized to sum 1. Raises ValueError for shots outside
+    0..2^63 - 1, the range of the C long `rng.multinomial` takes.
     """
     if shots < 0:
         raise ValueError("shots must be >= 0")
+    if shots >= 2**63:
+        raise ValueError(f"shots must be at most {2**63 - 1}, got {shots}")
     psi = np.asarray(state, dtype=complex)
     rotated = setting_unitary(setting) @ (psi / np.linalg.norm(psi))
     p = np.abs(rotated) ** 2

@@ -130,7 +130,7 @@ def test_criterion_05_overlap_scaling():
 
 
 def test_criterion_06_next_nearest_degeneracies():
-    fam = lambda k1: build_tb_block(ModelParams(k1, 1.0, variant="next_nearest"))
+    fam = lambda k1: build_tb_block(ModelParams(k1, 1.0), reach=2)
     points = locate_line_degeneracies(fam, (-1.0, 1.0))
     errs = [min(abs(p - 0.5) for p in points), min(abs(p + 0.5) for p in points)]
     _report(6, max(errs) < 1e-3, f"errors at +-0.5: {errs[0]:.2e}, {errs[1]:.2e}")
@@ -221,7 +221,7 @@ def test_criterion_10_mode_switch_table():
     rows = []
     ok = True
     for (kind, start, direction), end in expected.items():
-        rep = mode_switch(LoopSpec(kind=kind, T=5.0e4), start, direction)
+        rep = mode_switch(LoopSpec(kind=kind, T=5.0e4, direction=direction), start)
         good = rep.end_index == end and rep.overlap > 0.99 and rep.efficiency > 0.60
         ok = ok and good
         rows.append(

@@ -414,6 +414,15 @@ def test_bad_dilation_inputs_are_domain_errors(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["tomography", "eigensolve"])
+def test_shot_counts_beyond_a_c_long_are_domain_errors(capsys, command):
+    # rng.multinomial takes a C long, which 2**63 shots and more overflow
+    code, out, err = run(capsys, command, "--shots", "10000000000000000000000")
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err == "error: shots must be at most 9223372036854775807, got 10000000000000000000000\n"
+
+
 @pytest.mark.parametrize("sweep", ["0:inf:0.05", "nan:1:0.05", "0:0.1:inf"])
 def test_non_finite_range_is_a_domain_error(capsys, sweep):
     code, out, err = run(capsys, "spectrum", "--k2", "1", "--k1-range", sweep)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from eplab import ep_atlas
 from eplab.ep_atlas import (
     EPRecord,
     _coalescing_pair,
@@ -92,6 +93,13 @@ def test_trace_reaches_boundary():
     assert np.abs(discriminant(res.vertices[:, 0], res.vertices[:, 1])).max() < 1e-6
 
 
+def test_trace_stops_after_the_step_limit(monkeypatch):
+    monkeypatch.setattr(ep_atlas, "TRACE_MAX_STEPS", 3)
+    res = trace_exceptional_line((0.05, 1.44), 0.01)
+    assert res.terminated == "max_steps"
+    assert res.vertices.shape == (4, 2)  # the seed and three steps
+
+
 def test_overlap_scaling_exponents():
     offsets = np.geomspace(1e-3, 1e-1, 9)
     for direction in ((1, 0), (0, 1)):
@@ -119,7 +127,7 @@ def test_overlap_scaling_linear_at_typical_point():
 
 
 def test_line_degeneracy_locator_next_nearest():
-    fam = lambda k1: build_tb_block(ModelParams(k1, 1.0, variant="next_nearest"))
+    fam = lambda k1: build_tb_block(ModelParams(k1, 1.0), reach=2)
     pts = locate_line_degeneracies(fam, (-1.0, 1.0))
     assert any(abs(p - 0.5) < 1e-6 for p in pts)
     assert any(abs(p + 0.5) < 1e-6 for p in pts)
@@ -282,6 +290,15 @@ def test_trace_rejects_bad_step(step):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="step must be finite and positive"):
             trace_exceptional_line((0.05, 1.44), step)
+
+
+@pytest.mark.parametrize("direction", [(0.0, 0.0), (np.nan, 1.0), (np.inf, 0.0)])
+def test_overlap_scaling_rejects_bad_direction(direction):
+    # normalising (0, 0) divides by zero and gives a nan direction
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="direction must be finite and nonzero"):
+            overlap_scaling(np.array([0.01, 0.02]), direction=direction)
 
 
 @pytest.mark.parametrize("ring_radius", [-0.05, 0.0, np.nan, np.inf])

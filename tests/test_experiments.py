@@ -169,9 +169,7 @@ def test_mode_switch_trivial_loop_keeps_branch():
 
 
 def test_mode_switch_direction_override():
-    rep = mode_switch(
-        LoopSpec(center=(0.3, 0.5), R=0.0, T=50.0), 1, direction="cw"
-    )
+    rep = mode_switch(LoopSpec(center=(0.3, 0.5), R=0.0, T=50.0, direction="cw"), 1)
     assert rep.direction == "cw"
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -47,12 +48,10 @@ def test_batched_hamiltonian_matches_scalar_builds():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ModelParams(0.0, 0.0, variant="bogus")
-    with pytest.raises(ValueError):
-        ModelParams(0.0, 0.0, block=(0, 1, 2))
-    assert ModelParams(0.0, 0.0).block == (-1, 0, 1)
-    assert ModelParams(0.0, 0.0, variant="next_nearest").block == (-2, -1, 0, 1, 2)
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["k1", "k2"]
+    for reach in (0, 3, 1.5, "nearest"):
+        with pytest.raises(ValueError, match="reach must be 1 or 2"):
+            build_tb_block(ModelParams(0.0, 0.0), reach)
 
 
 def test_char_poly_matches_determinant():
@@ -182,14 +181,14 @@ def test_tb_block_structure():
     assert np.allclose(np.diag(h), [(m + 0.2) ** 2 for m in (-1, 0, 1)])
     assert h[0, 1] == pytest.approx((1 - 0.3) / 2)
     assert h[1, 0] == pytest.approx((1 + 0.3) / 2)
-    h5 = build_tb_block(ModelParams(0.2, 0.3, variant="next_nearest"))
+    h5 = build_tb_block(ModelParams(0.2, 0.3), reach=2)
     assert h5.shape == (5, 5)
     assert h5[0, 2] == pytest.approx((1 - 0.3) / 2)
     assert h5[2, 0] == pytest.approx((1 + 0.3) / 2)
 
 
 def test_next_nearest_degenerate_spectrum():
-    h = build_tb_block(ModelParams(0.5, 1.0, variant="next_nearest"))
+    h = build_tb_block(ModelParams(0.5, 1.0), reach=2)
     vals = np.sort(np.linalg.eigvals(h).real)
     assert np.allclose(vals, [0.25, 0.25, 2.25, 2.25, 6.25], atol=1e-9)
 

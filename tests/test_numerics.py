@@ -98,6 +98,12 @@ def test_psd_sqrt_metric_violation():
         psd_sqrt(stack)
 
 
+def _traceless_norms(stack):
+    """||G_j||_inf of the traceless part G_j of each 3x3 matrix of a stack."""
+    g = stack - np.trace(stack, axis1=-2, axis2=-1)[:, None, None] / 3.0 * np.eye(3)
+    return np.abs(g).sum(axis=-1).max(axis=-1)
+
+
 def test_expm_matches_scipy():
     rng = np.random.default_rng(1)
     for n in (3, 2, 6):
@@ -108,14 +114,12 @@ def test_expm_matches_scipy():
         stack = np.stack([_random_complex(rng, n) * 2.0**-j for j in range(6)])
         want = np.stack([scipy_expm(m) for m in stack])
         assert np.allclose(expm(stack), want, atol=1e-10)
-    # 3x3 stacks whose largest inf-norm takes 0 to 6 squarings: the series
-    # and the squarings run on the broadcast 3x3 products
+    # 3x3 stacks whose traceless parts' largest inf-norm takes 0 to 6
+    # squarings: the series and the squarings run on the broadcast 3x3 products
     for squarings, norm in enumerate((0.4, 0.9, 1.5, 3.0, 6.0, 12.0, 24.0)):
         stack = np.stack([_random_complex(rng, 3) for _ in range(5)])
-        stack *= (norm * 2.0 ** -np.arange(5) / np.abs(stack).sum(axis=-1).max(axis=-1))[
-            :, None, None
-        ]
-        assert numerics._squarings(np.abs(stack).sum(axis=-1).max()) == squarings
+        stack *= (norm * 2.0 ** -np.arange(5) / _traceless_norms(stack))[:, None, None]
+        assert numerics._squarings(_traceless_norms(stack).max()) == squarings
         for got, m in zip(expm(stack), stack):
             want = scipy_expm(m)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -228,17 +232,30 @@ def test_step_propagators_accuracy():
 
 
 def test_step_propagators_across_scaling_regimes():
-    # theta = max inf-norm of dt*H over the batch: zero, either side of the
-    # 1/2 where scaling-and-squaring starts, and many squarings
+    # theta = max inf-norm of dt*G over the batch, G the traceless part of
+    # H: zero, either side of the 1/2 where scaling-and-squaring starts, and
+    # many squarings
     rng = np.random.default_rng(5)
     for theta in (0.0, 0.5 * (1 - 1e-9), 0.5 * (1 + 1e-9), 16.0):
         hs = np.stack([_random_complex(rng, 3) for _ in range(4)])
         hs = hs + np.conj(np.swapaxes(hs, -1, -2))
-        dts = np.full(4, theta / max(np.abs(hs).sum(axis=-1).max(), 1e-300))
+        dts = np.full(4, theta / max(_traceless_norms(hs).max(), 1e-300))
         props = step_propagators(hs, dts)
         for h, dt, u in zip(hs, dts, props):
             assert np.abs(u - scipy_expm(-1j * dt * h)).max() < 1e-14, theta
     assert step_propagators(np.zeros((0, 3, 3)), np.zeros(0)).shape == (0, 3, 3)
+
+
+def test_closed_form_rows_keep_their_bits_whatever_later_passes_hold():
+    # each pass of rows takes one norm of its own, so a full first pass at
+    # scale 0.1 ends on the same bits with or without a later pass at scale 16
+    rng = np.random.default_rng(9)
+    rows = numerics._CLOSED_FORM_PASS_ROWS
+    first = rng.normal(size=(rows, 3, 3)) + 1j * rng.normal(size=(rows, 3, 3))
+    later = rng.normal(size=(50, 3, 3)) + 1j * rng.normal(size=(50, 3, 3))
+    first *= 0.1 / _traceless_norms(first).max()
+    later *= 16.0 / _traceless_norms(later).max()
+    assert np.array_equal(expm(np.concatenate([first, later]))[:rows], expm(first))
 
 
 def _counting(fn, calls):
@@ -447,6 +464,8 @@ def test_trajectory_validation():
         Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 3)))
     tr = Trajectory(times=np.array([0.0, 1.0]), states=np.eye(2, 3))
     assert np.allclose(tr.norms, 1.0)
+    with pytest.raises(TypeError):  # the norms are always computed
+        Trajectory(times=np.array([0.0, 1.0]), states=np.eye(2, 3), norms=np.ones(2))
 
 
 @given(st.integers(0, 2**32 - 1))
