@@ -64,9 +64,10 @@ DEFAULT_M0_SCALE = 1.3
 POSITIVITY_MARGIN = 1e-8
 
 # most steps `dilated_evolve` takes: its joint and post-selected
-# trajectories, probabilities and norms grow with the step count, about
-# 180 bytes a step (180 MB here), on top of about 30 MB for one slice of
-# 3x3 frames, blocks and propagators
+# trajectories, probabilities and norms, with the temporaries that
+# assemble them, peak at about 280 bytes a step (280 MB here, `tracemalloc`
+# at 1e5 and 2e5 steps); one slice of 3x3 frames, blocks and propagators
+# adds about 8 MB while it runs
 MAX_DILATION_STEPS = 10**6
 
 

@@ -217,16 +217,22 @@ def _taylor_degree(theta: float) -> int:
 
 # steps per slice of `propagate_ordered`, for either rule: long enough to
 # amortize the per-call cost of the batched kernels, short enough that a
-# slice's 3x3 propagators take 2.4 MB and all a "cf4" slice holds, with
-# two samples and two factors per step, peaks at about 16 MB
-CHUNK_STEPS = 1 << 14
+# slice's 3x3 propagators take 0.6 MB and a "cf4" slice, with two samples
+# and two factors per step, peaks at about 4 MB (`tracemalloc`). A whole
+# `modeswitch` or `geophase` op then peaks at about 5.5 MB, against 14-18
+# MB with 2^14-step slices; 2^11-step slices ran slower
+CHUNK_STEPS = 1 << 12
 
 # largest inf-norm of a slice's end state; its squared norm stays finite
 _STATE_NORM_CEILING = 1e100
 
-# rows per pass of the closed form, which holds about ten (rows, 3, 3)
-# temporaries; passes keep them near 3 MB whatever the stack length
-_CLOSED_FORM_PASS_ROWS = 1 << 12
+# rows per pass of the closed form, whose (3, 3, rows) temporaries peak at
+# about 1.5 MB for 2^11 rows whatever the stack length. A "cf4" slice
+# exponentiates 2 CHUNK_STEPS rows; with passes as long as the slice, the
+# pass temporaries outgrow what the allocator keeps between passes and
+# are faulted in again on every pass (about 18k minor faults and 13% more
+# time per `modeswitch` op, against 1.2k at half the slice)
+_CLOSED_FORM_PASS_ROWS = 1 << 11
 
 
 def _max_scaled_norm(m: np.ndarray, scale: np.ndarray) -> float:
@@ -444,7 +450,8 @@ def propagate_ordered(
     if rule not in _STEP_RULES:
         raise ValueError(f"unknown step rule {rule!r}")
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
+    # compared as views: np.diff would hold another 8 bytes a step beside the grid
+    if times.ndim != 1 or times.size < 2 or not np.all(times[1:] > times[:-1]):
         raise ValueError("times must be a strictly increasing grid")
     psi = np.asarray(psi0, dtype=complex)
     for start in range(0, times.size - 1, CHUNK_STEPS):

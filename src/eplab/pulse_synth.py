@@ -335,5 +335,12 @@ def model_htot_path(
         raise ValueError(f"pulse samples {n_samples} exceed the {MAX_PULSE_SAMPLES} allowed")
     h = build_hamiltonian(ModelParams(k1, k2)).astype(complex)
     taus = np.linspace(0.0, t_model_span, n_samples)
+    htot = build_frame(h, taus, m0_scale=m0_scale).Htot
     rate = 2.0 * np.pi * s
-    return taus / rate, rate * build_frame(h, taus, m0_scale=m0_scale).Htot
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        times, htot = taus / rate, rate * htot
+    if not (np.isfinite(times).all() and np.isfinite(htot).all()):
+        raise ValueError(
+            f"dilation rate s = {s!r} Hz gives sample times or rad/s entries that are not finite"
+        )
+    return times, htot

@@ -293,6 +293,36 @@ def test_loop_step_count_is_bounded(capsys, command, dt):
     assert err.startswith(f"error: dt {dt} gives ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, product",
+    [
+        (("geophase", "--dt", "2.0"), "is 7.08"),
+        (("geophase", "--dt", "2.5"), "is 8.85"),
+        (("modeswitch", "--preset", "through_k1", "--dt", "2.0"), "is 7.87"),
+        # dt x splitting is 6.19 < 2 pi, but the grid rounds 9.4 steps down
+        # to 9 of 1.8278
+        (("geophase", "--duration", "16.45", "--dt", "1.75"), "is 6.47"),
+    ],
+)
+def test_loop_step_past_the_resonance_is_a_domain_error(capsys, argv, product):
+    # unchecked, these exit 0 with a wrong phase: Re gamma 0.014028 at
+    # geophase --dt 2.0, against 0.009974 at dt 0.2
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: loop step ") and err.count("\n") == 1
+    assert product in err and "2 pi step resonance" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("geophase", "--dt", "1.5"), ("modeswitch", "--dt", "0.8")]
+)
+def test_loop_step_below_the_resonance_runs(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out[out.index("{"):])
+
+
 @pytest.mark.parametrize("sweep", ["0:1e300:1e-300", "0:1:1e-6"])
 def test_range_point_count_is_bounded(capsys, sweep):
     # the first overflowed int(round(inf)); the second is a finite count
@@ -402,6 +432,9 @@ def test_tomography_eigenindex_out_of_range(capsys, index):
         # the metric exp(i H t) overflows at the first frame: this printed
         # RuntimeWarnings and then LAPACK's "Eigenvalues did not converge"
         (("pulses", "--k2", "-1e6"), "dilation metric overflows at model time 0.0004"),
+        # 2 pi s is subnormal: unchecked, the sample times overflow and 1202
+        # nan are written with exit 0
+        (("pulses", "--scale", "5e-324"), "rate s = 5e-324 Hz gives sample times"),
     ],
 )
 def test_bad_dilation_inputs_are_domain_errors(capsys, argv, message):

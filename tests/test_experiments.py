@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -187,6 +188,48 @@ def test_bad_dt_rejected():
         for dt in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="dt must be finite and positive"):
                 run(loop, 1, dt=dt)
+
+
+def test_step_resonance_rejected(monkeypatch):
+    # the default circle's largest splitting is 3.54: dt 1.77 stays below
+    # 2 pi and dt 1.78 reaches it, before anything is propagated
+    class Propagated(Exception):
+        pass
+
+    def engine(*args, **kwargs):
+        raise Propagated
+
+    monkeypatch.setattr(experiments, "propagate_ordered", engine)
+    for run in (geometric_phase, mode_switch, adiabaticity_check):
+        with pytest.raises(ValueError, match="is 6.3, at or past the 2 pi step resonance"):
+            run(LoopSpec(), 1, dt=1.78)
+        with pytest.raises(Propagated):
+            run(LoopSpec(), 1, dt=1.77)
+
+
+def _traced_peak(fn):
+    """Peak bytes `tracemalloc` sees during fn(); numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loop_working_set_is_bounded_by_the_slice():
+    # the default modeswitch and a geophase loop peak at about 5.5 MB (16.8
+    # and 13.8 MB with 2^14-step slices); a loop four times as long adds
+    # only its time grid, 8 bytes a step
+    def switch(T):
+        return lambda: mode_switch(LoopSpec(kind="through_k2", T=T), 1)
+
+    switch(5e4)()  # first-call costs outside the trace
+    short = _traced_peak(switch(5e4))
+    assert short < 8e6
+    assert _traced_peak(lambda: geometric_phase(LoopSpec(), 2)) < 8e6
+    added_steps = (2e5 - 5e4) / 0.4
+    assert _traced_peak(switch(2e5)) - short < 8 * added_steps + 2.5e5
 
 
 def test_slices_carry_the_state(monkeypatch):

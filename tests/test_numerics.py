@@ -199,8 +199,8 @@ def _hermitian_steps(rng, n_steps, dim):
 
 
 def test_tree_matches_loop_beyond_a_slice():
-    # a slice's worth of steps and three more: 16 tree levels above the
-    # steps, with an odd last matrix carried up from 14 of them
+    # a slice's worth of steps and three more: 2^12 + 3 steps have 13 tree
+    # levels above them, with an odd last matrix carried up from 11 of them
     rng = np.random.default_rng(11)
     for dim in (2, 3, 6):
         props = _hermitian_steps(rng, numerics.CHUNK_STEPS + 3, dim)
@@ -291,12 +291,14 @@ def test_closed_form_matches_scipy_expm(monkeypatch):
     model = build_hamiltonian(ModelParams(k1, k2))
     for dt in (0.025, 0.1, 0.2, 0.35, 1e-9):
         assert _closed_form_error(monkeypatch, model, np.full(4, dt)) < 1e-14, dt
-    # theta = max ||dt H||_inf: small, either side of the 1/2 where one
-    # squaring starts and of the 1 where the second starts, and up to 2;
+    # theta = max ||dt G||_inf, G the traceless part of H, the norm the
+    # kernel takes its squarings from: small, either side of the 1/2 where
+    # one squaring starts and of the 1 where the second starts, and up to 2;
     # per-row dt, real and complex stacks. From 4 up (three squarings and
     # more) the entries of a non-unitary exponential span many orders, so
-    # each matrix is held to its own largest entry: to 1e-14 up to 16, and
-    # to 1e-12 beyond it, where the rounding of the squarings grows
+    # each matrix is held to its own largest entry, to 1e-15 2^s for s
+    # squarings: the rounding of the squarings grows about as 2^s (measured
+    # 1.3e-15 at s = 3 to 7.9e-14 at s = 8, the complex stack the largest)
     rng = np.random.default_rng(6)
     stacks = [
         model,
@@ -305,17 +307,24 @@ def test_closed_form_matches_scipy_expm(monkeypatch):
     ]
     for hs in stacks:
         spread = rng.uniform(0.5, 1.0, len(hs))
-        norms = np.abs(hs).sum(axis=-1).max(axis=-1) * spread
+        norms = _traceless_norms(hs) * spread
+
+        def squarings(theta):
+            dts = spread * theta / norms.max()
+            return numerics._squarings(float((dts * _traceless_norms(hs)).max()))
+
+        for below, above, s in ((0.5 * (1 - 1e-9), 0.5 * (1 + 1e-9), 0),
+                                (1.0 - 1e-12, 1.0 + 1e-9, 1),
+                                (16.0 - 1e-12, 16.0 * (1 + 1e-9), 5)):
+            assert (squarings(below), squarings(above)) == (s, s + 1), (hs.dtype, below)
         for theta in (1e-3, 0.3, 0.5 * (1 - 1e-9), 0.5 * (1 + 1e-9), 1.0 - 1e-12,
                       1.0 + 1e-9, 1.2, 1.5, 1.8, 2.0 - 1e-12):
             dts = spread * theta / norms.max()
             assert _closed_form_error(monkeypatch, hs, dts) < 1e-14, (hs.dtype, theta)
-        for theta, bound in ((4.0, 1e-14), (8.0, 1e-14), (12.0, 1e-14), (16.0 - 1e-12, 1e-14),
-                             (16.0 * (1 + 1e-9), 1e-12), (32.0, 1e-12), (64.0, 1e-12),
-                             (128.0, 1e-12)):
+        for theta in (4.0, 8.0, 12.0, 16.0 - 1e-12, 16.0 * (1 + 1e-9), 32.0, 64.0, 128.0):
             dts = spread * theta / norms.max()
             err = _closed_form_error(monkeypatch, hs, dts, relative=True)
-            assert err < bound, (hs.dtype, theta)
+            assert err < 1e-15 * 2.0 ** squarings(theta), (hs.dtype, theta)
 
 
 def test_step_propagators_dispatch(monkeypatch):
