@@ -321,7 +321,6 @@ def _cmd_tomography(args) -> int:
     from .model import ModelParams, spectrum
     from .readout import (
         TOMOGRAPHY_SETTINGS,
-        density_to_json,
         fidelity,
         mle_reconstruct,
         simulate_counts,
@@ -340,7 +339,7 @@ def _cmd_tomography(args) -> int:
     ]
     rho = mle_reconstruct(records)
     doc = {
-        "density": json.loads(density_to_json(rho)),
+        "density": [[[float(v.real), float(v.imag)] for v in row] for row in rho],
         "fidelity_vs_pure_theory": fidelity(rho, np.outer(psi, psi.conj())),
         "eigenvalue": [float(sp.eigenvalues[index].real), float(sp.eigenvalues[index].imag)],
         "shots": int(cfg["shots"]),

@@ -10,7 +10,8 @@ The atlas probes are stacked: the conical-point scan takes every cell's
 3x3-neighbourhood minimum from nine shifted views of the grid, and
 `classify_ep` puts its 24 ring points through one `eigvals` and its ten
 probe offsets through one `eig` (a custom `family` is still called once
-per point, and its matrices are stacked).
+per point, and its matrices are stacked). `locate_line_degeneracies`
+refines by golden-section search (Kiefer, Proc. AMS 4, 502, 1953).
 """
 
 from __future__ import annotations
@@ -385,9 +386,12 @@ def overlap_scaling(
 
     F12 is the overlap modulus of the two coalescing normalized right
     eigenvectors. Returns (fitted exponent, 1 - F12 samples). Raises
-    ValueError for a direction that is not finite or has zero norm.
+    ValueError for offsets that are not finite and positive, and for a
+    direction that is not finite or has zero norm.
     """
     offsets = np.asarray(offsets, dtype=float)
+    if not np.all((offsets > 0.0) & (offsets < np.inf)):
+        raise ValueError(f"offsets must be finite and positive, got {offsets}")
     if offsets.size < 2 or np.ptp(offsets) < 1e-15:
         raise ValueError("need at least two distinct offsets for the fit")
     d = np.asarray(direction, dtype=float)
@@ -409,18 +413,40 @@ LINE_SCAN_POINTS = 201
 LINE_GAP_TOL = 1e-6
 
 
+def _golden_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """(x, f(x)) at a minimum of a unimodal f on [a, b], by golden-section
+    search: a fixed count of steps, each shrinking the bracket by 1/phi,
+    takes it to xatol. A stop on the width could cycle past |x| = 8192,
+    where a 1e-12 bracket is below the float spacing."""
+    r = (5.0**0.5 - 1.0) / 2.0
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(int(np.ceil(np.log(xatol / (b - a)) / np.log(r)))):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
 def locate_line_degeneracies(family, k1_range: tuple[float, float]) -> list[float]:
     """Degeneracy points of a one-parameter Hamiltonian family.
 
     Scans the minimal eigenvalue gap of family(k1) on LINE_SCAN_POINTS
-    points of the range, then drives each local minimum to zero with a
-    golden-section refinement, keeping those below LINE_GAP_TOL.
+    points of the range, then drives each local minimum to zero by
+    `_golden_minimum` over its two cells, keeping those below LINE_GAP_TOL.
     Used for the larger truncation blocks where no closed-form
-    discriminant is available.
+    discriminant is available. Raises ValueError, before calling
+    `family`, unless the range is finite with lo < hi.
     """
-    from scipy.optimize import minimize_scalar
-
-    k1s = np.linspace(*k1_range, LINE_SCAN_POINTS)
+    lo, hi = map(float, k1_range)
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"k1_range must be finite with lo < hi, got {k1_range}")
+    k1s = np.linspace(lo, hi, LINE_SCAN_POINTS)
 
     def min_gap(k1: float) -> float:
         vals = np.sort(np.linalg.eigvals(family(k1)).real)
@@ -430,12 +456,7 @@ def locate_line_degeneracies(family, k1_range: tuple[float, float]) -> list[floa
     found = []
     for i in range(1, LINE_SCAN_POINTS - 1):
         if gaps[i] <= gaps[i - 1] and gaps[i] <= gaps[i + 1]:
-            res = minimize_scalar(
-                min_gap, bracket=None, bounds=(k1s[i - 1], k1s[i + 1]),
-                method="bounded", options={"xatol": 1e-12},
-            )
-            if res.fun < LINE_GAP_TOL:
-                k = float(res.x)
-                if not any(abs(k - f) < 1e-6 for f in found):
-                    found.append(k)
+            k, gap = _golden_minimum(min_gap, float(k1s[i - 1]), float(k1s[i + 1]), 1e-12)
+            if gap < LINE_GAP_TOL and not any(abs(k - f) < 1e-6 for f in found):
+                found.append(k)
     return sorted(found)

@@ -20,7 +20,7 @@ i * sum(phi_j) is added back. The geometric phase is the difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class LoopSpec:
 
     kind "circle" is k1 = R cos(wt), k2 = center_k2 - R sin(wt) around
     `center`; "through_k2" and "through_k1" are the two slow-passage
-    presets crossing the conical point from the k2 and k1 directions;
-    "custom" takes two callables of the loop phase u = t/T in [0, 1].
+    presets crossing the conical point from the k2 and k1 directions.
     Direction "cw" runs the same curve time-reversed.
     """
 
@@ -80,11 +79,9 @@ class LoopSpec:
     R: float = 0.2
     T: float = 5000.0
     direction: str = "ccw"
-    k1_of: object = field(default=None, compare=False)
-    k2_of: object = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("circle", "through_k2", "through_k1", "custom"):
+        if self.kind not in ("circle", "through_k2", "through_k1"):
             raise ValueError(f"unknown loop kind {self.kind!r}")
         if self.direction not in ("ccw", "cw"):
             raise ValueError("direction must be 'ccw' or 'cw'")
@@ -94,14 +91,8 @@ class LoopSpec:
             raise ValueError("loop radius must be nonnegative")
         if self.T <= 0:
             raise ValueError("loop duration must be positive")
-        if self.kind == "custom" and (self.k1_of is None or self.k2_of is None):
-            raise ValueError("custom loops need k1_of and k2_of callables")
         if self.kind == "circle" and max(map(abs, self.center)) + self.R > MAX_ABS_K:
             raise ValueError(f"circle loop must lie within +-{MAX_ABS_K:g} in k1 and k2")
-        k10, k20 = self.params(0.0)
-        k1t, k2t = self.params(self.T)
-        if abs(k10 - k1t) > 1e-9 or abs(k20 - k2t) > 1e-9:
-            raise ValueError("loop is not closed: k(0) != k(T)")
 
     def params(self, t):
         """(k1, k2) at model time t (scalar or array)."""
@@ -116,9 +107,7 @@ class LoopSpec:
             )
         if self.kind == "through_k2":
             return 0.4 * np.sin(w), 0.6 - 0.4 * np.cos(w)
-        if self.kind == "through_k1":
-            return -0.2 - 0.2 * np.cos(w), 1.0 + 0.2 * np.sin(w)
-        return np.asarray(self.k1_of(u)), np.asarray(self.k2_of(u))
+        return -0.2 - 0.2 * np.cos(w), 1.0 + 0.2 * np.sin(w)
 
     def hamiltonian(self, t):
         """Model Hamiltonian at the loop point of model time t; an array
@@ -281,8 +270,11 @@ def adiabaticity_check(
     """Maximum instantaneous leakage out of the tracked eigenstate.
 
     Returns max over checkpoint times of 1 - |<phi_i(t)|psi(t)/||psi||>|
-    with the eigenbasis continuity-tracked along the loop.
+    with the eigenbasis continuity-tracked along the loop, at about
+    `checkpoints` + 1 evenly spaced grid points; ValueError for checkpoints < 1.
     """
+    if not checkpoints >= 1:
+        raise ValueError(f"checkpoints must be at least 1, got {checkpoints!r}")
     times = _time_grid(loop, dt)
     psi0 = _start_eigenstate(loop, eigenindex)
     idx = np.unique(np.linspace(0, times.size - 1, checkpoints + 1).round().astype(int))

@@ -14,11 +14,12 @@ dubious ways to compute the exponential of a matrix, twenty-five years
 later", SIAM Rev. 45, 3, 2003). It serves every 3x3 stack at any norm:
 the loop and dilation step propagators, the metric's exp(i H t), the
 CLI's direct reference and the readout's steady state. `_exp_stack`,
-behind `expm` and `step_propagators`, is the one dispatch: 3x3 stacks to
-the closed form, any other size to `scipy.linalg.expm`. Products are
-`_matmul`: three broadcast multiply-adds over a 3x3 stack, since
-`np.matmul` makes one BLAS call per small matrix, and `np.matmul` for
-any other n.
+behind `expm` and `step_propagators`, is the one dispatch: a 3x3 stack
+takes the closed form, a 1x1 or 2x2 stack the leading block of its 3x3
+stack padded with tr(A)/n, and n > 3 is refused, so the package needs no
+SciPy. Products are `_matmul`: three broadcast multiply-adds over a 3x3
+stack, since `np.matmul` makes one BLAS call per small matrix, and
+`np.matmul` for any other n.
 
 `propagate_ordered` evolves a state over a time grid by one of two step
 rules, in slices of at most CHUNK_STEPS steps with the state carried from
@@ -178,9 +179,9 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
 
 
 def expm(m: np.ndarray) -> np.ndarray:
-    """exp(m) for a stack of small dense matrices (..., n, n), by
-    `_exp_stack` on the flattened stack: the closed form for a 3x3 stack,
-    returned in stack-last memory, and `scipy.linalg.expm` for any other n.
+    """exp(m) for a stack of small dense matrices (..., n, n) with n <= 3,
+    by `_exp_stack` on the flattened stack: the closed form, a 3x3 stack
+    returned in stack-last memory. Raises ValueError for n > 3.
 
     The closed form is scaling-and-squaring on a truncated Taylor series,
     which needs no eigenvectors and so also covers defective matrices (at
@@ -298,26 +299,29 @@ def _expm3_closed_form(h: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _exp_stack(h: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """exp(z_j H_j) for a stack h (N, n, n) and scalars z (N,): the one
-    dispatch behind `expm` and `step_propagators`. A 3x3 stack takes
-    `_expm3_closed_form` at any norm and comes back in stack-last memory;
-    any other n takes `scipy.linalg.expm`."""
-    if h.shape[-1] != 3:
-        # imported here: scipy.linalg takes about 0.2 s to import, and no
-        # command exponentiates anything but 3x3 matrices
-        from scipy.linalg import expm as scipy_expm
-
-        return scipy_expm(z[:, None, None] * np.asarray(h, dtype=complex))
-    return _expm3_closed_form(np.moveaxis(h, 0, -1), z)
+    """exp(z_j H_j) for a stack h (N, n, n), n <= 3, and scalars z (N,):
+    the one dispatch behind `expm` and `step_propagators`. A 3x3 stack
+    takes `_expm3_closed_form` at any norm and comes back in stack-last
+    memory; a 1x1 or 2x2 stack is the leading block of its 3x3 stack
+    padded with tr(H)/n, which adds no spread. Raises ValueError for n > 3."""
+    n = h.shape[-1]
+    if n == 3:
+        return _expm3_closed_form(np.moveaxis(h, 0, -1), z)
+    if n > 3:
+        raise ValueError(f"matrix exponential takes n <= 3, got {n}x{n}")
+    padded = np.zeros((3, 3, len(h)), dtype=np.result_type(h, float))
+    padded[:n, :n] = np.moveaxis(h, 0, -1)
+    padded[range(n, 3), range(n, 3)] = np.trace(h, axis1=1, axis2=2) / n
+    return _expm3_closed_form(padded, z)[:, :n, :n]
 
 
 def step_propagators(h_mid: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """Batched exp(-i H_j dt_j) for a stack of step Hamiltonians (N, n, n):
-    midpoint samples, or the weighted sums of Gauss-node samples that make
-    up a "cf4" factor, by `_exp_stack`. Real and complex H take the same
-    path. A stack of independent blocks (N, *batch, n, n) is exponentiated
-    block by block, each with the scaling it would have alone, into memory
-    with the stack axis innermost."""
+    """Batched exp(-i H_j dt_j) for a stack of step Hamiltonians (N, n, n),
+    n <= 3: midpoint samples, or the weighted sums of Gauss-node samples
+    that make up a "cf4" factor, by `_exp_stack`. Real and complex H take
+    the same path. A stack of independent blocks (N, *batch, n, n) is
+    exponentiated block by block, each with the scaling it would have
+    alone, into memory with the stack axis innermost."""
     h = np.asarray(h_mid)
     z = -1j * np.asarray(dts)
     if h.ndim == 3:

@@ -20,7 +20,6 @@ and carriers cross the API boundary in Hz.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "verify_rwa_roundtrip",
     "emit_waveforms",
     "read_waveforms",
-    "level_structure_json",
     "model_htot_path",
 ]
 
@@ -101,8 +99,6 @@ _CHANNELS = (
     ("MW3", 4, 5, "56", +1),
     ("EF2", 3, 5, "46", -1),
 )
-
-_PAIR_KEYS = ("12", "23", "13", "45", "56", "46")
 
 
 def nv_levels(c: NVConstants = NVConstants()) -> LevelStructure:
@@ -294,18 +290,6 @@ def read_waveforms(path) -> list[PulseChannel]:
             )
         )
     return channels
-
-
-def level_structure_json(levels: LevelStructure) -> str:
-    """JSON document with energies_hz and omega_ij_hz."""
-    return json.dumps(
-        {
-            "energies_hz": [float(e) for e in levels.energies],
-            "omega_ij_hz": {k: float(levels.omega_ij[k]) for k in _PAIR_KEYS},
-        },
-        indent=2,
-        sort_keys=True,
-    )
 
 
 def model_htot_path(

@@ -32,7 +32,6 @@ none.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +57,6 @@ __all__ = [
     "simulate_counts",
     "mle_reconstruct",
     "fidelity",
-    "records_to_jsonl",
-    "records_from_jsonl",
-    "density_to_json",
-    "density_from_json",
 ]
 
 
@@ -622,48 +617,3 @@ def fidelity(rho_i: np.ndarray, rho_j: np.ndarray) -> float:
     inner = psd_sqrt(root @ np.asarray(rho_j, dtype=complex) @ root)
     f = float(np.real(np.trace(inner)) ** 2)
     return min(max(f, 0.0), 1.0)
-
-
-def records_to_jsonl(records) -> str:
-    lines = []
-    for r in records:
-        lines.append(
-            json.dumps(
-                {
-                    "a": r.setting.a, "b": r.setting.b,
-                    "c": r.setting.c, "d": r.setting.d,
-                    "shots": r.shots,
-                    "p": [float(v) for v in r.populations],
-                }
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def records_from_jsonl(text: str):
-    out = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        out.append(
-            TomographyRecord(
-                setting=MeasurementSetting(doc["a"], doc["b"], doc["c"], doc["d"]),
-                shots=int(doc["shots"]),
-                populations=np.array(doc["p"], dtype=float),
-            )
-        )
-    return out
-
-
-def density_to_json(rho: np.ndarray) -> str:
-    """Nested arrays of [re, im] pairs."""
-    rho = np.asarray(rho, dtype=complex)
-    return json.dumps(
-        [[[float(v.real), float(v.imag)] for v in row] for row in rho]
-    )
-
-
-def density_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
-    return np.array([[complex(re, im) for re, im in row] for row in data])

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -385,20 +386,49 @@ def test_model_eigenvectors_need_no_lapack_eig(capsys, monkeypatch):
         assert (code, err) == (EXIT_OK, "")
 
 
-def test_readout_commands_import_no_scipy(tmp_path):
-    # a fresh interpreter, so no other test has imported scipy already
+def test_every_command_runs_without_scipy(tmp_path):
+    # a fresh interpreter in which scipy cannot be imported: all ten
+    # subcommands, the criterion-6 line locator and a 2x2 expm run on NumPy
+    argvs = [
+        ["spectrum", "--k2-range", "0:1:0.05"], ["atlas"], ["cone"], ["dilate"], ["pulses"],
+        ["eigensolve", "--shots", "0"], ["tomography", "--shots", "1000"],
+        ["geophase", "--duration", "500"], ["modeswitch", "--duration", "2000"], ["verify"],
+    ]
+    [commands] = (a.choices for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv in argvs) == sorted(commands)
     code = (
         "import sys\n"
-        "from eplab import cli\n"
-        f"assert cli.main(['eigensolve', '--shots', '0', '-o', {str(tmp_path / 'e.out')!r}]) == 0\n"
-        f"assert cli.main(['tomography', '--shots', '1000', '-o', {str(tmp_path / 't.out')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from eplab import cli, dilation\n"
+        "from eplab.ep_atlas import locate_line_degeneracies\n"
+        "from eplab.model import ModelParams, build_tb_block\n"
+        f"for i, argv in enumerate({argvs!r}):\n"
+        f"    assert cli.main([*argv, '-o', {str(tmp_path)!r} + f'/{{i}}.out']) == 0, argv\n"
+        "fam = lambda k1: build_tb_block(ModelParams(k1, 1.0), reach=2)\n"
+        "points = locate_line_degeneracies(fam, (-1.0, 1.0))\n"
+        "assert max(min(abs(p - x) for p in points) for x in (-0.5, 0.5)) < 1e-6, points\n"
+        "assert np.array_equal(dilation.expm(np.zeros((2, 2))), np.eye(2))\n"
     )
     src = str(Path(eplab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert (res.returncode, res.stderr) == (0, "")
-    assert res.stdout == "[]\n"
+    assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
+    assert len(list(tmp_path.glob("*.out"))) == len(argvs)
+
+
+def test_tomography_writes_the_reconstruction_exactly(capsys):
+    # the density is the MLE matrix as [re, im] pairs, every bit kept
+    from eplab.model import ModelParams, spectrum
+    from eplab.readout import TOMOGRAPHY_SETTINGS, mle_reconstruct, simulate_counts
+
+    code, out, _ = run(capsys, "tomography", "--shots", "1000", "--seed", "3", "--eigenindex", "1")
+    assert code == EXIT_OK
+    density = json.loads(out.split("\n", 1)[1])["density"]
+    psi = spectrum(ModelParams(0.0, 1.0)).right_vectors[:, 0]
+    rng = np.random.default_rng(3)
+    rho = mle_reconstruct([simulate_counts(psi, s, 1000, rng=rng) for s in TOMOGRAPHY_SETTINGS])
+    assert np.array_equal([[complex(*v) for v in row] for row in density], rho)
 
 
 @pytest.mark.parametrize("index", ["0", "4"])

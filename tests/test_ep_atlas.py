@@ -133,6 +133,19 @@ def test_line_degeneracy_locator_next_nearest():
     assert any(abs(p + 0.5) < 1e-6 for p in pts)
 
 
+@pytest.mark.parametrize("center", [1e4 + 0.3, -1e6 + 0.3])
+def test_line_locator_ends_past_the_float_spacing(center):
+    # past |k1| = 8192 a 1e-12 bracket is below the float spacing, where a
+    # search stopped by the bracket width could cycle between two floats
+    families = (
+        lambda k1: np.array([[1.0, k1 - center], [k1 - center, 1.0]]),
+        lambda k1: np.diag([k1 - center, 0.0, 5.0]),
+    )
+    for family in families:
+        pts = locate_line_degeneracies(family, (center - 0.3, center + 0.7))
+        assert len(pts) == 1 and abs(pts[0] - center) < 1e-6
+
+
 # The per-cell and per-probe loops the atlas ran before its probes were
 # stacked, kept as references for bit-identical results.
 
@@ -299,6 +312,27 @@ def test_overlap_scaling_rejects_bad_direction(direction):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="direction must be finite and nonzero"):
             overlap_scaling(np.array([0.01, 0.02]), direction=direction)
+
+
+@pytest.mark.parametrize("offsets", [(-0.01, 0.02), (0.0, 0.02), (0.01, np.nan), (0.01, np.inf)])
+def test_overlap_scaling_rejects_bad_offsets(offsets):
+    # -0.01 and 0 each warned from log and gave a nan slope
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="offsets must be finite and positive"):
+            overlap_scaling(np.array(offsets))
+
+
+@pytest.mark.parametrize("k1_range", [(0.0, np.inf), (1.0, -1.0), (0.4, 0.4), (np.nan, 1.0)])
+def test_line_locator_rejects_bad_range(k1_range):
+    # (0, inf) warned from linspace, and (0.4, 0.4) quietly found nothing
+    def family(k1):
+        raise AssertionError("family called")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"k1_range must be finite with lo < hi, got \("):
+            locate_line_degeneracies(family, k1_range)
 
 
 @pytest.mark.parametrize("ring_radius", [-0.05, 0.0, np.nan, np.inf])

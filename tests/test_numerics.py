@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
@@ -105,8 +104,10 @@ def _traceless_norms(stack):
 
 
 def test_expm_matches_scipy():
+    # n = 3 takes the closed form, n = 2 the leading block of its
+    # 3x3 stack padded with its mean eigenvalue, and n > 3 is refused
     rng = np.random.default_rng(1)
-    for n in (3, 2, 6):
+    for n in (3, 2):
         for _ in range(10):
             m = _random_complex(rng, n)
             assert np.allclose(expm(m), scipy_expm(m), atol=1e-10)
@@ -114,6 +115,13 @@ def test_expm_matches_scipy():
         stack = np.stack([_random_complex(rng, n) * 2.0**-j for j in range(6)])
         want = np.stack([scipy_expm(m) for m in stack])
         assert np.allclose(expm(stack), want, atol=1e-10)
+    # a 2x2 with a large real spread from 0: padding with 0 in place of the
+    # mean eigenvalue would overflow at exp(+733) inside the squarings
+    for m in ([[-1100.0, 0.0], [0.0, -1100.0]], [[-700.0, 3.0], [2.0, -650.0]], [[-1100.0]]):
+        want = scipy_expm(np.array(m))
+        assert np.allclose(expm(np.array(m)), want, rtol=1e-10, atol=0.0)
+    with pytest.raises(ValueError, match="n <= 3, got 6x6"):
+        expm(_random_complex(rng, 6))
     # 3x3 stacks whose traceless parts' largest inf-norm takes 0 to 6
     # squarings: the series and the squarings run on the broadcast 3x3 products
     for squarings, norm in enumerate((0.4, 0.9, 1.5, 3.0, 6.0, 12.0, 24.0)):
@@ -192,10 +200,13 @@ def test_tree_modes_end_on_the_same_bits():
 
 
 def _hermitian_steps(rng, n_steps, dim):
-    """step_propagators of random Hermitian H_j over dt = 0.05: the closed
-    form for dim 3, scipy's expm otherwise."""
+    """Propagators of random Hermitian H_j over dt = 0.05: step_propagators
+    for dims 2 and 3, which it takes, and scipy's expm for dim 6."""
     a = rng.normal(size=(n_steps, dim, dim)) + 1j * rng.normal(size=(n_steps, dim, dim))
-    return step_propagators(a + np.conj(np.swapaxes(a, -1, -2)), np.full(n_steps, 0.05))
+    h = a + np.conj(np.swapaxes(a, -1, -2))
+    if dim > 3:
+        return scipy_expm(-0.05j * h)
+    return step_propagators(h, np.full(n_steps, 0.05))
 
 
 def test_tree_matches_loop_beyond_a_slice():
@@ -329,11 +340,10 @@ def test_closed_form_matches_scipy_expm(monkeypatch):
 
 def test_step_propagators_dispatch(monkeypatch):
     # every 3x3 stack takes the closed form, from step_propagators and
-    # from expm, either side of theta 16 and at theta 100; any other n
-    # takes scipy's expm
-    closed, other = [], []
+    # from expm, either side of theta 16 and at theta 100; a 2x2 stack
+    # takes it padded to 3x3, and n > 3 is refused before any exponential
+    closed = []
     monkeypatch.setattr(numerics, "_expm3_closed_form", _counting(numerics._expm3_closed_form, closed))
-    monkeypatch.setattr(scipy.linalg, "expm", lambda m: other.append(m.shape) or scipy_expm(m))
     rng = np.random.default_rng(7)
     h3 = rng.normal(size=(5, 3, 3))
     norm = np.abs(h3).sum(axis=-1).max()
@@ -343,9 +353,14 @@ def test_step_propagators_dispatch(monkeypatch):
             for h, u in zip(h3, got):
                 want = scipy_expm(-1j * dt * h)
                 assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max(), theta
-    assert closed == [5] * 6 and other == []
-    step_propagators(rng.normal(size=(5, 6, 6)), np.full(5, 0.01))
-    assert closed == [5] * 6 and other == [(5, 6, 6)]
+    assert closed == [5] * 6
+    h2 = rng.normal(size=(5, 2, 2))
+    for h, u in zip(h2, step_propagators(h2, np.full(5, 0.01))):
+        assert np.abs(u - scipy_expm(-0.01j * h)).max() < 1e-14
+    assert closed == [5] * 7
+    with pytest.raises(ValueError, match="n <= 3, got 6x6"):
+        step_propagators(rng.normal(size=(5, 6, 6)), np.full(5, 0.01))
+    assert closed == [5] * 7
 
 
 def test_three_by_three_products_match_matmul():
@@ -380,7 +395,8 @@ def test_propagate_ordered_block_batch(monkeypatch):
     # the other's norm, so that its steps take three squarings to the
     # other's none: the batch gives the bits of each block propagated
     # alone, in both modes and by both rules, and agrees with the 6x6
-    # block-diagonal Hamiltonian on scipy's expm
+    # block-diagonal Hamiltonian through the same engine with scipy's expm
+    # for every exponential
     rng = np.random.default_rng(12)
     a = rng.normal(size=(2, 2, 3, 3)) + 1j * rng.normal(size=(2, 2, 3, 3))
     a = (a + np.conj(np.swapaxes(a, -1, -2))) * np.array([1.0, 16.0])[:, None, None]
@@ -412,7 +428,9 @@ def test_propagate_ordered_block_batch(monkeypatch):
             for b in range(2):
                 alone = run(lambda t: blocks(t)[:, b], psi0[b], trajectory, rule)
                 assert np.array_equal(batch[:, b], alone), (rule, trajectory, b)
-            full = run(block_diagonal, psi0.reshape(6), trajectory, rule)
+            with monkeypatch.context() as m:
+                m.setattr(numerics, "_exp_stack", lambda h, z: scipy_expm(z[:, None, None] * h))
+                full = run(block_diagonal, psi0.reshape(6), trajectory, rule)
             assert np.abs(batch.reshape(len(batch), 6) - full).max() < 1e-13, (rule, trajectory)
 
 

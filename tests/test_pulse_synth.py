@@ -8,7 +8,6 @@ from eplab.pulse_synth import (
     NVConstants,
     PulseChannel,
     emit_waveforms,
-    level_structure_json,
     model_htot_path,
     nv_levels,
     read_waveforms,
@@ -205,15 +204,6 @@ def test_waveform_empty_channel_list(tmp_path):
     path = tmp_path / "empty.csv"
     emit_waveforms([], str(path))
     assert read_waveforms(str(path)) == []
-
-
-def test_level_structure_json_fields():
-    import json
-
-    doc = json.loads(level_structure_json(nv_levels()))
-    assert len(doc["energies_hz"]) == 6
-    assert set(doc["omega_ij_hz"]) == {"12", "23", "13", "45", "56", "46"}
-    assert all(v > 0 for v in doc["omega_ij_hz"].values())
 
 
 def test_model_path_synthesis_end_to_end():

@@ -16,14 +16,10 @@ from eplab.readout import (
     GFunction,
     MeasurementSetting,
     TomographyRecord,
-    density_from_json,
-    density_to_json,
     fidelity,
     mle_reconstruct,
     population_ratios,
     ratios_from_energies,
-    records_from_jsonl,
-    records_to_jsonl,
     rotation_u,
     rotation_v,
     setting_unitary,
@@ -468,23 +464,3 @@ def test_fidelity_properties():
         fidelity(np.diag([1.5, -0.5, 0.0]), mix)
     with pytest.raises(ValueError):
         fidelity(2.0 * rho, mix)
-
-
-def test_records_jsonl_roundtrip():
-    psi = np.array([0.6, 0.8j, 0.1])
-    records = [simulate_counts(psi, s, 500, seed=k) for k, s in enumerate(TOMOGRAPHY_SETTINGS)]
-    back = records_from_jsonl(records_to_jsonl(records))
-    assert len(back) == len(records)
-    for a, b in zip(records, back):
-        assert a.setting == b.setting
-        assert a.shots == b.shots
-        assert np.allclose(a.populations, b.populations, atol=1e-15)
-
-
-def test_density_json_roundtrip():
-    rng = np.random.default_rng(13)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    rho = a @ a.conj().T
-    rho = rho / np.trace(rho).real
-    back = density_from_json(density_to_json(rho))
-    assert np.allclose(back, rho, atol=1e-15)
