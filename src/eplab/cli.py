@@ -261,11 +261,7 @@ def _cmd_pulses(args) -> int:
     rel = dev / max(np.abs(htot).max(), 1e-300)
     if rel > 1e-9:
         raise NumericsError(f"round-trip deviation {rel:.3e} exceeds 1e-9")
-    import io
-
-    buf = io.StringIO()
-    emit_waveforms(channels, buf)
-    _write(args.output, _header(cfg) + buf.getvalue())
+    _write(args.output, _header(cfg) + emit_waveforms(channels))
     return EXIT_OK
 
 

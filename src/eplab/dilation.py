@@ -63,11 +63,11 @@ DEFAULT_M0_SCALE = 1.3
 # positive definite, so the Sylvester solve for d(eta)/dt is well posed
 POSITIVITY_MARGIN = 1e-8
 
-# most steps `dilated_evolve` takes: its joint and post-selected
-# trajectories, probabilities and norms, with the temporaries that
-# assemble them, peak at about 280 bytes a step (280 MB here, `tracemalloc`
-# at 1e5 and 2e5 steps); one slice of 3x3 frames, blocks and propagators
-# adds about 8 MB while it runs
+# most steps `dilated_evolve` takes: the joint and post-selected
+# trajectories, probabilities and norms it returns take 176 bytes a step
+# (176 MB here), and one slice of 3x3 frames, blocks and propagators adds
+# about 10 MB while it runs (`tracemalloc` peaks: 211 bytes a step at 2e5
+# steps, 177 at 1e6)
 MAX_DILATION_STEPS = 10**6
 
 
@@ -290,9 +290,13 @@ def dilated_evolve(
     # the engine evolves the Gamma and Lambda halves of the joint state as
     # two independent 3x3 blocks
     joint0 = prepare_initial(psi0, np.sqrt(m0_scale - 1.0)).reshape(2, -1)
-    slices = propagate_ordered(blocks, joint0, times)
-    # each slice repeats the previous one's end state as its first row
-    states = np.concatenate([piece[1:] if start else piece for start, _, piece in slices])
-    states = states.reshape(len(times), -1)
-    post, probs = postselect(states)
+    # each slice is post-selected as the engine yields it, so no temporary
+    # spans the run; its first row repeats the last slice's end state exactly
+    states = np.empty((len(times), joint0.size), dtype=complex)
+    post = np.empty((len(times), joint0.shape[1]), dtype=complex)
+    probs = np.empty(len(times))
+    for start, _, piece in propagate_ordered(blocks, joint0, times):
+        rows = slice(start, start + len(piece))
+        states[rows] = piece.reshape(len(piece), -1)
+        post[rows], probs[rows] = postselect(states[rows])
     return Trajectory(times=times, states=states), Trajectory(times=times, states=post), probs

@@ -2,9 +2,9 @@
 
 The degeneracy locus is the zero set of the characteristic cubic's
 discriminant, and refinement uses its exact chain-rule derivatives from
-`model` throughout: Newton on the gradient for the conical point (where
-the gradient itself vanishes) and predictor-corrector walking for the
-square-root exceptional line.
+`model` throughout: `_locus_newton`, Newton along the gradient onto the
+locus, from seeds and as the corrector of the exceptional-line walk, and
+Newton on the gradient for the conical point, where the gradient vanishes.
 
 The atlas probes are stacked: the conical-point scan takes every cell's
 3x3-neighbourhood minimum from nine shifted views of the grid, and
@@ -17,12 +17,12 @@ refines by golden-section search (Kiefer, Proc. AMS 4, 502, 1953).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import MAX_ABS_K, ModelParams, build_hamiltonian, discriminant
-from .model import _discriminant_derivatives
+from .model import _cubic_coefficients, _discriminant_derivatives
 from .numerics import eig
 
 __all__ = [
@@ -49,11 +49,12 @@ class EPRecord:
 
 @dataclass(frozen=True)
 class TraceResult:
+    """A walk along the exceptional line. A seed at a conical point ends it
+    at once, with one vertex and the Hessian's signature there."""
+
     vertices: np.ndarray  # (n, 2) points on the zero set
     terminated: str  # boundary | max_steps | lost_track | singular_seed
-    singular: bool = False
-    branch_directions: np.ndarray | None = None
-    hessian_signature: tuple[int, int] | None = None
+    hessian_signature: tuple[int, int] | None = None  # (positive, negative)
 
 
 def _gradient_newton(x: np.ndarray, tol: float = 1e-13) -> np.ndarray:
@@ -120,27 +121,48 @@ def scan_discriminant(
     return {"k1": k1, "k2": k2, "delta": field_vals, "sign_change": change}
 
 
-def refine_degeneracy(seed: tuple[float, float], tol: float = 1e-10) -> np.ndarray:
-    """Refine a seed onto the zero set of the discriminant.
+def _locus_floor(x: np.ndarray, tol: float) -> float:
+    """The largest |delta| at which x counts as on the zero set, max(tol,
+    3 eps S). S = 4|f1|^3 + 36 f1^2 + 108|f1 f0| + 27 f0^2 + 864|f0| is
+    the size of delta's terms, so eps S is delta's rounding floor, above
+    1e-10 past |k| ~ 3."""
+    f1, f0 = np.abs(_cubic_coefficients(*x))
+    size = ((4.0 * f1 + 36.0) * f1 + 108.0 * f0) * f1 + (27.0 * f0 + 864.0) * f0
+    return max(tol, 3.0 * np.finfo(float).eps * float(size))
 
-    Regular points: Newton along the gradient with bisection fallback.
-    Singular points (vanishing gradient, e.g. the conical degeneracy):
-    Newton on the gradient system instead.
-    """
-    x = np.array(seed, dtype=float)
-    for _ in range(60):
-        d = float(discriminant(*x))
+
+def _locus_newton(
+    x: np.ndarray, max_steps: int, flat: float, tol: float = 1e-10
+) -> tuple[np.ndarray, bool]:
+    """Newton along the gradient g onto the zero set from x, the step
+    x - delta g / |g|^2, for at most max_steps steps. Returns (x, True)
+    once |delta| <= `_locus_floor(x, tol)`, and (x, False) after
+    max_steps steps or at a point where |g|^2 < flat."""
+    d = float(discriminant(*x))
+    for _ in range(max_steps):
+        if abs(d) <= _locus_floor(x, tol):
+            return x, True
         g = _discriminant_derivatives(*x)[0]
         gn = float(np.dot(g, g))
-        if gn < 1e-12:
-            # singular point: drive the gradient itself to zero
-            x = _gradient_newton(x, tol=1e-14)
-            break
-        if abs(d) < tol:
-            return x
+        if gn < flat:
+            return x, False
         x = x - d * g / gn
-    d = float(discriminant(*x))
-    if abs(d) < max(tol, 1e-10):
+        d = float(discriminant(*x))
+    return x, abs(d) <= _locus_floor(x, tol)
+
+
+def refine_degeneracy(seed: tuple[float, float], tol: float = 1e-10) -> np.ndarray:
+    """Refine a seed onto the zero set of the discriminant: `_locus_newton`
+    for at most 60 steps, then bisection along the gradient. Raises
+    ValueError where neither lands on the zero set.
+
+    A vanishing gradient ends the walk only near a saddle of delta, off
+    the zero set: near a conical point Newton converges linearly with
+    |g|^2 >= 576 |delta|, and |delta| is above the rounding floor 3.9e-12
+    until the walk stops.
+    """
+    x, done = _locus_newton(np.array(seed, dtype=float), 60, 1e-12, tol)
+    if done:
         return x
     # bisection fallback along the gradient direction
     g = _discriminant_derivatives(*x)[0]
@@ -155,6 +177,7 @@ def refine_degeneracy(seed: tuple[float, float], tol: float = 1e-10) -> np.ndarr
             else:
                 lo = mid
         return x + (lo + hi) / 2 * gdir
+    d = float(discriminant(*x))
     raise ValueError(f"seed {seed} not refinable to the degeneracy locus (delta={d:.3e})")
 
 
@@ -212,34 +235,20 @@ def trace_exceptional_line(
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
     x = refine_degeneracy(seed)
-    g, hess = _discriminant_derivatives(*x)
-    # a gradient-Newton polish that stays nearby flags a singular point
-    # (the conical degeneracy is an isolated zero, not a regular curve)
+    # a gradient-Newton polish that stays nearby on the zero set flags a
+    # conical point, an isolated zero and not a regular curve. The real
+    # critical points of delta are (0, +-1), where delta = 0 and the
+    # Hessian's eigenvalues are 2592 and 288, and three saddles where delta
+    # is 68 or 27/4: so the Hessian there is definite, and no branch of the
+    # line passes through.
     xs = _gradient_newton(x)
-    if np.linalg.norm(xs - x) < 1e-3 and abs(float(discriminant(*xs))) < 1e-12:
-        gs, hs = _discriminant_derivatives(*xs)
-        if np.linalg.norm(gs) < 1e-8:
-            x, g, hess = xs, gs, hs
-    if np.linalg.norm(g) < 1e-8:
-        # conical point: the zero set is not a regular curve here
+    gs, hess = _discriminant_derivatives(*xs)
+    near = np.linalg.norm(xs - x) < 1e-3 and np.linalg.norm(gs) < 1e-8
+    if near and abs(float(discriminant(*xs))) < 1e-12:
         sig_vals = np.linalg.eigvalsh(hess)
         signature = (int(np.sum(sig_vals > 0)), int(np.sum(sig_vals < 0)))
-        if signature[0] == 2 or signature[1] == 2:
-            branches = None  # definite Hessian: isolated zero, no branches
-        else:
-            # indefinite: branch directions are the null cone of the Hessian
-            w, v = np.linalg.eigh(hess)
-            t = np.sqrt(abs(w[1]) / abs(w[0]))
-            b1 = v[:, 0] * t + v[:, 1]
-            b2 = -v[:, 0] * t + v[:, 1]
-            branches = np.array([b1 / np.linalg.norm(b1), b2 / np.linalg.norm(b2)])
-        return TraceResult(
-            vertices=np.array([x]),
-            terminated="singular_seed",
-            singular=True,
-            branch_directions=branches,
-            hessian_signature=signature,
-        )
+        return TraceResult(np.array([xs]), "singular_seed", signature)
+    g = _discriminant_derivatives(*x)[0]
     vertices = [x.copy()]
     tangent = np.array([-g[1], g[0]])
     tangent /= np.linalg.norm(tangent)
@@ -247,8 +256,8 @@ def trace_exceptional_line(
     terminated = "max_steps"
     for _ in range(TRACE_MAX_STEPS):
         pred = vertices[-1] + step * tangent
-        cur = _newton_corrector(pred)
-        if cur is None:
+        cur, on_line = _locus_newton(pred, 50, 1e-20)
+        if not on_line:
             terminated = "lost_track"
             break
         g = _discriminant_derivatives(*cur)[0]
@@ -262,20 +271,6 @@ def trace_exceptional_line(
             terminated = "boundary"
             break
     return TraceResult(vertices=np.array(vertices), terminated=terminated)
-
-
-def _newton_corrector(x0: np.ndarray) -> np.ndarray | None:
-    x = x0.copy()
-    for _ in range(50):
-        d = float(discriminant(*x))
-        if abs(d) < 1e-10:
-            return x
-        g = _discriminant_derivatives(*x)[0]
-        gn = float(np.dot(g, g))
-        if gn < 1e-20:
-            return None
-        x = x - d * g / gn
-    return x if abs(float(discriminant(*x))) < 1e-10 else None
 
 
 def _coalescing_pair(vals: np.ndarray) -> tuple[int, int]:
@@ -306,24 +301,21 @@ def _family_stack(family, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     return np.stack([family(a, b) for a, b in zip(k1, k2)])
 
 
-def classify_ep(
-    location: tuple[float, float],
-    *,
-    family=None,
-    ring_radius: float = 0.05,
-) -> EPRecord:
+# radius of the ring of points around a degeneracy on which `classify_ep`
+# tests the spectrum for reality
+RING_RADIUS = 0.05
+
+
+def classify_ep(location: tuple[float, float], *, family=None) -> EPRecord:
     """Classify a degeneracy as conical (dirac), typical EP or Hermitian DP.
 
     Three tests: eigenvector coalescence at offset 1e-6, spectrum reality
-    on a ring of radius `ring_radius`, and the log-log dispersion
-    exponent of the eigenvalue splitting over radial offsets 1e-4..1e-2,
-    along the unit discriminant gradient where it exceeds 1e-6 (the model
-    only), else along k1. The 24 ring points go through one stacked `eigvals` and the ten
-    probe offsets through one stacked `eig`. Raises ValueError for a
-    ring_radius that is not finite and positive.
+    on a ring of radius RING_RADIUS, and the log-log dispersion exponent
+    of the eigenvalue splitting over radial offsets 1e-4..1e-2, along the
+    unit discriminant gradient where it exceeds 1e-6 (the model only),
+    else along k1. The 24 ring points go through one stacked `eigvals`
+    and the ten probe offsets through one stacked `eig`.
     """
-    if not (np.isfinite(ring_radius) and ring_radius > 0):
-        raise ValueError(f"ring_radius must be finite and positive, got {ring_radius}")
     k1, k2 = location
     if family is None:
         loc = refine_degeneracy(location, tol=1e-8)
@@ -353,10 +345,10 @@ def classify_ep(
 
     angles = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
     ring = _family_stack(
-        family, k1 + ring_radius * np.cos(angles), k2 + ring_radius * np.sin(angles)
+        family, k1 + RING_RADIUS * np.cos(angles), k2 + RING_RADIUS * np.sin(angles)
     )
     ring_real = not (np.abs(np.linalg.eigvals(ring).imag) > 1e-7).any()
-    real_radius = ring_radius if ring_real else 0.0
+    real_radius = RING_RADIUS if ring_real else 0.0
 
     exponent = float(np.polyfit(np.log(offsets), np.log(gaps[1:]), 1)[0])
 

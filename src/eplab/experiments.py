@@ -47,9 +47,6 @@ __all__ = [
     "adiabaticity_check",
 ]
 
-# slow-passage duration (model time) reproducing the adiabatic switching
-DEFAULT_SWITCH_TIME = 5.0e4
-
 # largest leakage 1 - |<psi0|psi(T)>| `geometric_phase` accepts at the end
 # of the loop
 LEAKAGE_TOL = 0.05

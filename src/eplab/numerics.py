@@ -1,4 +1,6 @@
-"""Dense complex-matrix kernels for small (3/5/6-level) systems.
+"""Dense complex-matrix kernels for small systems: exponentials and
+propagation for n <= 3 (`expm` refuses n > 3, and the six-level dilation
+runs as two 3x3 blocks), eigendecompositions for any small n.
 
 Everything here is a pure function of immutable array inputs:
 eigendecomposition with a deterministic ordering (`eig`, now only for the
@@ -89,7 +91,12 @@ class Trajectory:
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
-        object.__setattr__(self, "norms", np.linalg.norm(self.states, axis=-1))
+        # a slice of rows at a time, so that no temporary spans the stack
+        norms = np.empty(len(self.states))
+        for lo in range(0, len(norms), CHUNK_STEPS):
+            rows = slice(lo, lo + CHUNK_STEPS)
+            norms[rows] = np.linalg.norm(self.states[rows], axis=-1)
+        object.__setattr__(self, "norms", norms)
 
 
 def eig(m: np.ndarray) -> Spectrum:

@@ -15,7 +15,10 @@ inversion, so the round trip (synthesize -> reconstruct) is exact up to
 floating-point rounding.
 
 Internally angular frequencies (rad/s) are used throughout; amplitudes
-and carriers cross the API boundary in Hz.
+and carriers cross the API boundary in Hz. The NV ground-state constants
+are module constants (NV_D, NV_Q, NV_A, NV_B, NV_GAMMA_E, NV_GAMMA_N),
+and `emit_waveforms` renders the channels as CSV text; the package reads
+no waveform file back.
 """
 
 from __future__ import annotations
@@ -27,14 +30,12 @@ import numpy as np
 from .numerics import NumericsError
 
 __all__ = [
-    "NVConstants",
     "LevelStructure",
     "PulseChannel",
     "nv_levels",
     "synthesize_pulses",
     "verify_rwa_roundtrip",
     "emit_waveforms",
-    "read_waveforms",
     "model_htot_path",
 ]
 
@@ -44,23 +45,13 @@ __all__ = [
 MAX_PULSE_SAMPLES = 10**5
 
 
-@dataclass(frozen=True)
-class NVConstants:
-    """Ground-state NV constants (Hz, gauss)."""
-
-    D: float = 2.87e9  # zero-field splitting
-    Q: float = -4.95e6  # quadrupolar splitting of the 14N nucleus
-    A: float = -2.16e6  # hyperfine coupling
-    B: float = 501.0  # static field along the NV axis
-    gamma_e: float = 2.8025e6  # electron gyromagnetic ratio, Hz/gauss
-    gamma_n: float = 307.7  # 14N nuclear gyromagnetic ratio, Hz/gauss
-
-    def __post_init__(self):
-        vals = (self.D, self.Q, self.A, self.B, self.gamma_e, self.gamma_n)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("NV constants must be finite")
-        if self.B <= 0:
-            raise ValueError("field magnitude must be positive")
+# ground-state NV constants (Hz, gauss)
+NV_D = 2.87e9  # zero-field splitting
+NV_Q = -4.95e6  # quadrupolar splitting of the 14N nucleus
+NV_A = -2.16e6  # hyperfine coupling
+NV_B = 501.0  # static field along the NV axis
+NV_GAMMA_E = 2.8025e6  # electron gyromagnetic ratio, Hz/gauss
+NV_GAMMA_N = 307.7  # 14N nuclear gyromagnetic ratio, Hz/gauss
 
 
 @dataclass(frozen=True)
@@ -101,17 +92,17 @@ _CHANNELS = (
 )
 
 
-def nv_levels(c: NVConstants = NVConstants()) -> LevelStructure:
+def nv_levels() -> LevelStructure:
     """Diagonal of H_NV = D Sz^2 + we Sz + Q Iz^2 + wn Iz + A Sz Iz (Hz).
 
     we = gamma_e * B, wn = gamma_n * B. Transition frequencies are the
     (positive) energy differences of the six driven pairs.
     """
-    we = c.gamma_e * c.B
-    wn = c.gamma_n * c.B
+    we = NV_GAMMA_E * NV_B
+    wn = NV_GAMMA_N * NV_B
 
     def energy(ms: int, mi: int) -> float:
-        return c.D * ms**2 + we * ms + c.Q * mi**2 + wn * mi + c.A * ms * mi
+        return NV_D * ms**2 + we * ms + NV_Q * mi**2 + wn * mi + NV_A * ms * mi
 
     energies = np.array(
         [energy(ms, mi) for mi in (1, 0) for ms in (1, 0, -1)]
@@ -239,12 +230,11 @@ def verify_rwa_roundtrip(
     return float(np.abs(hrot - np.asarray(htot_samples, dtype=complex)).max())
 
 
-def emit_waveforms(channels: list[PulseChannel], path) -> None:
-    """Write the channels as CSV, one row per (channel, sample).
+def emit_waveforms(channels: list[PulseChannel]) -> str:
+    """The channels as CSV text, one row per (channel, sample).
 
     Columns: channel,label,omega_hz,t_s,amplitude_hz,phase_rad; decimal
-    text with 12 significant digits, so read_waveforms round-trips the
-    decimal encoding exactly.
+    text with 12 significant digits.
     """
     lines = ["channel,label,omega_hz,t_s,amplitude_hz,phase_rad\n"]
     for idx, ch in enumerate(channels):
@@ -253,43 +243,7 @@ def emit_waveforms(channels: list[PulseChannel], path) -> None:
         t_s = np.arange(ch.amplitude_samples.size) * ch.grid_dt
         samples = np.column_stack([t_s, ch.amplitude_samples, ch.phase_samples])
         lines += [template % tuple(row) for row in samples.tolist()]
-    fh = path if hasattr(path, "write") else open(path, "w")
-    try:
-        fh.write("".join(lines))
-    finally:
-        if fh is not path:
-            fh.close()
-
-
-def read_waveforms(path) -> list[PulseChannel]:
-    """Inverse of emit_waveforms on the decimal encoding."""
-    rows = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        while header.startswith("#"):
-            header = fh.readline().strip()
-        if header != "channel,label,omega_hz,t_s,amplitude_hz,phase_rad":
-            raise ValueError(f"unexpected waveform header {header!r}")
-        for line in fh:
-            parts = line.strip().split(",")
-            idx = int(parts[0])
-            rows.setdefault(idx, {"label": parts[1], "omega": float(parts[2]), "rows": []})
-            rows[idx]["rows"].append((float(parts[3]), float(parts[4]), float(parts[5])))
-    channels = []
-    for idx in sorted(rows):
-        rec = rows[idx]
-        ts = np.array([r[0] for r in rec["rows"]])
-        dt = float(ts[1] - ts[0]) if ts.size > 1 else 0.0
-        channels.append(
-            PulseChannel(
-                label=rec["label"],
-                omega=rec["omega"],
-                amplitude_samples=np.array([r[1] for r in rec["rows"]]),
-                phase_samples=np.array([r[2] for r in rec["rows"]]),
-                grid_dt=dt,
-            )
-        )
-    return channels
+    return "".join(lines)
 
 
 def model_htot_path(

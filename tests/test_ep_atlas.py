@@ -5,6 +5,7 @@ import pytest
 
 from eplab import ep_atlas
 from eplab.ep_atlas import (
+    RING_RADIUS,
     EPRecord,
     _coalescing_pair,
     _gradient_newton,
@@ -18,6 +19,7 @@ from eplab.ep_atlas import (
 )
 from eplab.model import (
     ModelParams,
+    _cubic_coefficients,
     _discriminant_derivatives,
     build_hamiltonian,
     build_tb_block,
@@ -37,6 +39,24 @@ def test_scan_marks_sign_changes():
 def test_refine_lands_on_zero_set():
     x = refine_degeneracy((0.05, 1.43))
     assert abs(float(discriminant(*x))) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [(5.0, 4.0), (4.8, -4.5)])
+def test_refine_stops_within_the_rounding_floor(seed):
+    # past |k| ~ 3 the rounding floor eps S of delta is above 1e-10: a stop
+    # at 1e-10 alone used up all 60 Newton steps there, and the bisection
+    # fallback returned these seeds at 1.5 and 1.3 times the bound below
+    x = refine_degeneracy(seed)
+    f1, f0 = np.abs(_cubic_coefficients(*x))
+    size = 4 * f1**3 + 36 * f1**2 + 108 * f1 * f0 + 27 * f0**2 + 864 * f0
+    assert abs(float(discriminant(*x))) <= max(1e-10, 3 * np.finfo(float).eps * size)
+
+
+def test_refine_raises_far_from_the_zero_set():
+    # Newton from (-2, 0) runs down to delta = 69.8 near the saddle at the
+    # origin (delta 68) and finds no sign change along the gradient there
+    with pytest.raises(ValueError, match=r"seed \(-2.0, 0.0\) not refinable"):
+        refine_degeneracy((-2.0, 0.0))
 
 
 def test_conical_points_found_exactly():
@@ -80,9 +100,24 @@ def test_classify_hermitian_point():
 def test_trace_recognizes_singular_seed():
     res = trace_exceptional_line((0.001, 1.0005), 0.01)
     assert res.terminated == "singular_seed"
-    assert res.singular
     assert res.hessian_signature == (2, 0)
     assert np.hypot(*(res.vertices[0] - np.array([0.0, 1.0]))) < 1e-6
+
+
+def test_zero_set_critical_points_are_the_cones():
+    # the trace treats a seed with a vanishing gradient as a cone with a
+    # definite Hessian: every critical point of delta that gradient Newton
+    # reaches on the zero set is (0, +-1), where the Hessian is definite
+    ends = 0
+    for k1 in np.linspace(-3.0, 3.0, 25):
+        for k2 in np.linspace(-3.0, 3.0, 25):
+            x = _gradient_newton(np.array([k1, k2]))
+            if not abs(float(discriminant(*x))) <= 1e-12:
+                continue
+            ends += 1
+            assert min(np.hypot(x[0], x[1] - 1.0), np.hypot(x[0], x[1] + 1.0)) < 1e-9
+            assert np.all(np.linalg.eigvalsh(_discriminant_derivatives(*x)[1]) > 0)
+    assert ends > 0
 
 
 def test_trace_reaches_boundary():
@@ -179,7 +214,7 @@ def _loop_pair_gap_and_overlap(h):
     return gap, ov
 
 
-def _loop_classify_ep(location, *, family=None, ring_radius=0.05):
+def _loop_classify_ep(location, *, family=None, ring_radius=RING_RADIUS):
     fam = family or (lambda a, b: build_hamiltonian(ModelParams(a, b)))
     k1, k2 = location
     if family is None:
@@ -234,14 +269,15 @@ def _typical_point():
     [
         ((0.0, 1.0), None, 0.05),
         ((0.0, -1.0), None, 0.05),
-        ((1e-3, 1.0005), None, 0.2),
+        ((1e-3, 1.0005), None, 0.05),
         (_typical_point(), None, 0.05),
         ((1.5, 0.0), lambda k1, k2: np.diag([3 + 2 * k1, 0.0, 3 - 2 * k1]), 0.05),
         ((0.0, 1.0), lambda k1, k2: build_hamiltonian(ModelParams(k1, k2)), 0.05),
     ],
 )
 def test_stacked_classification_equals_the_probe_loops(location, family, ring_radius):
-    got = classify_ep(location, family=family, ring_radius=ring_radius)
+    # ring_radius is the reference's; classify_ep tests the ring at RING_RADIUS
+    got = classify_ep(location, family=family)
     want = _loop_classify_ep(location, family=family, ring_radius=ring_radius)
     assert repr(got) == repr(want)
 
@@ -333,13 +369,3 @@ def test_line_locator_rejects_bad_range(k1_range):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"k1_range must be finite with lo < hi, got \("):
             locate_line_degeneracies(family, k1_range)
-
-
-@pytest.mark.parametrize("ring_radius", [-0.05, 0.0, np.nan, np.inf])
-def test_classify_rejects_bad_ring_radius(ring_radius):
-    # -0.05 gave kind "dirac" with spectrum_real_radius -0.05, and 0 tested
-    # reality on 24 copies of the EP itself
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="ring_radius must be finite and positive"):
-            classify_ep((0.0, 1.0), ring_radius=ring_radius)

@@ -1,16 +1,13 @@
-import io
-
 import numpy as np
 import pytest
 
 from eplab.numerics import NumericsError
 from eplab.pulse_synth import (
-    NVConstants,
+    NV_A,
     PulseChannel,
     emit_waveforms,
     model_htot_path,
     nv_levels,
-    read_waveforms,
     synthesize_pulses,
     verify_rwa_roundtrip,
 )
@@ -34,10 +31,10 @@ def test_level_energies_reference_points():
     assert lv.energies[4] == 0.0
     # nuclear-spin flip leaves the electron splittings shifted by exactly A
     assert abs(lv.omega_ij["12"] - lv.omega_ij["45"]) == pytest.approx(
-        abs(NVConstants().A), rel=1e-12
+        abs(NV_A), rel=1e-12
     )
     assert abs(lv.omega_ij["23"] - lv.omega_ij["56"]) == pytest.approx(
-        abs(NVConstants().A), rel=1e-12
+        abs(NV_A), rel=1e-12
     )
 
 
@@ -47,13 +44,6 @@ def test_double_quantum_frequency_identity():
     # signed differences: (E1-E3) = (E1-E2) + (E2-E3)
     assert (e[0] - e[2]) == pytest.approx((e[0] - e[1]) + (e[1] - e[2]))
     assert lv.omega_ij["13"] == pytest.approx(abs(e[0] - e[2]), rel=1e-12)
-
-
-def test_constants_validation():
-    with pytest.raises(ValueError):
-        NVConstants(B=-10.0)
-    with pytest.raises(ValueError):
-        NVConstants(D=np.inf)
 
 
 def test_roundtrip_constant_target():
@@ -151,20 +141,24 @@ def test_carrier_mismatch_detected():
         verify_rwa_roundtrip(detuned, d, lv, times, htot)
 
 
-def test_waveform_csv_roundtrip(tmp_path):
+def test_waveform_csv_roundtrip():
+    # 12 significant digits carry every sample to 1e-11 relative
     rng = np.random.default_rng(10)
     htot = _random_block_htot(rng, 32)
     times = np.arange(32) * 1e-9
     channels, _ = synthesize_pulses(htot, times, nv_levels())
-    path = tmp_path / "wave.csv"
-    emit_waveforms(channels, str(path))
-    back = read_waveforms(str(path))
-    assert len(back) == 6
-    for a, b in zip(channels, back):
-        assert a.label == b.label
-        assert np.allclose(a.amplitude_samples, b.amplitude_samples, rtol=1e-11)
-        assert np.allclose(a.phase_samples, b.phase_samples, rtol=1e-11, atol=1e-11)
-        assert b.grid_dt == pytest.approx(a.grid_dt, rel=1e-9)
+    header, *rows = emit_waveforms(channels).splitlines()
+    assert header == "channel,label,omega_hz,t_s,amplitude_hz,phase_rad"
+    fields = [row.split(",") for row in rows]
+    assert len(fields) == 6 * 32
+    for idx, ch in enumerate(channels):
+        mine = [f for f in fields if f[0] == str(idx)]
+        assert {f[1] for f in mine} == {ch.label}
+        t_s, amp, phase = np.array([f[3:] for f in mine], dtype=float).T
+        assert float(mine[0][2]) == pytest.approx(ch.omega, rel=1e-11)
+        assert np.allclose(t_s, np.arange(32) * ch.grid_dt, rtol=1e-11, atol=0.0)
+        assert np.allclose(amp, ch.amplitude_samples, rtol=1e-11)
+        assert np.allclose(phase, ch.phase_samples, rtol=1e-11, atol=1e-11)
 
 
 def test_waveform_csv_bytes_match_per_sample_formatting():
@@ -174,8 +168,6 @@ def test_waveform_csv_bytes_match_per_sample_formatting():
     channels, _ = synthesize_pulses(_random_block_htot(rng, 40), np.arange(40) * 1e-9, nv_levels())
     amps, phases = np.array([0.0, np.nan, 1e300, 5e-324]), np.array([-0.0, np.inf, -np.inf, 0.3])
     channels.append(PulseChannel("EF%1", 2.5e6, amps, phases, 1.0 / 3.0))
-    buf = io.StringIO()
-    emit_waveforms(channels, buf)
     want = ["channel,label,omega_hz,t_s,amplitude_hz,phase_rad\n"]
     for idx, ch in enumerate(channels):
         for k in range(ch.amplitude_samples.size):
@@ -183,27 +175,11 @@ def test_waveform_csv_bytes_match_per_sample_formatting():
                 f"{idx},{ch.label},{ch.omega:.12g},{k * ch.grid_dt:.12g},"
                 f"{ch.amplitude_samples[k]:.12g},{ch.phase_samples[k]:.12g}\n"
             )
-    assert buf.getvalue() == "".join(want)
+    assert emit_waveforms(channels) == "".join(want)
 
 
-def test_waveform_reader_skips_comment_lines(tmp_path):
-    path = tmp_path / "wave.csv"
-    buf = io.StringIO()
-    ch = PulseChannel("MW1", 1e9, np.array([1.0, 2.0]), np.array([0.0, 0.1]), 1e-9)
-    emit_waveforms([ch], buf)
-    path.write_text("# config_hash=deadbeef version=0\n" + buf.getvalue())
-    back = read_waveforms(str(path))
-    assert len(back) == 1 and back[0].label == "MW1"
-    bad = tmp_path / "bad.csv"
-    bad.write_text("wrong,header\n")
-    with pytest.raises(ValueError, match="header"):
-        read_waveforms(str(bad))
-
-
-def test_waveform_empty_channel_list(tmp_path):
-    path = tmp_path / "empty.csv"
-    emit_waveforms([], str(path))
-    assert read_waveforms(str(path)) == []
+def test_waveform_empty_channel_list():
+    assert emit_waveforms([]) == "channel,label,omega_hz,t_s,amplitude_hz,phase_rad\n"
 
 
 def test_model_path_synthesis_end_to_end():
