@@ -1,9 +1,16 @@
 """Command-line entry point.
 
-Every subcommand reads an optional JSON config (flags override file
-values), writes machine-readable CSV/JSON with a provenance header line
-`# config_hash=... version=...`, and is byte-deterministic for a fixed
-config and seed. Exit codes: 0 success, 1 domain error, 2 usage error.
+A subcommand's config comes from three sources, each overriding the one
+before: the flag defaults, an optional JSON `--config` file, and the
+flags given explicitly. A file value must have the JSON type of its
+flag's default: a string for a string flag, a number for a float flag,
+an integral number for an int flag. `spectrum` takes one of
+`--k1-range` or `--k2-range`, not both.
+
+Every subcommand writes machine-readable CSV/JSON with a provenance
+header line `# config_hash=... version=...`, and is byte-deterministic
+for a fixed config and seed. Exit codes: 0 success, 1 domain error, 2
+usage error.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import hashlib
 import json
 import re
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +51,8 @@ def _header(cfg: dict) -> str:
     return f"# config_hash={_config_hash(cfg)} version={__version__}\n"
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+def _write(path: str, text: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
@@ -65,13 +74,14 @@ def _check_file_value(key: str, value, default) -> None:
         raise ValueError(f"config key {key!r} needs {kind}, got {json.dumps(value)}")
 
 
-def _effective_config(args, keys) -> dict:
-    """Defaults from argparse, overridden by --config file, overridden by
-    explicitly passed flags. The file must hold a JSON object of known
-    keys with values as `_check_file_value` takes them; else ValueError."""
-    cfg = {k: getattr(args, k) for k in keys}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
+def _config(flags: tuple[_Flag, ...], path: str | None, given: dict) -> dict:
+    """The flags' defaults, overridden by the JSON file at `path` (if
+    any), overridden by the `given` flags. The file must hold a JSON
+    object of known keys with values as `_check_file_value` takes them;
+    else ValueError."""
+    cfg = {f.name: f.default for f in flags}
+    if path:
+        with open(path) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file must hold a JSON object, not {type(file_cfg).__name__}")
@@ -80,11 +90,7 @@ def _effective_config(args, keys) -> dict:
                 raise ValueError(f"unknown config key {k!r}")
             _check_file_value(k, v, cfg[k])
             cfg[k] = v
-        # explicit CLI flags win over the file
-        for k in keys:
-            if k in getattr(args, "_explicit", set()):
-                cfg[k] = getattr(args, k)
-    return cfg
+    return {**cfg, **given}
 
 
 # most points a --k1-range/--k2-range sweep or a cone's --angles may have;
@@ -111,8 +117,9 @@ def _parse_range(text: str) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
-class _TrackingParser(argparse.ArgumentParser):
-    """Records which optional flags were given explicitly.
+class _Parser(argparse.ArgumentParser):
+    """Takes no flag prefixes: --dur would name --duration only until a
+    second flag starts with it.
 
     A value with a leading minus that reads as a number or a range
     (-1e-3, -.5, -inf, -1:1:0.05) is a value, not an unknown option:
@@ -121,26 +128,15 @@ class _TrackingParser(argparse.ArgumentParser):
     """
 
     def __init__(self, *args, **kwargs):
-        # no prefixes: `_explicit` is read off the raw tokens, so an
-        # abbreviated flag would set its value but lose to --config
         super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
-    def parse_args(self, argv=None, namespace=None):
-        argv = sys.argv[1:] if argv is None else list(argv)
-        ns = super().parse_args(argv, namespace)
-        explicit = set()
-        for token in argv:
-            if token.startswith("--"):
-                explicit.add(token[2:].split("=")[0].replace("-", "_"))
-        ns._explicit = explicit
-        return ns
 
-
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(cfg: dict) -> str:
     from .model import ModelParams, sweep_tracked_eigenvalues
 
-    cfg = _effective_config(args, ("k1", "k2", "k1_range", "k2_range"))
+    if cfg["k1_range"] and cfg["k2_range"]:
+        raise ValueError("spectrum takes one of --k1-range or --k2-range")
     if cfg["k1_range"]:
         sweep_vals = _parse_range(cfg["k1_range"])
         path = ModelParams(sweep_vals, float(cfg["k2"]))
@@ -154,15 +150,12 @@ def _cmd_spectrum(args) -> int:
     vals = sweep_tracked_eigenvalues(path)
     parts = np.stack([vals.real, vals.imag], axis=-1).reshape(len(vals), 6)  # E1_re, E1_im, ...
     table = np.column_stack([sweep_vals, parts])
-    _write(args.output, _header(cfg) + f"{axis},E1_re,E1_im,E2_re,E2_im,E3_re,E3_im\n"
-           + _csv_rows(table))
-    return EXIT_OK
+    return f"{axis},E1_re,E1_im,E2_re,E2_im,E3_re,E3_im\n" + _csv_rows(table)
 
 
-def _cmd_atlas(args) -> int:
+def _cmd_atlas(cfg: dict) -> list:
     from .ep_atlas import classify_ep, locate_conical_points
 
-    cfg = _effective_config(args, ("k1_min", "k1_max", "k2_min", "k2_max", "resolution"))
     points = locate_conical_points(
         (cfg["k1_min"], cfg["k1_max"]), (cfg["k2_min"], cfg["k2_max"]),
         resolution=int(cfg["resolution"]),
@@ -179,8 +172,7 @@ def _cmd_atlas(args) -> int:
                 "spectrum_real_radius": rec.spectrum_real_radius,
             }
         )
-    _write(args.output, _header(cfg) + json.dumps(records, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
+    return records
 
 
 def _cone_sheets(c) -> np.ndarray:
@@ -191,10 +183,9 @@ def _cone_sheets(c) -> np.ndarray:
     return -np.sort(-eigenvalues(ModelParams(c.dk1, 1.0 + c.dk2)).real)
 
 
-def _cmd_cone(args) -> int:
+def _cmd_cone(cfg: dict) -> str:
     from .model import ConeDirection, cone_expansion
 
-    cfg = _effective_config(args, ("angles", "dk"))
     angles = int(cfg["angles"])
     if angles < 1:
         raise ValueError("angles must be >= 1")
@@ -206,9 +197,8 @@ def _cmd_cone(args) -> int:
     vals = _cone_sheets(c)
     fd_p = (vals[:, 0] - 3.0) / c.dk
     fd_m = (vals[:, 1] - 3.0) / c.dk
-    _write(args.output, _header(cfg) + "theta,slope_plus,slope_minus,slope_plus_fd,slope_minus_fd\n"
-           + _csv_rows(np.column_stack([thetas, sp, sm, fd_p, fd_m])))
-    return EXIT_OK
+    return ("theta,slope_plus,slope_minus,slope_plus_fd,slope_minus_fd\n"
+            + _csv_rows(np.column_stack([thetas, sp, sm, fd_p, fd_m])))
 
 
 def _direct_infidelity(h, psi0, times, post_states) -> np.ndarray:
@@ -220,11 +210,10 @@ def _direct_infidelity(h, psi0, times, post_states) -> np.ndarray:
     return 1.0 - np.abs(np.sum(direct.conj() * post_states, axis=-1)) ** 2
 
 
-def _cmd_dilate(args) -> int:
+def _cmd_dilate(cfg: dict) -> str:
     from .dilation import dilated_evolve
     from .model import ModelParams, build_hamiltonian
 
-    cfg = _effective_config(args, ("k1", "k2", "time", "steps", "m0_scale"))
     h = build_hamiltonian(ModelParams(cfg["k1"], cfg["k2"])).astype(complex)
     psi0 = np.array([0.0, 1.0, 0.0], dtype=complex)
     joint, post, probs = dilated_evolve(
@@ -234,11 +223,10 @@ def _cmd_dilate(args) -> int:
     rows = slice(None, None, max(len(joint.times) // 400, 1))
     infid = np.maximum(_direct_infidelity(h, psi0, joint.times[rows], post.states[rows]), 0.0)
     table = np.column_stack([joint.times[rows], probs[rows], infid, joint.norms[rows]])
-    _write(args.output, _header(cfg) + "t,postselect_prob,infidelity,joint_norm\n" + _csv_rows(table))
-    return EXIT_OK
+    return "t,postselect_prob,infidelity,joint_norm\n" + _csv_rows(table)
 
 
-def _cmd_pulses(args) -> int:
+def _cmd_pulses(cfg: dict) -> str:
     from .pulse_synth import (
         emit_waveforms,
         model_htot_path,
@@ -247,9 +235,6 @@ def _cmd_pulses(args) -> int:
         verify_rwa_roundtrip,
     )
 
-    cfg = _effective_config(
-        args, ("k1", "k2", "span", "samples", "m0_scale", "scale")
-    )
     levels = nv_levels()
     times, htot = model_htot_path(
         float(cfg["k1"]), float(cfg["k2"]), t_model_span=float(cfg["span"]),
@@ -261,15 +246,13 @@ def _cmd_pulses(args) -> int:
     rel = dev / max(np.abs(htot).max(), 1e-300)
     if rel > 1e-9:
         raise NumericsError(f"round-trip deviation {rel:.3e} exceeds 1e-9")
-    _write(args.output, _header(cfg) + emit_waveforms(channels))
-    return EXIT_OK
+    return emit_waveforms(channels)
 
 
-def _cmd_eigensolve(args) -> int:
+def _cmd_eigensolve(cfg: dict) -> dict:
     from .model import ModelParams, discriminant, spectrum
     from .readout import DEFAULT_SETTINGS, K_MAX, simulate_counts, solve_eigenvalues
 
-    cfg = _effective_config(args, ("k1", "k2", "shots", "seed"))
     k1, k2, shots = float(cfg["k1"]), float(cfg["k2"]), int(cfg["shots"])
     # on the signed plane distinct points fit the same ratios, so the
     # solver reads out only the quadrant window
@@ -303,17 +286,15 @@ def _cmd_eigensolve(args) -> int:
     ratios = np.array([pop[1] / pop[2] for pop in ps])
     tol = 1e-6 if shots == 0 else 1e6
     recovered = solve_eigenvalues(ratios, residual_tol=tol)
-    doc = {
+    return {
         "truth": [float(v) for v in truth],
         "recovered": [float(v) for v in recovered],
         "max_abs_error": float(np.abs(recovered - truth).max()),
         "shots": int(cfg["shots"]),
     }
-    _write(args.output, _header(cfg) + json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
 
 
-def _cmd_tomography(args) -> int:
+def _cmd_tomography(cfg: dict) -> dict:
     from .model import ModelParams, spectrum
     from .readout import (
         TOMOGRAPHY_SETTINGS,
@@ -322,7 +303,6 @@ def _cmd_tomography(args) -> int:
         simulate_counts,
     )
 
-    cfg = _effective_config(args, ("k1", "k2", "eigenindex", "shots", "seed"))
     index = int(cfg["eigenindex"]) - 1
     if index not in (0, 1, 2):
         raise ValueError("eigenindex must be 1, 2 or 3")
@@ -334,43 +314,37 @@ def _cmd_tomography(args) -> int:
         for s in TOMOGRAPHY_SETTINGS
     ]
     rho = mle_reconstruct(records)
-    doc = {
+    return {
         "density": [[[float(v.real), float(v.imag)] for v in row] for row in rho],
         "fidelity_vs_pure_theory": fidelity(rho, np.outer(psi, psi.conj())),
         "eigenvalue": [float(sp.eigenvalues[index].real), float(sp.eigenvalues[index].imag)],
         "shots": int(cfg["shots"]),
     }
-    _write(args.output, _header(cfg) + json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
 
 
-def _cmd_geophase(args) -> int:
+def _cmd_geophase(cfg: dict) -> dict:
     from .experiments import LoopSpec, geometric_phase
 
-    cfg = _effective_config(args, ("radius", "duration", "eigenindex", "dt"))
     rep = geometric_phase(
         LoopSpec(R=float(cfg["radius"]), T=float(cfg["duration"])),
         int(cfg["eigenindex"]), dt=float(cfg["dt"]),
     )
-    doc = {
+    return {
         "total": [rep.total.real, rep.total.imag],
         "dynamical": [rep.dynamical.real, rep.dynamical.imag],
         "geometric": [rep.geometric.real, rep.geometric.imag],
         "eigenindex": rep.eigenindex,
     }
-    _write(args.output, _header(cfg) + json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
 
 
-def _cmd_modeswitch(args) -> int:
+def _cmd_modeswitch(cfg: dict) -> dict:
     from .experiments import LoopSpec, mode_switch
 
-    cfg = _effective_config(args, ("preset", "start", "direction", "duration", "dt"))
     rep = mode_switch(
         LoopSpec(kind=cfg["preset"], T=float(cfg["duration"]), direction=cfg["direction"]),
         int(cfg["start"]), dt=float(cfg["dt"]),
     )
-    doc = {
+    return {
         "start_index": rep.start_index,
         "end_index": rep.end_index,
         "overlap": rep.overlap,
@@ -378,12 +352,9 @@ def _cmd_modeswitch(args) -> int:
         "efficiency": rep.efficiency,
         "direction": rep.direction,
     }
-    _write(args.output, _header(cfg) + json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    cfg = _effective_config(args, ("suite",))
+def _cmd_verify(cfg: dict) -> tuple[str, bool]:
     suite = cfg["suite"]
     checks = []
     if suite in ("line_spectra", "all"):
@@ -437,117 +408,97 @@ def _cmd_verify(args) -> int:
         checks.append(("pulses", worst < 1e-9, f"max rel dev {worst:.3e}"))
     if not checks:
         raise ValueError(f"unknown verify suite {suite!r}")
-    lines = [_header(cfg)]
-    ok = True
-    for name, passed, detail in checks:
-        ok = ok and passed
-        lines.append(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})\n")
-    _write(args.output, "".join(lines))
-    return EXIT_OK if ok else EXIT_DOMAIN
+    report = "".join(f"{name}: {'PASS' if passed else 'FAIL'} ({detail})\n"
+                     for name, passed, detail in checks)
+    return report, all(passed for _, passed, _ in checks)
 
 
-def build_parser() -> _TrackingParser:
-    p = _TrackingParser(prog="eplab", description=__doc__)
+class _Flag(NamedTuple):
+    """A `--name` flag; its values have the type of its default."""
+
+    name: str
+    default: float | int | str
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+class _Command(NamedTuple):
+    """A subcommand: `run(cfg)` returns the body written under the header,
+    CSV text or a JSON document, or for `verify` (text, all checks passed)."""
+
+    help: str
+    run: Callable[[dict], str | dict | list | tuple[str, bool]]
+    flags: tuple[_Flag, ...]
+
+
+# every subcommand, declared once: `build_parser` adds its flags and
+# `_config` takes their defaults
+_COMMANDS = {
+    "spectrum": _Command("tracked eigenvalue sweep", _cmd_spectrum, (
+        _Flag("k1", 0.0), _Flag("k2", 1.0),
+        _Flag("k1_range", "", "lo:hi:step sweep of k1"),
+        _Flag("k2_range", "", "lo:hi:step sweep of k2"),
+    )),
+    "atlas": _Command("locate and classify conical degeneracies", _cmd_atlas, (
+        _Flag("k1_min", -1.0), _Flag("k1_max", 1.0), _Flag("k2_min", -2.0), _Flag("k2_max", 2.0),
+        _Flag("resolution", 41),
+    )),
+    "cone": _Command("conical dispersion slopes vs angle", _cmd_cone, (
+        _Flag("angles", 16), _Flag("dk", 1e-4),
+    )),
+    "dilate": _Command("dilated vs direct evolution", _cmd_dilate, (
+        _Flag("k1", 0.0), _Flag("k2", 1.0), _Flag("time", 2.0), _Flag("steps", 2000),
+        _Flag("m0_scale", 12.0),
+    )),
+    "pulses": _Command("waveform synthesis for the dilated Hamiltonian", _cmd_pulses, (
+        _Flag("k1", 0.0), _Flag("k2", 1.0), _Flag("span", 0.08, "model-time span"),
+        _Flag("samples", 201), _Flag("m0_scale", 1.3),
+        _Flag("scale", 5.0e4, "dilation rate in Hz"),
+    )),
+    "eigensolve": _Command("eigenvalues from population ratios", _cmd_eigensolve, (
+        _Flag("k1", 0.3), _Flag("k2", 1.0), _Flag("shots", 0), _Flag("seed", 0),
+    )),
+    "tomography": _Command("simulated MLE state tomography", _cmd_tomography, (
+        _Flag("k1", 0.0), _Flag("k2", 1.0), _Flag("eigenindex", 3), _Flag("shots", 0),
+        _Flag("seed", 0),
+    )),
+    "geophase": _Command("complex geometric phase on a loop", _cmd_geophase, (
+        _Flag("radius", 0.2), _Flag("duration", 5000.0), _Flag("eigenindex", 1), _Flag("dt", 0.2),
+    )),
+    "modeswitch": _Command("chiral/non-chiral mode switching", _cmd_modeswitch, (
+        _Flag("preset", "through_k2", choices=("through_k2", "through_k1")),
+        _Flag("start", 1),
+        _Flag("direction", "ccw", choices=("ccw", "cw")),
+        _Flag("duration", 5.0e4), _Flag("dt", 0.4),
+    )),
+    "verify": _Command("run a property suite", _cmd_verify, (
+        _Flag("suite", "all", choices=("line_spectra", "cone", "dilation", "pulses", "all")),
+    )),
+}
+
+
+def build_parser() -> _Parser:
+    """The `eplab` parser. A subcommand's namespace holds only the flags
+    given, so `main` can tell them from the defaults and the file."""
+    p = _Parser(prog="eplab", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file; flags override")
-        sp.add_argument("--output", "-o", default="-", help="output path, - for stdout")
-
-    s = sub.add_parser("spectrum", help="tracked eigenvalue sweep")
-    common(s)
-    s.add_argument("--k1", type=float, default=0.0)
-    s.add_argument("--k2", type=float, default=1.0)
-    s.add_argument("--k1-range", default="", help="lo:hi:step sweep of k1")
-    s.add_argument("--k2-range", default="", help="lo:hi:step sweep of k2")
-    s.set_defaults(func=_cmd_spectrum)
-
-    s = sub.add_parser("atlas", help="locate and classify conical degeneracies")
-    common(s)
-    s.add_argument("--k1-min", type=float, default=-1.0)
-    s.add_argument("--k1-max", type=float, default=1.0)
-    s.add_argument("--k2-min", type=float, default=-2.0)
-    s.add_argument("--k2-max", type=float, default=2.0)
-    s.add_argument("--resolution", type=int, default=41)
-    s.set_defaults(func=_cmd_atlas)
-
-    s = sub.add_parser("cone", help="conical dispersion slopes vs angle")
-    common(s)
-    s.add_argument("--angles", type=int, default=16)
-    s.add_argument("--dk", type=float, default=1e-4)
-    s.set_defaults(func=_cmd_cone)
-
-    s = sub.add_parser("dilate", help="dilated vs direct evolution")
-    common(s)
-    s.add_argument("--k1", type=float, default=0.0)
-    s.add_argument("--k2", type=float, default=1.0)
-    s.add_argument("--time", type=float, default=2.0)
-    s.add_argument("--steps", type=int, default=2000)
-    s.add_argument("--m0-scale", type=float, default=12.0)
-    s.set_defaults(func=_cmd_dilate)
-
-    s = sub.add_parser("pulses", help="waveform synthesis for the dilated Hamiltonian")
-    common(s)
-    s.add_argument("--k1", type=float, default=0.0)
-    s.add_argument("--k2", type=float, default=1.0)
-    s.add_argument("--span", type=float, default=0.08, help="model-time span")
-    s.add_argument("--samples", type=int, default=201)
-    s.add_argument("--m0-scale", type=float, default=1.3)
-    s.add_argument("--scale", type=float, default=5.0e4, help="dilation rate in Hz")
-    s.set_defaults(func=_cmd_pulses)
-
-    s = sub.add_parser("eigensolve", help="eigenvalues from population ratios")
-    common(s)
-    s.add_argument("--k1", type=float, default=0.3)
-    s.add_argument("--k2", type=float, default=1.0)
-    s.add_argument("--shots", type=int, default=0)
-    s.add_argument("--seed", type=int, default=0)
-    s.set_defaults(func=_cmd_eigensolve)
-
-    s = sub.add_parser("tomography", help="simulated MLE state tomography")
-    common(s)
-    s.add_argument("--k1", type=float, default=0.0)
-    s.add_argument("--k2", type=float, default=1.0)
-    s.add_argument("--eigenindex", type=int, default=3)
-    s.add_argument("--shots", type=int, default=0)
-    s.add_argument("--seed", type=int, default=0)
-    s.set_defaults(func=_cmd_tomography)
-
-    s = sub.add_parser("geophase", help="complex geometric phase on a loop")
-    common(s)
-    s.add_argument("--radius", type=float, default=0.2)
-    s.add_argument("--duration", type=float, default=5000.0)
-    s.add_argument("--eigenindex", type=int, default=1)
-    s.add_argument("--dt", type=float, default=0.2)
-    s.set_defaults(func=_cmd_geophase)
-
-    s = sub.add_parser("modeswitch", help="chiral/non-chiral mode switching")
-    common(s)
-    s.add_argument("--preset", choices=("through_k2", "through_k1"), default="through_k2")
-    s.add_argument("--start", type=int, default=1)
-    s.add_argument("--direction", choices=("ccw", "cw"), default="ccw")
-    s.add_argument("--duration", type=float, default=5.0e4)
-    s.add_argument("--dt", type=float, default=0.4)
-    s.set_defaults(func=_cmd_modeswitch)
-
-    s = sub.add_parser("verify", help="run a property suite")
-    common(s)
-    s.add_argument(
-        "--suite",
-        default="all",
-        choices=("line_spectra", "cone", "dilation", "pulses", "all"),
-    )
-    s.set_defaults(func=_cmd_verify)
+    for name, command in _COMMANDS.items():
+        s = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        s.add_argument("--config", help="JSON config file; flags override")
+        s.add_argument("--output", "-o", help="output path, - for stdout")
+        for f in command.flags:
+            s.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                           help=f.help, choices=f.choices)
     return p
 
 
-_PARSER: _TrackingParser | None = None
+_PARSER: _Parser | None = None
 
 
-def _parser() -> _TrackingParser:
+def _parser() -> _Parser:
     """The parser, built once per process: building it costs about 25x a
-    parse. Each parse returns a fresh namespace with its own `_explicit`."""
+    parse. Each parse returns a fresh namespace."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
@@ -555,15 +506,25 @@ def _parser() -> _TrackingParser:
 
 
 def main(argv=None) -> int:
+    """Run one `eplab` command line and return its exit code."""
     try:
-        args = _parser().parse_args(argv)
+        given = vars(_parser().parse_args(argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    command = _COMMANDS[given.pop("command")]
+    output = given.pop("output", "-")
     try:
-        return args.func(args)
+        cfg = _config(command.flags, given.pop("config", None), given)
+        body, passed = command.run(cfg), True
+        if isinstance(body, tuple):
+            body, passed = body
+        if not isinstance(body, str):
+            body = json.dumps(body, indent=2, sort_keys=True) + "\n"
+        _write(output, _header(cfg) + body)
     except (ValueError, NumericsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    return EXIT_OK if passed else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -154,7 +154,8 @@ def _locus_newton(
 def refine_degeneracy(seed: tuple[float, float], tol: float = 1e-10) -> np.ndarray:
     """Refine a seed onto the zero set of the discriminant: `_locus_newton`
     for at most 60 steps, then bisection along the gradient. Raises
-    ValueError where neither lands on the zero set.
+    ValueError where neither lands on the zero set (|delta| <=
+    `_locus_floor`) within +-MAX_ABS_K.
 
     A vanishing gradient ends the walk only near a saddle of delta, off
     the zero set: near a conical point Newton converges linearly with
@@ -176,7 +177,11 @@ def refine_degeneracy(seed: tuple[float, float], tol: float = 1e-10) -> np.ndarr
                 hi = mid
             else:
                 lo = mid
-        return x + (lo + hi) / 2 * gdir
+        x = x + (lo + hi) / 2 * gdir
+        # from near a saddle Newton's first step lands far out, where one
+        # float step of x moves delta by more than its rounding floor
+        if abs(float(discriminant(*x))) <= _locus_floor(x, tol) and np.abs(x).max() <= MAX_ABS_K:
+            return x
     d = float(discriminant(*x))
     raise ValueError(f"seed {seed} not refinable to the degeneracy locus (delta={d:.3e})")
 

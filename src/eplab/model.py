@@ -349,11 +349,7 @@ def sweep_tracked_eigenvalues(path: ModelParams) -> np.ndarray:
 
 def sweep_tracked_spectra(path: ModelParams) -> Spectrum:
     """`sweep_tracked_eigenvalues` plus the closed-form vector of each
-    eigenvalue. Returns one stacked Spectrum tagged "sweep-tracked",
-    eigenvalues (N, 3), vectors (N, 3, 3)."""
+    eigenvalue. Returns one stacked Spectrum, eigenvalues (N, 3), vectors
+    (N, 3, 3)."""
     vals = sweep_tracked_eigenvalues(path)
-    return Spectrum(
-        eigenvalues=vals,
-        right_vectors=_eigenvectors(vals, path.k1, path.k2),
-        ordering_tag="sweep-tracked",
-    )
+    return Spectrum(eigenvalues=vals, right_vectors=_eigenvectors(vals, path.k1, path.k2))

@@ -68,16 +68,13 @@ class NumericsError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues and unit right eigenvectors (columns). `ordering_tag`
-    records whether the order is the local deterministic one or
-    continuity-tracked by a sweep.
+    """Eigenvalues and unit right eigenvectors (columns).
 
     A stack of spectra keeps the leading axes: eigenvalues (..., n),
     right_vectors (..., n, n) with the vectors in the last axis' columns."""
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    ordering_tag: str = "local"
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import os
@@ -12,7 +11,16 @@ import pytest
 
 import eplab
 from eplab import __version__
-from eplab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _csv_rows, _parse_range, _parser, main
+from eplab.cli import (
+    _COMMANDS,
+    EXIT_DOMAIN,
+    EXIT_OK,
+    EXIT_USAGE,
+    _csv_rows,
+    _parse_range,
+    _parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -208,6 +216,9 @@ def test_abbreviated_flags_are_usage_errors(tmp_path, capsys, file_cfg, argv):
         ('{"shots": Infinity}', ["eigensolve"], "'shots' needs an integer, got Infinity"),
         ('{"k1_range": {"lo": 0}}', ["spectrum"], "'k1_range' needs a string"),
         ('{"preset": 1}', ["modeswitch"], "'preset' needs a string, got 1"),
+        # one range from the file and one from a flag
+        ('{"k1_range": "0:0.1:0.05"}', ["spectrum", "--k2-range", "0:0.1:0.05"],
+         "spectrum takes one of --k1-range or --k2-range"),
     ],
 )
 def test_malformed_config_files_are_domain_errors(tmp_path, capsys, text, argv, message):
@@ -394,8 +405,7 @@ def test_every_command_runs_without_scipy(tmp_path):
         ["eigensolve", "--shots", "0"], ["tomography", "--shots", "1000"],
         ["geophase", "--duration", "500"], ["modeswitch", "--duration", "2000"], ["verify"],
     ]
-    [commands] = (a.choices for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert sorted(argv[0] for argv in argvs) == sorted(commands)
+    assert sorted(argv[0] for argv in argvs) == sorted(_COMMANDS)
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -511,6 +521,9 @@ def test_non_finite_range_is_a_domain_error(capsys, sweep):
         (("cone", "--dk", "1e300"), "within +-1e+06"),
         (("dilate", "--k1", "1e200"), "within +-1e+06"),
         (("pulses", "--k1", "1e200"), "within +-1e+06"),
+        # printed the k1 sweep and dropped --k2-range without a word
+        (("spectrum", "--k1-range", "0:0.1:0.05", "--k2-range", "0:0.1:0.05"),
+         "spectrum takes one of --k1-range or --k2-range"),
     ],
 )
 def test_bad_model_inputs_are_domain_errors(capsys, argv, message):
@@ -586,14 +599,13 @@ def test_negative_values_in_scientific_notation(capsys):
 
 
 def test_cached_parser_keeps_runs_apart(tmp_path, capsys):
-    # main() builds its parser once per process; defaults and the set of
-    # explicitly given flags must not carry over from one run to the next
+    # main() builds its parser once per process; a parse holds only the
+    # flags given, and none of them carries over to the next run
     parser = _parser()
     first = parser.parse_args(["eigensolve", "--k1", "0.2", "--shots", "5"])
     second = parser.parse_args(["tomography", "--seed", "3"])
-    assert first._explicit == {"k1", "shots"}
-    assert second._explicit == {"seed"}
-    assert (second.k1, second.k2, second.shots) == (0.0, 1.0, 0)
+    assert vars(first) == {"command": "eigensolve", "k1": 0.2, "shots": 5}
+    assert vars(second) == {"command": "tomography", "seed": 3}
     assert _parser() is parser
 
     cfg = tmp_path / "cfg.json"

@@ -18,6 +18,7 @@ from eplab.ep_atlas import (
     trace_exceptional_line,
 )
 from eplab.model import (
+    MAX_ABS_K,
     ModelParams,
     _cubic_coefficients,
     _discriminant_derivatives,
@@ -41,15 +42,19 @@ def test_refine_lands_on_zero_set():
     assert abs(float(discriminant(*x))) < 1e-9
 
 
+def _on_the_zero_set(x) -> bool:
+    """|delta(x)| within max(1e-10, 3 eps S), S the size of delta's terms."""
+    f1, f0 = np.abs(_cubic_coefficients(*x))
+    size = 4 * f1**3 + 36 * f1**2 + 108 * f1 * f0 + 27 * f0**2 + 864 * f0
+    return abs(float(discriminant(*x))) <= max(1e-10, 3 * np.finfo(float).eps * size)
+
+
 @pytest.mark.parametrize("seed", [(5.0, 4.0), (4.8, -4.5)])
 def test_refine_stops_within_the_rounding_floor(seed):
     # past |k| ~ 3 the rounding floor eps S of delta is above 1e-10: a stop
     # at 1e-10 alone used up all 60 Newton steps there, and the bisection
     # fallback returned these seeds at 1.5 and 1.3 times the bound below
-    x = refine_degeneracy(seed)
-    f1, f0 = np.abs(_cubic_coefficients(*x))
-    size = 4 * f1**3 + 36 * f1**2 + 108 * f1 * f0 + 27 * f0**2 + 864 * f0
-    assert abs(float(discriminant(*x))) <= max(1e-10, 3 * np.finfo(float).eps * size)
+    assert _on_the_zero_set(refine_degeneracy(seed))
 
 
 def test_refine_raises_far_from_the_zero_set():
@@ -57,6 +62,26 @@ def test_refine_raises_far_from_the_zero_set():
     # origin (delta 68) and finds no sign change along the gradient there
     with pytest.raises(ValueError, match=r"seed \(-2.0, 0.0\) not refinable"):
         refine_degeneracy((-2.0, 0.0))
+
+
+def test_refine_near_the_saddles_lands_on_the_zero_set_or_raises():
+    # from near a saddle of delta ((0, 0) and (0, +-sqrt(7)/2)) Newton's
+    # first step is about delta/|g| long; the bisection fallback returned
+    # 103 of these 270 seeds above the rounding floor or past +-MAX_ABS_K
+    # (at |k| from 10 to 1.8e6, up to 2000 times the floor)
+    landed = 0
+    for center in ((0.0, 0.0), (0.0, np.sqrt(7) / 2), (0.0, -np.sqrt(7) / 2)):
+        for radius in 10.0 ** np.arange(-13, -4):
+            for angle in np.linspace(0, 2 * np.pi, 10, endpoint=False):
+                seed = (center[0] + radius * np.cos(angle), center[1] + radius * np.sin(angle))
+                try:
+                    x = refine_degeneracy(seed)
+                except ValueError as exc:
+                    assert "not refinable" in str(exc)
+                    continue
+                landed += 1
+                assert _on_the_zero_set(x) and np.abs(x).max() <= MAX_ABS_K
+    assert landed > 0
 
 
 def test_conical_points_found_exactly():

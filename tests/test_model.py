@@ -201,7 +201,6 @@ def test_sweep_tracking_continuity():
     assert spectra.right_vectors.shape == (31, 3, 3)
     # tracked branches are continuous (no jumps larger than the step scale)
     assert np.abs(np.diff(branches, axis=0)).max() < 0.1
-    assert spectra.ordering_tag == "sweep-tracked"
     with pytest.raises(ValueError):
         sweep_tracked_spectra(ModelParams(np.array([0.0, 0.2]), 0.0))
 

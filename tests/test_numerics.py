@@ -29,7 +29,6 @@ def test_eig_ordering_and_residual():
     m = np.diag([1.0, 3.0, 2.0])
     sp = eig(m)
     assert np.allclose(sp.eigenvalues, [3.0, 2.0, 1.0])
-    assert sp.ordering_tag == "local"
     for k in range(3):
         v = sp.right_vectors[:, k]
         assert np.linalg.norm(m @ v - sp.eigenvalues[k] * v) < 1e-12
