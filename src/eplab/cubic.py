@@ -155,9 +155,11 @@ def solve_cubic(a, b, c, d) -> np.ndarray:
         real = _roots_trigonometric(b, p, q)
     else:
         real = np.zeros((b.size, 3))
-        real[trig] = _roots_trigonometric(b[trig], p[trig], q[trig])
-        # sort [double, double, simple] into descending order
-        real[multiple] = -np.sort(-_roots_multiple(b[multiple], c[multiple], d[multiple]))
+        if trig.any():
+            real[trig] = _roots_trigonometric(b[trig], p[trig], q[trig])
+        if multiple.any():
+            # sort [double, double, simple] into descending order
+            real[multiple] = -np.sort(-_roots_multiple(b[multiple], c[multiple], d[multiple]))
     roots = np.ldexp(real, k[:, None]).astype(complex)
     if pair.any():
         z = _roots_cardano(b[pair], c[pair], d[pair], p[pair], q[pair])

@@ -18,9 +18,10 @@ There is one forward model, `_ratio_map`, vectorized over stacks of
 triples and their (k1, k2), with the three setting unitaries built once
 per call of `ratios_from_energies` (its one-triple wrapper) or
 `solve_eigenvalues`.
-The solver runs its Gauss-Newton starts in lockstep, two map calls per
-iteration: one for the residuals and finite-difference Jacobian columns
-of every live start, one for all of their line-search candidates.
+The solver runs its Gauss-Newton starts in lockstep, one map call per
+iteration: it evaluates every live start's line-search candidates
+together with their finite-difference Jacobian probes, so the accepted
+candidate's rows are the residual and Jacobian of the next iteration.
 
 Tomography maximizes the multinomial likelihood over rho = T^dag T /
 tr(T^dag T), T a full 3x3 complex matrix, by a damped Newton
@@ -331,7 +332,8 @@ def _ratio_residuals(k: np.ndarray, ratios: np.ndarray, us: np.ndarray) -> np.nd
     """Residuals F(k1, k2) - ratios for an (N, 2) stack of (k1, k2). A
     dead row gets 1e6 in every entry: one outside the box
     0 <= k1, k2 <= K_MAX, one whose spectrum is not real, or one the
-    forward model rejects (a level-3 weight at most 1e-300)."""
+    forward model rejects (a level-3 weight at most 1e-300). Each row's
+    bits depend on that row alone, which `_descend` relies on."""
     inside = ((k >= 0.0) & (k <= K_MAX)).all(axis=1)
     k = np.where(inside[:, None], k, 0.0)  # keeps the cubic finite on dead rows
     es = _spectra(k)
@@ -362,39 +364,47 @@ def _descend(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Gauss-Newton from every (k1, k2) row of `starts` in lockstep.
 
-    Each iteration evaluates the residual and its two forward-difference
-    Jacobian columns (step 1e-7, taken toward the interior where it would
-    cross K_MAX) for every live start in one call of the vectorized map,
-    and all 20 line-search candidates x + lam * step, lam = 1, 1/2, ...,
-    2^-19, in a second call. A start takes the minimum-norm least-squares
-    step and the first candidate that lowers its residual norm. It stops
-    after 60 iterations, when its Jacobian is not finite, when no
-    candidate lowers the norm, when the accepted step is shorter than
-    1e-13, or when its residual norm is at most `stop`. Returns the end
-    points and their residual norms.
+    Every live start carries its residual and the residuals at its two
+    forward-difference Jacobian probes x + h_k e_k (h_k = 1e-7, taken
+    toward the interior where it would cross K_MAX). An iteration takes
+    the minimum-norm least-squares step and evaluates all 20 line-search
+    candidates x + lam * step, lam = 1, 1/2, ..., 2^-19, each with its
+    own two probes, in one call of the vectorized map. A start accepts
+    the first candidate that lowers its residual norm, whose rows become
+    its residual and probes for the next iteration: the map is
+    row-independent, so they carry the bits a fresh call at the accepted
+    point would give. That is one map call to begin with and one per
+    iteration. A start stops after 60 iterations, when its Jacobian is
+    not finite, when no candidate lowers the norm, when the accepted step
+    is shorter than 1e-13, or when its residual norm is at most `stop`.
+    Returns the end points and their residual norms.
     """
     eps = 1e-7
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    def probed(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # residuals at c, c + h_1 e_1 and c + h_2 e_2 (stacked on a new
+        # axis 0) for a (..., 2) stack c, and its steps h
+        h = np.where(c + eps > K_MAX, -eps, eps)
+        probes = np.stack([c + u * h for u in unit])
+        r = _ratio_residuals(probes.reshape(-1, 2), ratios, us)
+        return r.reshape(probes.shape[:-1] + (3,)), h
+
     x = np.array(starts, dtype=float)
-    rnorm = np.empty(len(x))  # residual norm at x
+    r, h = probed(x)  # (3, live, 3), (live, 2)
+    rnorm = np.linalg.norm(r[0], axis=1)  # residual norm at x
     live = np.arange(len(x))
     for _ in range(60):
-        xl = x[live]
-        h = np.where(xl + eps > K_MAX, -eps, eps)  # (live, 2)
-        probes = xl + np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[:, None] * h  # x, x + h_k e_k
-        r = _ratio_residuals(probes.reshape(-1, 2), ratios, us)
-        r = r.reshape(3, len(live), 3)
-        rnorm[live] = np.linalg.norm(r[0], axis=1)
         jac = ((r[1:] - r[0]) / h.T[:, :, None]).transpose(1, 2, 0)  # (live, 3, 2)
         # a non-finite Jacobian has no least-squares step: the start stops
         go = np.isfinite(jac).all(axis=(1, 2))
-        live, xl, r0, jac = live[go], xl[go], r[0][go], jac[go]
+        live, r0, jac = live[go], r[0][go], jac[go]
         if not len(live):
             break
         step = -(np.linalg.pinv(jac, rtol=None) @ r0[:, :, None])[:, :, 0]
-        cand = xl + _LAMBDAS[:, None, None] * step  # (20, live, 2)
-        cnorm = np.linalg.norm(
-            _ratio_residuals(cand.reshape(-1, 2), ratios, us), axis=1
-        ).reshape(len(_LAMBDAS), len(live))
+        cand = x[live] + _LAMBDAS[:, None, None] * step  # (20, live, 2)
+        rc, hc = probed(cand)  # (3, 20, live, 3), (20, live, 2)
+        cnorm = np.linalg.norm(rc[0], axis=2)
         lower = cnorm < rnorm[live]
         first = lower.argmax(axis=0)
         moved = lower.any(axis=0)
@@ -403,9 +413,11 @@ def _descend(
         x[live] = cand[first, cols]
         rnorm[live] = cnorm[first, cols]
         short = np.linalg.norm(_LAMBDAS[first, None] * step[cols], axis=1) < 1e-13
-        live = live[~short & (rnorm[live] > stop)]
+        keep = ~short & (rnorm[live] > stop)
+        live, first, cols = live[keep], first[keep], cols[keep]
         if not len(live):
             break
+        r, h = rc[:, first, cols], hc[first, cols]
     return x, rnorm
 
 

@@ -326,9 +326,15 @@ def test_lockstep_solver_with_custom_settings():
         assert np.abs(got - vals).max() < 1e-8
 
 
-def test_solver_makes_two_map_calls_per_iteration(monkeypatch):
-    # the starts advance in lockstep: at most 60 iterations of one
-    # Jacobian call and one line-search call, and three unitaries per solve
+# ratios of a noisy `eigensolve` (1e5 shots) at which the start (0.1, 1.3)
+# creeps from about iteration 10 on and runs to the 60-iteration cap
+_STALLED_RATIOS = np.array([5.409332545776727, 1.0232572498816555, 0.33026559604694256])
+
+
+def test_solver_makes_one_map_call_per_iteration(monkeypatch):
+    # the starts advance in lockstep: one call for their residuals and
+    # Jacobian probes, then at most 60 iterations of one call each for the
+    # line-search candidates and their probes; three unitaries per solve
     counts = {"map": 0, "unitary": 0}
     real_map, real_unitary = readout._ratio_residuals, readout.setting_unitary
 
@@ -346,8 +352,105 @@ def test_solver_makes_two_map_calls_per_iteration(monkeypatch):
     monkeypatch.setattr(readout, "setting_unitary", counted_unitary)
     got = solve_eigenvalues(ratios)
     assert np.abs(got - vals).max() < 1e-12
-    assert 0 < counts["map"] <= 2 * 60 + 1
+    assert 0 < counts["map"] <= 60 + 1
     assert counts["unitary"] == 3
+    # a start that runs to the iteration cap reaches the bound
+    counts["map"] = 0
+    solve_eigenvalues(_STALLED_RATIOS, residual_tol=1.0)
+    assert counts["map"] == 60 + 1
+
+
+def test_ratio_residuals_are_row_independent():
+    # the solver reuses an accepted candidate's rows as the next
+    # iteration's residual and Jacobian probes, which gives the same bits
+    # only if no row depends on the others in its batch
+    us = readout._setting_unitaries(DEFAULT_SETTINGS)
+    edge = readout.K_MAX
+    k = np.array([
+        [0.3, 0.5], [0.05, 0.7], [0.45, 0.3], [0.3, 1.0],  # inside the box
+        [-0.1, 0.5], [0.3, -1e-9], [1.6, 0.2], [0.2, 2.0],  # outside
+        [0.8, 1.2], [1.0, 1.3],  # PT-broken: complex spectrum
+        [0.0, 1.0],  # the Dirac EP
+        [edge, 0.4], [edge - 1e-7, 0.4], [edge + 1e-7, 0.4],  # K_MAX probes
+        [0.2, edge], [0.2, edge - 1e-7], [edge - 1e-7, edge - 1e-7],
+    ])
+    ratios = np.array([0.4, 1.0, 0.7])
+    one_by_one = np.concatenate([readout._ratio_residuals(row[None], ratios, us) for row in k])
+    dead = (one_by_one == 1e6).all(axis=1)
+    assert dead[4:10].all() and dead[13] and not dead[:4].any()
+    assert np.array_equal(readout._ratio_residuals(k, ratios, us), one_by_one)
+    order = np.random.default_rng(5).permutation(np.tile(np.arange(len(k)), 3))
+    assert np.array_equal(readout._ratio_residuals(k[order], ratios, us), one_by_one[order])
+
+
+def _two_call_descend(starts, ratios, us, stop):
+    """Reference for `_descend`: the earlier loop, which evaluates the
+    residual and Jacobian probes at each iterate in one map call and the
+    line-search candidates in a second."""
+    eps, lambdas = 1e-7, readout._LAMBDAS
+    x = np.array(starts, dtype=float)
+    rnorm = np.empty(len(x))
+    live = np.arange(len(x))
+    for _ in range(60):
+        xl = x[live]
+        h = np.where(xl + eps > readout.K_MAX, -eps, eps)
+        probes = xl + np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])[:, None] * h
+        r = readout._ratio_residuals(probes.reshape(-1, 2), ratios, us)
+        r = r.reshape(3, len(live), 3)
+        rnorm[live] = np.linalg.norm(r[0], axis=1)
+        jac = ((r[1:] - r[0]) / h.T[:, :, None]).transpose(1, 2, 0)
+        go = np.isfinite(jac).all(axis=(1, 2))
+        live, xl, r0, jac = live[go], xl[go], r[0][go], jac[go]
+        if not len(live):
+            break
+        step = -(np.linalg.pinv(jac, rtol=None) @ r0[:, :, None])[:, :, 0]
+        cand = xl + lambdas[:, None, None] * step
+        cnorm = np.linalg.norm(
+            readout._ratio_residuals(cand.reshape(-1, 2), ratios, us), axis=1
+        ).reshape(len(lambdas), len(live))
+        lower = cnorm < rnorm[live]
+        first = lower.argmax(axis=0)
+        moved = lower.any(axis=0)
+        cols = np.arange(len(live))[moved]
+        live, first = live[moved], first[moved]
+        x[live] = cand[first, cols]
+        rnorm[live] = cnorm[first, cols]
+        short = np.linalg.norm(lambdas[first, None] * step[cols], axis=1) < 1e-13
+        live = live[~short & (rnorm[live] > stop)]
+        if not len(live):
+            break
+    return x, rnorm
+
+
+def _descend_cases():
+    grid = [
+        (float(k1), float(k2))
+        for k1 in np.linspace(0.05, 0.45, 5) for k2 in np.linspace(0.3, 0.7, 5)
+    ]
+    for k1, k2 in grid:
+        yield ratios_from_energies(spectrum(ModelParams(k1, k2)).eigenvalues.real), DEFAULT_SETTINGS
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        p = ModelParams(rng.uniform(0.05, 0.45), rng.uniform(0.3, 0.7))
+        pops = [
+            simulate_counts(analytic_eigenstate(p, e), s, 100_000, rng=rng).populations
+            for e, s in zip(spectrum(p).eigenvalues.real, DEFAULT_SETTINGS)
+        ]
+        yield np.array([q[1] / q[2] for q in pops]), DEFAULT_SETTINGS
+    settings = TOMOGRAPHY_SETTINGS[2:9:3]
+    for k1, k2 in grid[::4]:
+        vals = spectrum(ModelParams(k1, k2)).eigenvalues.real
+        yield ratios_from_energies(vals, settings), settings
+    yield _STALLED_RATIOS, DEFAULT_SETTINGS
+
+
+def test_one_call_descent_matches_the_two_call_reference_bit_for_bit():
+    for ratios, settings in _descend_cases():
+        us = readout._setting_unitaries(settings)
+        stop = readout._ROUNDING_STOP * max(np.linalg.norm(ratios), 1.0)
+        x, rnorm = readout._descend(readout._K_STARTS, ratios, us, stop)
+        want_x, want_rnorm = _two_call_descend(readout._K_STARTS, ratios, us, stop)
+        assert np.array_equal(x, want_x) and np.array_equal(rnorm, want_rnorm)
 
 
 def test_solver_noise_robustness():
