@@ -7,15 +7,25 @@ Loops are closed curves (k1(t), k2(t)); the state is propagated by
 steps, which walks the time grid in slices and carries the state from one
 slice to the next, so the working set is bounded by the slice length
 whatever the loop duration; only the time grid itself, 8 bytes a step,
-grows with it. Each study here does its loop-specific work slice by slice
-as the engine yields them. The dynamical phase of a step, phi_j, is the
-two-point Gauss-Legendre quadrature of the instantaneous eigenvalue at the
-step's Gauss nodes, taken in closed form from the characteristic cubic;
-it is fourth order, like the steps. The total phase is accumulated as
+grows with it (and, for the geometric phase, the dynamical phase at every
+node and the inverse FFT that makes it). Each study here does its loop-specific work slice by slice as the
+engine yields them.
+
+The dynamical phase Phi(t) = int_0^t E dt comes from the Fourier series
+of the eigenvalue E on the closed loop: E is smooth and periodic there,
+so its coefficients from M equally spaced samples (the periodic trapezoid
+rule) converge exponentially (Trefethen and Weideman, SIAM Rev. 56, 385,
+2014), and one inverse FFT gives Phi at every grid node. A few hundred
+cubic roots replace two per step. The series is certified by its tail;
+one that does not fall geometrically marks a kink in E, a loop through a
+degeneracy, and is refused. The total phase is accumulated as
 i * sum(log of per-step overlap ratios): each ratio is taken times
-exp(i phi_j), which keeps its logarithm near zero, on the principal branch
-also for steps with |E dt| > pi and over arbitrarily long loops, and
-i * sum(phi_j) is added back. The geometric phase is the difference.
+exp(i phi_j), phi_j = Phi(t_j+1) - Phi(t_j), which keeps its logarithm
+near zero, on the principal branch also for steps with |E dt| > pi and
+over arbitrarily long loops, and Phi(T) is added back. The logs stay one
+per step: one per slice came out 2 pi off on a loop of radius 0.002 about
+the conical point, with no slice's phase above 0.92 rad to warn of it.
+The geometric phase is total - dynamical.
 """
 
 from __future__ import annotations
@@ -51,14 +61,25 @@ __all__ = [
 # of the loop
 LEAKAGE_TOL = 0.05
 
-# most steps a loop's time grid may have: the grid is the one array that
-# grows with the step count, 8 bytes a step (80 MB here), and a loop this
-# long already takes tens of seconds
+# most steps a loop's time grid may have: the grid (and the geometric
+# phase's dynamical phase at every node) are the arrays that grow with the
+# step count, 8 bytes a step each (80 MB here), and a loop this long
+# already takes tens of seconds
 MAX_LOOP_STEPS = 10**7
 
 # loop points at which `_time_grid` takes the largest eigenvalue splitting
 # for its step-resonance check, about 0.5 ms of cubic roots
 RESONANCE_POINTS = 1025
+
+# the dynamical phase's Fourier series (`_dynamical_phase`): loop samples
+# it starts from and the most it doubles to, whatever the step count, and
+# the largest tail it accepts, absolute and as a share of the band below
+# (about 3e-5 on the default loop, 1/4 at a kink)
+PHASE_SAMPLES = 256
+PHASE_MAX_SAMPLES = 1 << 16
+PHASE_TAIL_TOL = 1e-10
+PHASE_TAIL_DROP = 1e-3
+PHASE_ROUNDING = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -171,8 +192,9 @@ def _time_grid(loop: LoopSpec, dt: float) -> np.ndarray:
 def _require_real_spectrum(loop: LoopSpec, times: np.ndarray) -> None:
     """Raise, before anything is propagated, unless the discriminant is
     nonnegative at every node of the grid and at both Gauss nodes of every
-    step: a broken-PT stretch would otherwise make the state overflow. The
-    grid is checked a slice of CHUNK_STEPS steps at a time."""
+    step, where the engine's CF4 steps sample H: a broken-PT stretch would
+    otherwise make the state overflow. The grid is checked a slice of
+    CHUNK_STEPS steps at a time."""
     for start in range(0, times.size - 1, numerics.CHUNK_STEPS):
         t = times[start : start + numerics.CHUNK_STEPS + 1]
         low = min(discriminant(*loop.params(s)).min() for s in (t, gauss_nodes(t)))
@@ -180,6 +202,60 @@ def _require_real_spectrum(loop: LoopSpec, times: np.ndarray) -> None:
             raise NumericsError(
                 f"loop spectrum is not all-real: discriminant reaches {low:.3e} on the path"
             )
+
+
+def _dynamical_phase(loop: LoopSpec, eigenindex: int, times: np.ndarray) -> np.ndarray:
+    """Phi(t) = int_0^t E dt of E = E_eigenindex at every node of the
+    uniform grid `times` over [0, T], from the Fourier series of E on the
+    closed loop.
+
+    E is sampled at M evenly spaced loop points, PHASE_SAMPLES to begin
+    with. The series is accepted when its tail, the largest |c_k| for
+    k >= M/4, is at most PHASE_TAIL_TOL and has fallen to PHASE_TAIL_DROP
+    of the band M/8 <= k < M/4 or to PHASE_ROUNDING (all relative to
+    max(1, max |E|)). A smooth E's coefficients fall geometrically; a
+    kink's fall as k^-2 leaves a quarter of the band at every M, however
+    small the tail, so the drop tells them apart. Otherwise M doubles,
+    sampling only the new midpoints, while it stays within
+    max(PHASE_SAMPLES, 2 * steps), the cubics of a Gauss-node sum over
+    the steps (a finer E than that the steps would not resolve either),
+    and within PHASE_MAX_SAMPLES. Past that NumericsError: E has a kink,
+    where the loop passes through a degeneracy and the sorted eigenindex
+    changes sheet, or a feature as sharp, next to one.
+
+    The term-by-term integral is evaluated by one inverse FFT on
+    L = steps * ceil(M / steps) points, every (L / steps)-th a grid node.
+    """
+
+    def energies(t):
+        return eigenvalues(ModelParams(*loop.params(t)))[..., eigenindex - 1].real
+
+    steps = times.size - 1
+    m = PHASE_SAMPLES
+    energy = energies(loop.T * np.arange(m) / m)
+    while True:
+        coeffs = np.fft.rfft(energy) / m
+        mags = np.abs(coeffs)
+        tail, band = mags[m // 4 :].max(), mags[m // 8 : m // 4].max()
+        scale = max(1.0, np.abs(energy).max())
+        smooth = tail <= PHASE_TAIL_DROP * band + PHASE_ROUNDING * scale
+        if smooth and tail <= PHASE_TAIL_TOL * scale:
+            break
+        if 2 * m > min(max(PHASE_SAMPLES, 2 * steps), PHASE_MAX_SAMPLES):
+            raise NumericsError(
+                f"eigenvalue E{eigenindex} is not smooth on the loop (Fourier tail {tail:.3e} "
+                f"against {band:.3e} below it, {m} samples): the loop passes through a degeneracy"
+            )
+        finer = np.empty(2 * m)
+        finer[::2] = energy
+        finer[1::2] = energies(loop.T * np.arange(1, 2 * m, 2) / (2 * m))
+        energy, m = finer, 2 * m
+    size = steps * -(-m // steps)
+    k = np.arange(1, m // 2)  # the Nyquist term, in the certified tail, is dropped
+    series = np.zeros(size // 2 + 1, dtype=complex)
+    series[k] = coeffs[k] * (size * loop.T / (2j * np.pi * k))
+    wave = np.fft.irfft(series, size)[:: size // steps]
+    return coeffs[0].real * times + np.append(wave, wave[0]) - wave[0]
 
 
 def geometric_phase(
@@ -193,21 +269,23 @@ def geometric_phase(
     Requires an all-real spectrum along the path (discriminant > 0),
     checked before propagating, and adiabatic transport; a leakage out of
     the tracked eigenstate above LEAKAGE_TOL raises with the advice to
-    slow the loop down.
+    slow the loop down. NumericsError also when the eigenvalue's Fourier
+    series does not certify (`_dynamical_phase`): the loop passes through
+    a degeneracy, where the eigenindex, counted from the top of the
+    spectrum, changes sheet.
     """
     times = _time_grid(loop, dt)
     _require_real_spectrum(loop, times)
     psi0 = _start_eigenstate(loop, eigenindex)
-    total = dynamical = 0.0
-    for _, t, states in propagate_ordered(loop.hamiltonian, psi0, times, rule="cf4"):
+    phase = _dynamical_phase(loop, eigenindex, times)
+    total = 0.0
+    for start, t, states in propagate_ordered(loop.hamiltonian, psi0, times, rule="cf4"):
         overlaps = states @ psi0.conj()
         if np.abs(overlaps).min() < 1e-12:
             raise NumericsError("state lost all overlap with the initial eigenstate")
-        energy = eigenvalues(ModelParams(*loop.params(gauss_nodes(t))))[..., eigenindex - 1].real
-        phi = np.diff(t) * (energy[0] + energy[1]) / 2.0
+        phi = np.diff(phase[start : start + t.size])
         total += np.sum(np.log(overlaps[1:] / overlaps[:-1] * np.exp(1j * phi)))
-        dynamical += np.sum(phi)
-    total, dynamical = complex(1j * total + dynamical), complex(dynamical)
+    total, dynamical = complex(1j * total + phase[-1]), complex(phase[-1])
 
     # leakage check against the (identical) start-point eigenbasis at t=T
     final = states[-1] / np.linalg.norm(states[-1])

@@ -47,7 +47,6 @@ __all__ = [
     "spectrum",
     "line_spectrum",
     "cone_expansion",
-    "analytic_eigenstate",
     "sweep_tracked_eigenvalues",
     "sweep_tracked_spectra",
 ]
@@ -275,17 +274,6 @@ def _eigenvectors(vals, k1, k2) -> np.ndarray:
     sq = np.sum(np.abs(cols) ** 2, axis=1)
     best = np.argmax(sq, axis=0)
     return np.moveaxis(np.choose(best, cols) / np.sqrt(np.choose(best, sq)), 0, -2)
-
-
-def analytic_eigenstate(p: ModelParams, e: complex) -> np.ndarray:
-    """Closed-form unit eigenstate of the 3x3 model for eigenvalue e, the
-    `_eigenvectors` column. Raises if e is not an eigenvalue at p."""
-    h = build_hamiltonian(p)
-    v = _eigenvectors(np.array([e]), p.k1, p.k2)[:, 0]
-    resid = np.linalg.norm(h @ v - e * v)
-    if resid > 1e-8 * max(np.linalg.norm(h, 2), 1.0):
-        raise ValueError(f"{e!r} is not an eigenvalue (residual {resid:.3e})")
-    return v
 
 
 # the six orders of three eigenvalues; row 0 is the identity

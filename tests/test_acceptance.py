@@ -43,7 +43,7 @@ from eplab.readout import (
     simulate_counts,
     solve_eigenvalues,
 )
-from eplab.model import analytic_eigenstate
+from eplab.model import _eigenvectors
 
 
 def _report(n, ok, detail):
@@ -260,7 +260,7 @@ def test_criterion_12_readout_inversion():
             worst = max(worst, float(np.abs(out - vals).max()))
     p = ModelParams(0.0, 0.8)
     vals = spectrum(p).eigenvalues.real
-    states = [analytic_eigenstate(p, e) for e in vals]
+    states = list(_eigenvectors(vals, p.k1, p.k2).T)
     rng = np.random.default_rng(7)
     errs = []
     for _ in range(100):
@@ -277,7 +277,7 @@ def test_criterion_12_readout_inversion():
 
 def test_criterion_13_mle_quality():
     psi12 = np.array([0.0, 0.0, 1.0], dtype=complex)
-    psi3 = analytic_eigenstate(ModelParams(0.0, 1.0), 0.0)
+    psi3 = _eigenvectors(np.array([0.0]), 0.0, 1.0)[:, 0]
     ok = True
     details = []
     rng = np.random.default_rng(42)

@@ -380,7 +380,7 @@ def test_huge_loop_radius_is_a_domain_error(capsys):
 
 def test_model_eigenvectors_need_no_lapack_eig(capsys, monkeypatch):
     from eplab.experiments import LoopSpec, adiabaticity_check
-    from eplab.model import ModelParams, analytic_eigenstate, spectrum, sweep_tracked_spectra
+    from eplab.model import ModelParams, spectrum, sweep_tracked_spectra
 
     def forbidden(*args, **kwargs):
         raise AssertionError("numpy.linalg.eig called")
@@ -389,8 +389,6 @@ def test_model_eigenvectors_need_no_lapack_eig(capsys, monkeypatch):
     path = ModelParams(np.linspace(-0.2, 0.2, 9), 1.0)
     assert spectrum(path).right_vectors.shape == (9, 3, 3)
     assert sweep_tracked_spectra(path).right_vectors.shape == (9, 3, 3)
-    point = ModelParams(0.3, 0.5)
-    assert analytic_eigenstate(point, spectrum(point).eigenvalues[0]).shape == (3,)
     assert adiabaticity_check(LoopSpec(T=200.0), 1) < 1.0
     for argv in (("tomography",), ("eigensolve", "--shots", "0"), ("modeswitch", "--duration", "2000")):
         code, out, err = run(capsys, *argv)

@@ -12,7 +12,8 @@ from eplab.experiments import (
     geometric_phase,
     mode_switch,
 )
-from eplab.numerics import NumericsError, propagate_ordered
+from eplab.model import ModelParams, eigenvalues
+from eplab.numerics import NumericsError, gauss_nodes, propagate_ordered
 
 
 def test_loop_validation():
@@ -101,6 +102,67 @@ def test_total_phase_is_branch_safe_for_long_steps():
     rep = geometric_phase(LoopSpec(), 1, dt=1.0)
     assert abs(rep.geometric - ref.geometric) < 1e-6
     assert abs(rep.total - ref.total) < 1e-6
+
+
+def _per_step_phase(loop, eigenindex, dt=0.2):
+    """(total, dynamical) by the per-step method: each step's dynamical
+    phase from the cubic's eigenvalue at its two Gauss nodes, the total
+    from one log per step of the overlap ratio times exp(i phi_j)."""
+    times = experiments._time_grid(loop, dt)
+    psi0 = experiments._start_eigenstate(loop, eigenindex)
+    total = dynamical = 0.0
+    for _, t, states in propagate_ordered(loop.hamiltonian, psi0, times, rule="cf4"):
+        overlaps = states @ psi0.conj()
+        energy = eigenvalues(ModelParams(*loop.params(gauss_nodes(t))))[..., eigenindex - 1].real
+        phi = np.diff(t) * (energy[0] + energy[1]) / 2.0
+        total += np.sum(np.log(overlaps[1:] / overlaps[:-1] * np.exp(1j * phi)))
+        dynamical += np.sum(phi)
+    return complex(1j * total + dynamical), complex(dynamical)
+
+
+@pytest.mark.parametrize(
+    "loop, dt, tol",
+    [
+        (LoopSpec(), 0.2, 1e-10),
+        # small loops around the conical point pin the branch of the
+        # per-step logs: one log per slice was off by 2 pi at R = 0.002
+        (LoopSpec(R=0.002), 0.2, 1e-9),
+        (LoopSpec(R=0.005), 0.2, 1e-9),
+        (LoopSpec(), 1.0, 1e-10),
+    ],
+)
+@pytest.mark.parametrize("eigenindex", [1, 2, 3])
+def test_spectral_phase_matches_the_per_step_sum(loop, dt, tol, eigenindex):
+    total, dynamical = _per_step_phase(loop, eigenindex, dt)
+    rep = geometric_phase(loop, eigenindex, dt=dt)
+    assert abs(rep.total - total) < tol
+    assert abs(rep.dynamical - dynamical) < tol
+    assert abs(rep.geometric - (total - dynamical)) < tol
+
+
+def test_dynamical_phases_sum_to_the_trace():
+    # tr H = 6 at every loop point, so the three phases sum to 6 T
+    loop = LoopSpec()
+    phases = [geometric_phase(loop, n).dynamical for n in (1, 2, 3)]
+    assert sum(phases) == pytest.approx(6.0 * loop.T, rel=1e-14, abs=0.0)
+
+
+def test_loop_through_a_degeneracy_is_rejected(monkeypatch):
+    # the circle touches the conical point (0, 1), where the sorted E1 and
+    # E2 change sheet: the per-step sum read Re gamma -645.9 for E1. The
+    # lowest sheet stays smooth there and keeps its phase
+    loop = LoopSpec(center=(0.0, 0.95), R=0.05, T=20000.0)
+    total, dynamical = _per_step_phase(loop, 3)
+    rep = geometric_phase(loop, 3)
+    assert abs(rep.total - total) < 1e-10 and abs(rep.dynamical - dynamical) < 1e-10
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("propagated a loop through a degeneracy")
+
+    monkeypatch.setattr(experiments, "propagate_ordered", forbidden)
+    for n in (1, 2):
+        with pytest.raises(NumericsError, match="the loop passes through a degeneracy"):
+            geometric_phase(loop, n)
 
 
 def _loop_end_state(loop, dt, rule):

@@ -11,7 +11,6 @@ from eplab.model import (
     MAX_ABS_K,
     ConeDirection,
     ModelParams,
-    analytic_eigenstate,
     build_hamiltonian,
     build_tb_block,
     char_poly,
@@ -23,7 +22,7 @@ from eplab.model import (
     sweep_tracked_eigenvalues,
     sweep_tracked_spectra,
 )
-from eplab.model import _discriminant_derivatives, _tracking_perms
+from eplab.model import _discriminant_derivatives, _eigenvectors, _tracking_perms
 from eplab.numerics import Spectrum, eig
 
 
@@ -161,17 +160,25 @@ def test_cone_axis_slopes():
     assert sm == pytest.approx(-4.0 / 3.0)
 
 
+def _eigenstate(k1, k2, e):
+    """The `_eigenvectors` column for e at (k1, k2) and its residual |H v - e v|."""
+    v = _eigenvectors(np.array([e]), k1, k2)[:, 0]
+    return v, np.linalg.norm(build_hamiltonian(ModelParams(k1, k2)) @ v - e * v)
+
+
 def test_analytic_eigenstate_examples():
-    v = analytic_eigenstate(ModelParams(0.0, 1.0), 3.0)
-    assert np.allclose(np.abs(v), [0.0, 0.0, 1.0], atol=1e-12)
-    v0 = analytic_eigenstate(ModelParams(0.0, 1.0), 0.0)
+    v, resid = _eigenstate(0.0, 1.0, 3.0)
+    assert np.allclose(np.abs(v), [0.0, 0.0, 1.0], atol=1e-12) and resid <= 1e-15
+    v0, resid = _eigenstate(0.0, 1.0, 0.0)
     assert np.allclose(np.abs(v0), np.abs(np.array([0.0, -6.0, 4.0]) / np.sqrt(52.0)))
+    assert resid <= 1e-15
     # the other conical point, on k2 = -1, where column 0 of the adjugate
     # vanishes and column 2 gives the vector
-    v = analytic_eigenstate(ModelParams(0.0, -1.0), 3.0)
-    assert np.allclose(np.abs(v), [1.0, 0.0, 0.0], atol=1e-12)
-    with pytest.raises(ValueError):
-        analytic_eigenstate(ModelParams(0.0, 1.0), 1.2345)  # not an eigenvalue
+    v, resid = _eigenstate(0.0, -1.0, 3.0)
+    assert np.allclose(np.abs(v), [1.0, 0.0, 0.0], atol=1e-12) and resid <= 1e-15
+    # a value that is no eigenvalue gives a unit vector with a large residual
+    v, resid = _eigenstate(0.0, 1.0, 1.2345)
+    assert np.linalg.norm(v) == pytest.approx(1.0) and resid > 0.1
 
 
 def test_tb_block_structure():
@@ -355,8 +362,8 @@ def test_eigenvectors_at_extreme_inputs():
     assert (discriminant(broken.k1, broken.k2) < 0).all()
     _check_unit_eigenvectors(broken, spectrum(broken))
     ep = ModelParams(0.0, -1.0)
-    v = analytic_eigenstate(ep, 3.0)
-    _check_unit_eigenvectors(ep, Spectrum(eigenvalues=np.array([3.0]), right_vectors=v[:, None]))
+    v = _eigenvectors(np.array([3.0]), ep.k1, ep.k2)
+    _check_unit_eigenvectors(ep, Spectrum(eigenvalues=np.array([3.0]), right_vectors=v))
 
 
 def test_eigenvectors_match_the_lapack_reference():

@@ -5,7 +5,7 @@ from eplab import readout
 from eplab.model import (
     ModelParams,
     _eigenvector_polynomial,
-    analytic_eigenstate,
+    _eigenvectors,
     build_hamiltonian,
     spectrum,
 )
@@ -70,7 +70,7 @@ def test_steady_state_inverse_shift_targets_middle_branch():
         ModelParams(0.0, 1.0), GFunction("inverse_shifted", c=-0.1)
     )
     assert res.converged
-    want = analytic_eigenstate(ModelParams(0.0, 1.0), 0.0)
+    want = _eigenvectors(np.array([0.0]), 0.0, 1.0)[:, 0]
     overlap = abs(np.vdot(want, res.state))
     assert overlap == pytest.approx(1.0, abs=1e-7)
 
@@ -137,7 +137,7 @@ def test_forward_model_matches_direct_simulation():
     vals = np.sort(spectrum(p).eigenvalues.real)[::-1]
     ratios = ratios_from_energies(vals)
     for i, (e, s) in enumerate(zip(vals, DEFAULT_SETTINGS)):
-        psi = analytic_eigenstate(p, float(e))
+        psi = _eigenvectors(np.array([e]), p.k1, p.k2)[:, 0]
         assert ratios[i] == pytest.approx(population_ratios(psi, s), rel=1e-9)
     with pytest.raises(ValueError, match="sum to 6"):
         ratios_from_energies(np.array([1.0, 2.0, 4.0]))
@@ -308,8 +308,8 @@ def test_lockstep_solver_matches_scalar_reference_on_noisy_ratios():
         p = ModelParams(rng.uniform(0.05, 0.45), rng.uniform(0.3, 0.7))
         vals = spectrum(p).eigenvalues.real
         ratios = []
-        for e, s in zip(vals, DEFAULT_SETTINGS):
-            pops = simulate_counts(analytic_eigenstate(p, e), s, 100_000, rng=rng).populations
+        for psi, s in zip(_eigenvectors(vals, p.k1, p.k2).T, DEFAULT_SETTINGS):
+            pops = simulate_counts(psi, s, 100_000, rng=rng).populations
             ratios.append(pops[1] / pops[2])
         ratios = np.array(ratios)
         got = solve_eigenvalues(ratios, residual_tol=1e6)
@@ -432,9 +432,10 @@ def _descend_cases():
     rng = np.random.default_rng(7)
     for _ in range(10):
         p = ModelParams(rng.uniform(0.05, 0.45), rng.uniform(0.3, 0.7))
+        vectors = _eigenvectors(spectrum(p).eigenvalues.real, p.k1, p.k2)
         pops = [
-            simulate_counts(analytic_eigenstate(p, e), s, 100_000, rng=rng).populations
-            for e, s in zip(spectrum(p).eigenvalues.real, DEFAULT_SETTINGS)
+            simulate_counts(psi, s, 100_000, rng=rng).populations
+            for psi, s in zip(vectors.T, DEFAULT_SETTINGS)
         ]
         yield np.array([q[1] / q[2] for q in pops]), DEFAULT_SETTINGS
     settings = TOMOGRAPHY_SETTINGS[2:9:3]
