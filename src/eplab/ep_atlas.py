@@ -377,7 +377,6 @@ def overlap_scaling(
     *,
     center: tuple[float, float] = (0.0, 1.0),
     direction: tuple[float, float] = (1.0, 0.0),
-    family=None,
 ) -> tuple[float, np.ndarray]:
     """Fit exponent of 1 - F12 vs offset along a ray from a degeneracy.
 
@@ -397,7 +396,7 @@ def overlap_scaling(
         raise ValueError(f"direction must be finite and nonzero, got {direction}")
     d = d / norm
     _, overlaps = _pair_gaps_and_overlaps(
-        _family_stack(family, center[0] + offsets * d[0], center[1] + offsets * d[1])
+        build_hamiltonian(ModelParams(center[0] + offsets * d[0], center[1] + offsets * d[1]))
     )
     defects = 1.0 - overlaps
     slope = float(np.polyfit(np.log(offsets), np.log(defects), 1)[0])

@@ -1,31 +1,31 @@
 """Dynamical studies on closed parameter loops: complex geometric phases
-around the conical degeneracy, chiral and non-chiral mode switching, and
-an adiabaticity monitor.
+around the conical degeneracy and chiral and non-chiral mode switching.
 
 Loops are closed curves (k1(t), k2(t)); the state is propagated by
 `numerics.propagate_ordered` with fourth-order commutator-free ("cf4")
 steps, which walks the time grid in slices and carries the state from one
 slice to the next, so the working set is bounded by the slice length
 whatever the loop duration; only the time grid itself, 8 bytes a step,
-grows with it (and, for the geometric phase, the dynamical phase at every
-node and the inverse FFT that makes it). Each study here does its loop-specific work slice by slice as the
-engine yields them.
+grows with it. Each study here does its loop-specific work slice by slice
+as the engine yields them.
 
-The dynamical phase Phi(t) = int_0^t E dt comes from the Fourier series
-of the eigenvalue E on the closed loop: E is smooth and periodic there,
-so its coefficients from M equally spaced samples (the periodic trapezoid
-rule) converge exponentially (Trefethen and Weideman, SIAM Rev. 56, 385,
-2014), and one inverse FFT gives Phi at every grid node. A few hundred
-cubic roots replace two per step. The series is certified by its tail;
-one that does not fall geometrically marks a kink in E, a loop through a
-degeneracy, and is refused. The total phase is accumulated as
-i * sum(log of per-step overlap ratios): each ratio is taken times
-exp(i phi_j), phi_j = Phi(t_j+1) - Phi(t_j), which keeps its logarithm
-near zero, on the principal branch also for steps with |E dt| > pi and
-over arbitrarily long loops, and Phi(T) is added back. The logs stay one
-per step: one per slice came out 2 pi off on a loop of radius 0.002 about
-the conical point, with no slice's phase above 0.92 rad to warn of it.
-The geometric phase is total - dynamical.
+The dynamical phase int_0^T E dt comes from the Fourier series of the
+eigenvalue E on the closed loop: E is smooth and periodic there, so its
+coefficients from M equally spaced samples (the periodic trapezoid rule)
+converge exponentially (Trefethen and Weideman, SIAM Rev. 56, 385, 2014),
+and the phase is the constant term times T. A few hundred cubic roots
+replace two per step. The series is certified by its tail; one that does
+not fall geometrically marks a kink in E, a loop through a degeneracy,
+and is refused. The total phase is accumulated as i * sum(log of per-step
+overlap ratios): each ratio is taken times exp(i phi_j), phi_j the step
+length times E at its midpoint, interpolated from the certified samples,
+which keeps its logarithm near zero, on the principal branch also for
+steps with |E dt| > pi and over arbitrarily long loops, and sum(phi_j) is
+added back. On the principal branch i log(r exp(i phi)) + phi = i log r,
+so the total does not depend on the phi_j. The logs stay one per step:
+one per slice came out 2 pi off on a loop of radius 0.002 about the
+conical point, with no slice's phase above 0.92 rad to warn of it. The
+geometric phase is total - dynamical.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .model import (
     discriminant,
     eigenvalues,
     spectrum,
-    sweep_tracked_spectra,
 )
 from . import numerics
 from .numerics import NumericsError, gauss_nodes, propagate_ordered
@@ -54,17 +53,15 @@ __all__ = [
     "SwitchReport",
     "geometric_phase",
     "mode_switch",
-    "adiabaticity_check",
 ]
 
 # largest leakage 1 - |<psi0|psi(T)>| `geometric_phase` accepts at the end
 # of the loop
 LEAKAGE_TOL = 0.05
 
-# most steps a loop's time grid may have: the grid (and the geometric
-# phase's dynamical phase at every node) are the arrays that grow with the
-# step count, 8 bytes a step each (80 MB here), and a loop this long
-# already takes tens of seconds
+# most steps a loop's time grid may have: the grid is the one array that
+# grows with the step count, 8 bytes a step (80 MB here), and a loop this
+# long already takes tens of seconds
 MAX_LOOP_STEPS = 10**7
 
 # loop points at which `_time_grid` takes the largest eigenvalue splitting
@@ -204,10 +201,11 @@ def _require_real_spectrum(loop: LoopSpec, times: np.ndarray) -> None:
             )
 
 
-def _dynamical_phase(loop: LoopSpec, eigenindex: int, times: np.ndarray) -> np.ndarray:
-    """Phi(t) = int_0^t E dt of E = E_eigenindex at every node of the
-    uniform grid `times` over [0, T], from the Fourier series of E on the
-    closed loop.
+def _dynamical_phase(loop: LoopSpec, eigenindex: int, steps: int) -> tuple[np.ndarray, float]:
+    """(samples, mean) of E = E_eigenindex on the closed loop: E at M
+    evenly spaced loop times jT/M, certified by its Fourier series, and
+    its mean over the loop, the series' constant term. The dynamical
+    phase int_0^T E dt is mean * T.
 
     E is sampled at M evenly spaced loop points, PHASE_SAMPLES to begin
     with. The series is accepted when its tail, the largest |c_k| for
@@ -222,15 +220,11 @@ def _dynamical_phase(loop: LoopSpec, eigenindex: int, times: np.ndarray) -> np.n
     and within PHASE_MAX_SAMPLES. Past that NumericsError: E has a kink,
     where the loop passes through a degeneracy and the sorted eigenindex
     changes sheet, or a feature as sharp, next to one.
-
-    The term-by-term integral is evaluated by one inverse FFT on
-    L = steps * ceil(M / steps) points, every (L / steps)-th a grid node.
     """
 
     def energies(t):
         return eigenvalues(ModelParams(*loop.params(t)))[..., eigenindex - 1].real
 
-    steps = times.size - 1
     m = PHASE_SAMPLES
     energy = energies(loop.T * np.arange(m) / m)
     while True:
@@ -250,12 +244,7 @@ def _dynamical_phase(loop: LoopSpec, eigenindex: int, times: np.ndarray) -> np.n
         finer[::2] = energy
         finer[1::2] = energies(loop.T * np.arange(1, 2 * m, 2) / (2 * m))
         energy, m = finer, 2 * m
-    size = steps * -(-m // steps)
-    k = np.arange(1, m // 2)  # the Nyquist term, in the certified tail, is dropped
-    series = np.zeros(size // 2 + 1, dtype=complex)
-    series[k] = coeffs[k] * (size * loop.T / (2j * np.pi * k))
-    wave = np.fft.irfft(series, size)[:: size // steps]
-    return coeffs[0].real * times + np.append(wave, wave[0]) - wave[0]
+    return energy, coeffs[0].real
 
 
 def geometric_phase(
@@ -277,15 +266,18 @@ def geometric_phase(
     times = _time_grid(loop, dt)
     _require_real_spectrum(loop, times)
     psi0 = _start_eigenstate(loop, eigenindex)
-    phase = _dynamical_phase(loop, eigenindex, times)
-    total = 0.0
-    for start, t, states in propagate_ordered(loop.hamiltonian, psi0, times, rule="cf4"):
+    energy, mean = _dynamical_phase(loop, eigenindex, times.size - 1)
+    sample_times = loop.T * np.arange(energy.size) / energy.size
+    logs = turned = 0.0
+    for _, t, states in propagate_ordered(loop.hamiltonian, psi0, times, rule="cf4"):
         overlaps = states @ psi0.conj()
         if np.abs(overlaps).min() < 1e-12:
             raise NumericsError("state lost all overlap with the initial eigenstate")
-        phi = np.diff(phase[start : start + t.size])
-        total += np.sum(np.log(overlaps[1:] / overlaps[:-1] * np.exp(1j * phi)))
-    total, dynamical = complex(1j * total + phase[-1]), complex(phase[-1])
+        h = np.diff(t)
+        phi = h * np.interp(t[:-1] + h / 2.0, sample_times, energy, period=loop.T)
+        logs += np.sum(np.log(overlaps[1:] / overlaps[:-1] * np.exp(1j * phi)))
+        turned += np.sum(phi)
+    total, dynamical = complex(1j * logs + turned), complex(mean * loop.T)
 
     # leakage check against the (identical) start-point eigenbasis at t=T
     final = states[-1] / np.linalg.norm(states[-1])
@@ -334,34 +326,3 @@ def mode_switch(loop: LoopSpec, start_index: int, *, dt: float = 0.4) -> SwitchR
         overlaps=tuple(float(v) for v in ovl),
     )
 
-
-def adiabaticity_check(
-    loop: LoopSpec,
-    eigenindex: int,
-    *,
-    dt: float = 0.2,
-    checkpoints: int = 200,
-) -> float:
-    """Maximum instantaneous leakage out of the tracked eigenstate.
-
-    Returns max over checkpoint times of 1 - |<phi_i(t)|psi(t)/||psi||>|
-    with the eigenbasis continuity-tracked along the loop, at about
-    `checkpoints` + 1 evenly spaced grid points; ValueError for checkpoints < 1.
-    """
-    if not checkpoints >= 1:
-        raise ValueError(f"checkpoints must be at least 1, got {checkpoints!r}")
-    times = _time_grid(loop, dt)
-    psi0 = _start_eigenstate(loop, eigenindex)
-    idx = np.unique(np.linspace(0, times.size - 1, checkpoints + 1).round().astype(int))
-    states = np.empty((idx.size, psi0.size), dtype=complex)
-    for start, _, piece in propagate_ordered(loop.hamiltonian, psi0, times, rule="cf4"):
-        rel = idx - start
-        inside = (rel >= 0) & (rel < piece.shape[0])
-        states[inside] = piece[rel[inside]]
-
-    k1c, k2c = loop.params(times[idx])
-    sp = sweep_tracked_spectra(ModelParams(np.atleast_1d(k1c), np.atleast_1d(k2c)))
-    v = sp.right_vectors[:, :, eigenindex - 1]
-    s = states / np.linalg.norm(states, axis=-1, keepdims=True)
-    leak = 1.0 - np.abs(np.sum(v.conj() * s, axis=-1))
-    return max(0.0, float(leak.max()))

@@ -17,11 +17,11 @@ model's [-0.449, 2.621, 3.827], and on k2 = 1 it degenerates at k1 = 0
 and +-1/2. Acceptance criterion 6 locates those of the five-site block.
 
 Eigenvalues come from the roots of the cubic (`cubic.solve_cubic`), and
-every eigenvector from one closed form, `_eigenvectors`. A sweep that
-needs no vectors (`sweep_tracked_eigenvalues`, behind `eplab spectrum`)
-and the cone sheets of `eplab cone` take the cubic roots alone. Sweeps
-track the eigenvalue order from point to point with a greedy nearest
-match, tabled for all six orders of the previous point and then chained.
+every eigenvector from one closed form, `_eigenvectors`. Sweeps
+(`sweep_tracked_eigenvalues`, behind `eplab spectrum`) and the cone
+sheets of `eplab cone` take the cubic roots alone. Sweeps track the
+eigenvalue order from point to point with a greedy nearest match, tabled
+for all six orders of the previous point and then chained.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "line_spectrum",
     "cone_expansion",
     "sweep_tracked_eigenvalues",
-    "sweep_tracked_spectra",
 ]
 
 
@@ -334,10 +333,3 @@ def sweep_tracked_eigenvalues(path: ModelParams) -> np.ndarray:
     vals = eigenvalues(path)
     return np.take_along_axis(vals, _tracking_perms(vals), axis=-1)
 
-
-def sweep_tracked_spectra(path: ModelParams) -> Spectrum:
-    """`sweep_tracked_eigenvalues` plus the closed-form vector of each
-    eigenvalue. Returns one stacked Spectrum, eigenvalues (N, 3), vectors
-    (N, 3, 3)."""
-    vals = sweep_tracked_eigenvalues(path)
-    return Spectrum(eigenvalues=vals, right_vectors=_eigenvectors(vals, path.k1, path.k2))

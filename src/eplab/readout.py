@@ -467,13 +467,13 @@ def simulate_counts(
     shots: int,
     *,
     rng: np.random.Generator | None = None,
-    seed: int | None = None,
 ) -> TomographyRecord:
     """Populations after the setting rotation, optionally multinomial-sampled.
 
-    shots=0 returns the exact populations; otherwise a seeded multinomial
-    draw renormalized to sum 1. Raises ValueError for shots outside
-    0..2^63 - 1, the range of the C long `rng.multinomial` takes.
+    shots=0 returns the exact populations; otherwise a multinomial draw
+    from `rng` (a fresh unseeded generator when None) renormalized to sum
+    1. Raises ValueError for shots outside 0..2^63 - 1, the range of the
+    C long `rng.multinomial` takes.
     """
     if shots < 0:
         raise ValueError("shots must be >= 0")
@@ -484,9 +484,7 @@ def simulate_counts(
     p = np.abs(rotated) ** 2
     p = p / p.sum()
     if shots > 0:
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        counts = rng.multinomial(shots, p)
+        counts = np.random.default_rng(rng).multinomial(shots, p)
         p = counts / counts.sum()
     return TomographyRecord(setting=setting, shots=shots, populations=p)
 

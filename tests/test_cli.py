@@ -379,8 +379,7 @@ def test_huge_loop_radius_is_a_domain_error(capsys):
 
 
 def test_model_eigenvectors_need_no_lapack_eig(capsys, monkeypatch):
-    from eplab.experiments import LoopSpec, adiabaticity_check
-    from eplab.model import ModelParams, spectrum, sweep_tracked_spectra
+    from eplab.model import ModelParams, spectrum
 
     def forbidden(*args, **kwargs):
         raise AssertionError("numpy.linalg.eig called")
@@ -388,9 +387,13 @@ def test_model_eigenvectors_need_no_lapack_eig(capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", forbidden)
     path = ModelParams(np.linspace(-0.2, 0.2, 9), 1.0)
     assert spectrum(path).right_vectors.shape == (9, 3, 3)
-    assert sweep_tracked_spectra(path).right_vectors.shape == (9, 3, 3)
-    assert adiabaticity_check(LoopSpec(T=200.0), 1) < 1.0
-    for argv in (("tomography",), ("eigensolve", "--shots", "0"), ("modeswitch", "--duration", "2000")):
+    argvs = (
+        ("tomography",),
+        ("eigensolve", "--shots", "0"),
+        ("modeswitch", "--duration", "2000"),
+        ("geophase", "--duration", "500"),
+    )
+    for argv in argvs:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (EXIT_OK, "")
 

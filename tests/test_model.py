@@ -20,7 +20,6 @@ from eplab.model import (
     line_spectrum,
     spectrum,
     sweep_tracked_eigenvalues,
-    sweep_tracked_spectra,
 )
 from eplab.model import _discriminant_derivatives, _eigenvectors, _tracking_perms
 from eplab.numerics import Spectrum, eig
@@ -202,14 +201,14 @@ def test_next_nearest_degenerate_spectrum():
 
 def test_sweep_tracking_continuity():
     path = ModelParams(np.arange(-0.3, 0.31, 0.02), 1.0)
-    spectra = sweep_tracked_spectra(path)
-    branches = spectra.eigenvalues.real
+    vals = sweep_tracked_eigenvalues(path)
+    branches = vals.real
     assert branches.shape == (31, 3)
-    assert spectra.right_vectors.shape == (31, 3, 3)
+    assert _eigenvectors(vals, path.k1, path.k2).shape == (31, 3, 3)
     # tracked branches are continuous (no jumps larger than the step scale)
     assert np.abs(np.diff(branches, axis=0)).max() < 0.1
-    with pytest.raises(ValueError):
-        sweep_tracked_spectra(ModelParams(np.array([0.0, 0.2]), 0.0))
+    with pytest.raises(ValueError, match="farther than 0.05"):
+        sweep_tracked_eigenvalues(ModelParams(np.array([0.0, 0.2]), 0.0))
 
 
 def _greedy_match(prev: list, new: list) -> list:
@@ -269,6 +268,12 @@ def _tracking_cases():
     levels = np.array([0.0, 1e-13, 1e-11, 1.0, 1.0 + 1e-13, 2.0, 1j, -1j])
     for _ in range(20):
         yield levels[rng.integers(0, levels.size, (50, 3))]
+    # the eigenvalue sweeps of a line through the cones, the k2 axis
+    # through the PT-broken edges, a single point and a random walk
+    yield _cubic_roots(ModelParams(np.arange(-1.0, 1.0001, 0.005), 1.0))
+    yield _cubic_roots(ModelParams(0.0, np.arange(-1.6, 1.6001, 0.005)))
+    yield _cubic_roots(ModelParams(np.array([0.25]), -1.0))
+    yield _cubic_roots(_random_walk(np.random.default_rng(3), 300))
 
 
 @pytest.mark.parametrize("vals", list(_tracking_cases()))
@@ -276,24 +281,6 @@ def test_tabled_tracking_equals_scalar_greedy_match(vals):
     got = _tracking_perms(vals)
     assert got.shape == vals.shape
     assert np.array_equal(got, _scalar_tracking_perms(vals))
-
-
-@pytest.mark.parametrize(
-    "path",
-    [
-        ModelParams(np.arange(-1.0, 1.0001, 0.005), 1.0),
-        ModelParams(0.0, np.arange(-1.6, 1.6001, 0.005)),
-        ModelParams(np.array([0.25]), -1.0),
-        _random_walk(np.random.default_rng(3), 300),
-    ],
-)
-def test_eigenvalue_sweep_equals_tracked_spectra(path):
-    want = sweep_tracked_spectra(path).eigenvalues
-    got = sweep_tracked_eigenvalues(path)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got.view(float), want.view(float))
-    with pytest.raises(ValueError, match="farther than 0.05"):
-        sweep_tracked_eigenvalues(ModelParams(np.array([0.0, 0.2]), 0.0))
 
 
 def _residual(p, vals, vecs):
@@ -357,7 +344,9 @@ def test_eigenvectors_at_extreme_inputs():
     _check_unit_eigenvectors(tiny, spectrum(tiny))
     line = ModelParams(np.linspace(-1.6, 1.6, 65), -1.0)
     _check_unit_eigenvectors(line, spectrum(line))
-    _check_unit_eigenvectors(line, sweep_tracked_spectra(line))
+    vals = sweep_tracked_eigenvalues(line)
+    tracked = Spectrum(eigenvalues=vals, right_vectors=_eigenvectors(vals, line.k1, line.k2))
+    _check_unit_eigenvectors(line, tracked)
     broken = ModelParams(np.array([0.0, 0.05, 1.5, -0.3]), np.array([1.6, 1.8, 1.5, -1.7]))
     assert (discriminant(broken.k1, broken.k2) < 0).all()
     _check_unit_eigenvectors(broken, spectrum(broken))

@@ -473,10 +473,10 @@ def test_simulate_counts_noiseless_and_seeded():
     assert exact.shots == 0
     rotated = setting_unitary(s) @ psi
     assert np.allclose(exact.populations, np.abs(rotated) ** 2, atol=1e-12)
-    a = simulate_counts(psi, s, 1000, seed=42)
-    b = simulate_counts(psi, s, 1000, seed=42)
+    a = simulate_counts(psi, s, 1000, rng=np.random.default_rng(42))
+    b = simulate_counts(psi, s, 1000, rng=np.random.default_rng(42))
     assert np.array_equal(a.populations, b.populations)
-    big = simulate_counts(psi, s, 4_000_000, seed=1)
+    big = simulate_counts(psi, s, 4_000_000, rng=np.random.default_rng(1))
     assert np.abs(big.populations - exact.populations).max() < 3e-3
     with pytest.raises(ValueError):
         simulate_counts(psi, s, -1)
