@@ -36,10 +36,11 @@ EXIT_USAGE = 2
 def _csv_rows(table) -> str:
     """CSV text of a 2-D table of reals, one line per row, each value as
     `f"{float(x):.12g}"` writes it (also -0, nan and inf), through one
-    "%.12g,..." template over the rows of `.tolist()`."""
+    "%.12g,...\n" row template repeated once per row and applied to all the
+    values at once."""
     table = np.asarray(table, dtype=float)
     template = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    return "".join([template % tuple(row) for row in table.tolist()])
+    return (template * len(table)) % tuple(table.ravel().tolist())
 
 
 def _config_hash(cfg: dict) -> str:

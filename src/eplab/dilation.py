@@ -10,16 +10,21 @@ The joint Hamiltonian is block-diagonal in the ancilla basis,
 Htot = Gamma (x) |1><1| + Lambda (x) |0><0|, with Gamma and Lambda built
 from H, eta and d(eta)/dt. Hermiticity of both blocks is the correctness
 certificate of the construction and is checked on every frame. Frames
-broadcast over t: an array of times gives stacks (*t.shape, n, n).
+broadcast over t: an array of times gives stacks (*t.shape, 3, 3).
 
-`build_frame` is the one route from (H, t) to these objects. It makes
-one batched eigendecomposition of the symmetrised M - I = V diag(lambda)
-V^dag per stack and copies V once into stack-last memory, so that every
-3x3 product of the frame (the broadcast `numerics._matmul`) runs along
-the stack; the metric's exp(i H t) comes from the closed-form `expm` in
-that memory already. V gives the window check (every lambda at least
-POSITIVITY_MARGIN), eta = V diag(sqrt(lambda)) V^dag, d(eta)/dt by the
-Sylvester solve in the basis V, and M^-1 = V diag(1 / (1 + lambda)) V^dag.
+`build_frame` is the one route from (H, t) to these objects, with no
+LAPACK call. The metric's exp(i H t) comes from the closed-form `expm` in
+stack-last memory, and `numerics._eigh3_closed_form` diagonalises
+M - I = V diag(lambda) V^dag in that memory too, so that every 3x3
+product of the frame (the broadcast `numerics._matmul`) runs along the
+stack. lambda gives the window check (every lambda at least
+POSITIVITY_MARGIN). In the basis V, eta = diag(sqrt(lambda)) and
+M^-1 = diag(1 / (1 + lambda)) are diagonal, so the Sylvester solve for
+d(eta)/dt and the blocks are elementwise there. Eight stack products
+take H and M H into the basis and Gamma and Lambda back out; the
+Sylvester right-hand side is built from M H, not from lambda, so the
+Hermiticity check also certifies that V and lambda diagonalise M. eta and
+d(eta)/dt are not kept: only Gamma and Lambda are read downstream.
 
 `dilated_evolve` hands the engine Gamma and Lambda as two independent
 3x3 blocks, with the joint state split into its two halves, so every
@@ -41,6 +46,7 @@ from .numerics import (
     NumericsError,
     Trajectory,
     _dag,
+    _eigh3_closed_form,
     _matmul,
     expm,
     propagate_ordered,
@@ -73,9 +79,9 @@ MAX_DILATION_STEPS = 10**6
 
 @dataclass(frozen=True)
 class DilationFrame:
+    """The dilation objects at one model time or a stack of them."""
+
     M: np.ndarray
-    eta: np.ndarray
-    deta: np.ndarray  # d(eta)/dt
     Gamma: np.ndarray
     Lambda: np.ndarray
 
@@ -119,51 +125,45 @@ def _check_m0_scale(m0_scale: float) -> None:
         raise ValueError("m0_scale must be finite and exceed 1 so that M(0) - I is positive")
 
 
-def _shifted_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues lambda and eigenvectors V of the symmetrised
-    M - I, frame by frame: one batched LAPACK call per stack."""
-    shifted = m - np.eye(m.shape[-1])
-    return np.linalg.eigh((shifted + _dag(shifted)) / 2.0)
+def _from_basis(vecs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """V a V^dag over stacks (..., 3, 3)."""
+    return _matmul(_matmul(vecs, a), _dag(vecs))
 
 
-def _stack_last(a: np.ndarray) -> np.ndarray:
-    """A copy of the stack (..., n, n) in memory with the stack axes
-    innermost, so that the broadcast `_matmul` runs along the stack."""
-    return np.moveaxis(np.moveaxis(a, (-2, -1), (0, 1)).copy(), (0, 1), (-2, -1))
+def _blocks(hv: np.ndarray, roots: np.ndarray, rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two Hermitian blocks of the dilated Hamiltonian in the eigenbasis
+    V of M - I, Gamma_v = Lhat_v + Ghat_v and Lambda_v = Lhat_v - Ghat_v,
 
-
-def _eta_rate(h: np.ndarray, m: np.ndarray, roots: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """d(eta)/dt from eta X + X eta = dM/dt = i (M H - H^dag M), solved in
-    the eigenbasis V of eta, whose eigenvalues are `roots`."""
-    dm = 1j * (_matmul(m, h) - _matmul(_dag(h), m))
-    x = _matmul(_matmul(_dag(vecs), dm), vecs) / (roots[..., :, None] + roots[..., None, :])
-    return _matmul(_matmul(vecs, x), _dag(vecs))
-
-
-def _blocks(
-    h: np.ndarray, eta: np.ndarray, deta: np.ndarray, minv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two Hermitian blocks of the dilated Hamiltonian,
-
-      Gamma = Lhat + Ghat, Lambda = Lhat - Ghat with
       Lhat = {H + [i deta + eta H] eta} M^-1
       Ghat = i [H eta - eta H - i deta] M^-1,
 
-    from H, eta, deta = d(eta)/dt and M^-1. Hermiticity within 1e-9 is
-    enforced frame by frame; it fails only if the inputs are inconsistent.
+    from H_v = V^dag H V, the roots r = sqrt(lambda) of the eigenvalues
+    lambda of M - I and rate = V^dag d(eta)/dt V. In that basis eta =
+    diag(r) and M^-1 = diag(1 / mu), mu = 1 + r^2, so both are elementwise:
+
+      Lhat_v,ij = (H_v,ij + (i rate_ij + r_i H_v,ij) r_j) / mu_j
+      Ghat_v,ij = (i H_v,ij (r_j - r_i) + rate_ij) / mu_j.
+
+    With z = 1 + i r, so that mu = z conj(z), the sum and the difference
+    factor as Gamma_v,ij = (conj(z_i) H_v,ij + rate_ij) / conj(z_j) and
+    Lambda_v,ij = (z_i H_v,ij - rate_ij) / z_j. Hermiticity within 1e-9 is
+    enforced frame by frame. Both blocks are Hermitian when rate is the
+    Sylvester solution for the metric diag(mu) in this basis; the rate of
+    `_eigenbasis` is built from M itself, so a V or r that does not
+    diagonalise M leaves a defect.
     """
-    eta_h = _matmul(eta, h)
-    lhat = _matmul(h + _matmul(1j * deta + eta_h, eta), minv)
-    ghat = 1j * _matmul(_matmul(h, eta) - eta_h - 1j * deta, minv)
-    blocks = np.stack([lhat + ghat, lhat - ghat])  # Gamma, Lambda
-    scale = np.maximum(np.abs(blocks).max(axis=(0, -2, -1)), 1.0)
-    defect = np.abs(blocks - _dag(blocks)).max(axis=(0, -2, -1))
-    bad = np.flatnonzero(defect > 1e-9 * scale)
+    z = 1.0 + 1j * roots
+    gamma = (z.conj()[..., :, None] * hv + rate) * (1.0 / z.conj())[..., None, :]
+    lam = (z[..., :, None] * hv - rate) * (1.0 / z)[..., None, :]
+    size = np.maximum(np.abs(gamma).max(axis=(-2, -1)), np.abs(lam).max(axis=(-2, -1)))
+    defect = np.maximum(
+        np.abs(gamma - _dag(gamma)).max(axis=(-2, -1)), np.abs(lam - _dag(lam)).max(axis=(-2, -1))
+    )
+    bad = np.flatnonzero(defect > 1e-9 * np.maximum(size, 1.0))
     if bad.size:
         raise NumericsError(
             f"dilation blocks lost Hermiticity in frame {bad[0]} (defect {defect.flat[bad[0]]:.3e})"
         )
-    gamma, lam = (blocks + _dag(blocks)) / 2.0
     return gamma, lam
 
 
@@ -176,22 +176,30 @@ def assemble_htot(gamma: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return htot
 
 
-def build_frame(
-    h: np.ndarray, t: float | np.ndarray, *, m0_scale: float = DEFAULT_M0_SCALE
-) -> DilationFrame:
-    """All time-local dilation objects for a constant H at model time(s) t.
+def _eigenbasis(
+    h: np.ndarray, t: float | np.ndarray, m0_scale: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """M(t) and the frame in the eigenbasis V of M - I = V diag(lambda) V^dag:
+    (M, V, r, H_v, rate) with r = sqrt(lambda), H_v = V^dag H V and rate =
+    V^dag d(eta)/dt V, where eta = V diag(r) V^dag.
 
-    One batched eigendecomposition M - I = V diag(lambda) V^dag per stack
-    gives everything past the metric. The window rule: the earliest model
-    time with lambda below POSITIVITY_MARGIN raises, checked up to the
-    first overflowing metric, so the earlier failure is raised. Then eta =
-    V diag(sqrt(lambda)) V^dag, d(eta)/dt by the Sylvester solve in the
-    basis V, and M^-1 = V diag(1 / (1 + lambda)) V^dag.
+    The window rule: the earliest model time with lambda below
+    POSITIVITY_MARGIN raises, checked up to the first overflowing metric,
+    so the earlier failure is raised. The Sylvester solve of
+    eta X + X eta = dM/dt = i (M H - H^dag M) for d(eta)/dt is elementwise
+    in the basis V,
+
+      rate_ij = i (P_ij - conj(P_ji)) / (r_i + r_j),  P = V^dag M H V,
+
+    and P takes M itself, not its eigenvalues, so that an eigenbasis which
+    does not diagonalise M fails the Hermiticity check of `_blocks`. If V
+    does, P = diag(mu) H_v with mu = 1 + lambda.
     """
     h = np.asarray(h, dtype=complex)
     m, over = _metric(h, t, m0_scale)
-    vals, vecs = _shifted_eigh(m if over is None else m.reshape(-1, *m.shape[-2:])[:over])
-    lost = np.flatnonzero(vals[..., 0] < POSITIVITY_MARGIN)
+    flat = m.reshape(-1, 3, 3)[:over]
+    vals, vecs = _eigh3_closed_form(np.moveaxis(flat - np.eye(3), 0, -1))
+    lost = np.flatnonzero(vals[0] < POSITIVITY_MARGIN)
     if lost.size:
         raise NumericsError(
             f"dilation window exceeded at model time {np.ravel(t)[lost[0]]:.6g}: "
@@ -199,14 +207,29 @@ def build_frame(
         )
     if over is not None:
         raise _metric_overflow(t, m, over)
-    vecs = _stack_last(vecs)
-    roots = np.sqrt(vals)
-    eta = _matmul(vecs * roots[..., None, :], _dag(vecs))
-    eta = (eta + _dag(eta)) / 2.0
-    deta = _eta_rate(h, m, roots, vecs)
-    minv = _matmul(vecs / (1.0 + vals)[..., None, :], _dag(vecs))
-    gamma, lam = _blocks(h, eta, deta, minv)
-    return DilationFrame(M=m, eta=eta, deta=deta, Gamma=gamma, Lambda=lam)
+    roots = np.sqrt(vals.T.reshape(m.shape[:-1]))
+    vecs = np.moveaxis(vecs, -1, 0).reshape(m.shape)
+    vecs_dag = _dag(vecs)
+    h_vecs = _matmul(h, vecs)
+    hv = _matmul(vecs_dag, h_vecs)
+    p = _matmul(vecs_dag, _matmul(m, h_vecs))
+    rate = (p - _dag(p)) * (1j / (roots[..., :, None] + roots[..., None, :]))
+    return m, vecs, roots, hv, rate
+
+
+def build_frame(
+    h: np.ndarray, t: float | np.ndarray, *, m0_scale: float = DEFAULT_M0_SCALE
+) -> DilationFrame:
+    """All time-local dilation objects for a constant 3x3 H at model time(s) t.
+
+    The closed-form eigendecomposition of M - I gives everything past the
+    metric (`_eigenbasis`, which holds the window rule). The blocks are
+    formed elementwise in that basis (`_blocks`), taken back to the model
+    basis and symmetrised.
+    """
+    m, vecs, roots, hv, rate = _eigenbasis(h, t, m0_scale)
+    gamma, lam = (_from_basis(vecs, block) for block in _blocks(hv, roots, rate))
+    return DilationFrame(M=m, Gamma=(gamma + _dag(gamma)) / 2.0, Lambda=(lam + _dag(lam)) / 2.0)
 
 
 def _ancilla_minus_plus() -> tuple[np.ndarray, np.ndarray]:

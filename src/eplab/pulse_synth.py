@@ -242,7 +242,7 @@ def emit_waveforms(channels: list[PulseChannel]) -> str:
         template = lead + "%.12g,%.12g,%.12g\n"
         t_s = np.arange(ch.amplitude_samples.size) * ch.grid_dt
         samples = np.column_stack([t_s, ch.amplitude_samples, ch.phase_samples])
-        lines += [template % tuple(row) for row in samples.tolist()]
+        lines.append((template * len(samples)) % tuple(samples.ravel().tolist()))
     return "".join(lines)
 
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
@@ -40,6 +42,14 @@ def _reference_frame(h, t, m0_scale):
     return {"eta": eta, "deta": deta, "Gamma": gamma, "Lambda": lam}
 
 
+def _eta_and_rate(h, t, m0_scale):
+    """eta = V diag(r) V^dag and d(eta)/dt = V rate V^dag from the
+    eigenbasis V of M - I that `build_frame` works in."""
+    _, vecs, roots, _, rate = dilation._eigenbasis(h, t, m0_scale)
+    vecs_dag = vecs.conj().swapaxes(-1, -2)
+    return (vecs * roots[..., None, :]) @ vecs_dag, vecs @ rate @ vecs_dag
+
+
 def test_metric_initial_value_and_hermiticity():
     m0 = metric_M(H_REF, 0.0, m0_scale=1.3)
     assert np.allclose(m0, 1.3 * np.eye(3), atol=1e-12)
@@ -59,10 +69,10 @@ def test_metric_flow_equation():
 
 
 def test_eta_initial_and_square():
-    eta0 = build_frame(H_REF, 0.0, m0_scale=1.3).eta
+    eta0, _ = _eta_and_rate(H_REF, 0.0, 1.3)
     assert np.allclose(eta0, np.sqrt(0.3) * np.eye(3), atol=1e-12)
-    frame = build_frame(H_REF, 0.5, m0_scale=6.0)
-    assert np.allclose(frame.eta @ frame.eta, frame.M - np.eye(3), atol=1e-10)
+    eta, _ = _eta_and_rate(H_REF, 0.5, 6.0)
+    assert np.allclose(eta @ eta, metric_M(H_REF, 0.5, 6.0) - np.eye(3), atol=1e-10)
 
 
 def test_eta_positivity_window_violation():
@@ -74,17 +84,14 @@ def test_eta_positivity_window_violation():
         match=r"^dilation window exceeded at model time 0: M - I lost positivity$",
     ):
         build_frame(h, 0.0, m0_scale=1.0 + 5e-9)
-    eta = build_frame(h, 0.0, m0_scale=1.0 + 2.0 * POSITIVITY_MARGIN).eta
+    eta, _ = _eta_and_rate(h, 0.0, 1.0 + 2.0 * POSITIVITY_MARGIN)
     assert np.allclose(eta, np.sqrt(2.0 * POSITIVITY_MARGIN) * np.eye(3), rtol=1e-6, atol=0.0)
 
 
 def test_eta_rate_matches_finite_difference():
     t, dt = 0.3, 1e-6
-    rate = build_frame(H_REF, t, m0_scale=6.0).deta
-    fd = (
-        build_frame(H_REF, t + dt, m0_scale=6.0).eta
-        - build_frame(H_REF, t - dt, m0_scale=6.0).eta
-    ) / (2 * dt)
+    _, rate = _eta_and_rate(H_REF, t, 6.0)
+    fd = (_eta_and_rate(H_REF, t + dt, 6.0)[0] - _eta_and_rate(H_REF, t - dt, 6.0)[0]) / (2 * dt)
     assert np.abs(rate - fd).max() < 1e-5
 
 
@@ -99,22 +106,38 @@ def test_blocks_hermitian_and_assembled_block_diagonal():
     assert np.array_equal(assemble_htot(frame.Gamma, frame.Lambda), htot)
 
 
-def test_gamma_lambda_rejects_inconsistent_inputs():
-    # the Hermiticity certificate of the blocks, fed a d(eta)/dt that is
-    # not the frame's own
-    frame = build_frame(H_REF, 0.4, m0_scale=6.0)
-    minv = np.linalg.inv(frame.M)
-    bad_rate = np.ones((3, 3))
-    with pytest.raises(NumericsError, match="Hermiticity"):
-        dilation._blocks(H_REF, frame.eta, 1j * bad_rate + bad_rate @ frame.M, minv)
-    # a stack of consistent frames with one bad frame in the middle
-    frames = build_frame(H_REF, np.array([0.2, 0.4, 0.6]), m0_scale=6.0)
-    minv = np.linalg.inv(frames.M)
-    dilation._blocks(H_REF, frames.eta, frames.deta, minv)
-    deta = frames.deta.copy()
-    deta[1] = 1j * bad_rate + bad_rate @ frames.M[1]
-    with pytest.raises(NumericsError, match="Hermiticity in frame 1"):
-        dilation._blocks(H_REF, frames.eta, deta, minv)
+def test_gamma_lambda_rejects_inconsistent_inputs(monkeypatch):
+    # the Hermiticity certificate of the blocks: an eigendecomposition of
+    # M - I that does not diagonalise M, its eigenvectors turned by 1e-6
+    # rad or one eigenvalue moved by 1e-6 relative, in one frame
+    closed_form = numerics._eigh3_closed_form
+
+    def turn(vals, vecs):  # V stays orthonormal
+        c, s = np.cos(1e-6), np.sin(1e-6)
+        vecs[:, :2] = vecs[:, :2] @ np.array([[c, -s], [s, c]])
+
+    def shift(vals, vecs):
+        vals[1] *= 1.0 + 1e-6
+
+    def spoiled(frame, spoil):
+        def eigh3(a):
+            vals, vecs = closed_form(a)  # stack-last: frame k is [..., k]
+            spoil(vals[:, frame], vecs[:, :, frame])
+            return vals, vecs
+
+        return eigh3
+
+    ts = np.array([0.2, 0.4, 0.6])
+    build_frame(H_REF, 0.4, m0_scale=6.0)
+    build_frame(H_REF, ts, m0_scale=6.0)
+    for spoil in (turn, shift):
+        monkeypatch.setattr(dilation, "_eigh3_closed_form", spoiled(0, spoil))
+        with pytest.raises(NumericsError, match="Hermiticity in frame 0"):
+            build_frame(H_REF, 0.4, m0_scale=6.0)
+        # a stack of consistent frames with one bad frame in the middle
+        monkeypatch.setattr(dilation, "_eigh3_closed_form", spoiled(1, spoil))
+        with pytest.raises(NumericsError, match="Hermiticity in frame 1"):
+            build_frame(H_REF, ts, m0_scale=6.0)
 
 
 @pytest.mark.parametrize(
@@ -127,14 +150,24 @@ def test_gamma_lambda_rejects_inconsistent_inputs():
 def test_frame_over_times_matches_scalar_frames(h, m0_scale, ts):
     stacked = build_frame(h, ts, m0_scale=m0_scale)
     singles = [build_frame(h, t, m0_scale=m0_scale) for t in ts]
-    for name in ("M", "eta", "deta", "Gamma", "Lambda", "Htot"):
+    for name in ("M", "Gamma", "Lambda", "Htot"):
         want = np.stack([getattr(f, name) for f in singles])
         assert getattr(stacked, name).shape == want.shape
         assert np.abs(getattr(stacked, name) - want).max() < 1e-12, name
+    for got, want in zip(
+        _eta_and_rate(h, ts, m0_scale), zip(*(_eta_and_rate(h, t, m0_scale) for t in ts))
+    ):
+        assert np.abs(got - np.stack(want)).max() < 1e-12
 
 
 def test_build_frame_makes_one_eigendecomposition(monkeypatch):
-    calls = {"eigh": 0, "eigvalsh": 0, "inv": 0}
+    # the one eigendecomposition is the closed form: no np.linalg call
+    calls = {
+        name: 0
+        for name in np.linalg.__all__
+        if callable(getattr(np.linalg, name)) and not inspect.isclass(getattr(np.linalg, name))
+    }
+    assert {"eigh", "eigvalsh", "inv", "eig", "solve"} <= set(calls)
 
     def counted(name):
         original = getattr(np.linalg, name)
@@ -147,11 +180,15 @@ def test_build_frame_makes_one_eigendecomposition(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
-    frame = build_frame(H_REF, np.linspace(0.0, 0.7, 50), m0_scale=6.0)
-    assert calls == {"eigh": 1, "eigvalsh": 0, "inv": 0}
-    # the eigenvectors are copied stack-last once, and so is every product
-    for name in ("M", "eta", "deta", "Gamma", "Lambda"):
-        assert getattr(frame, name).strides[0] == np.dtype(complex).itemsize, name
+    ts = np.linspace(0.0, 0.7, 50)
+    frame = build_frame(H_REF, ts, m0_scale=6.0)
+    _, vecs, roots, hv, rate = dilation._eigenbasis(H_REF, ts, 6.0)
+    assert not any(calls.values()), {name: n for name, n in calls.items() if n}
+    # every product of the frame runs along the stack, in stack-last memory
+    arrays = {"M": frame.M, "Gamma": frame.Gamma, "Lambda": frame.Lambda}
+    arrays.update(vecs=vecs, roots=roots, hv=hv, rate=rate)
+    for name, array in arrays.items():
+        assert array.strides[0] == array.itemsize, name
 
 
 @pytest.mark.parametrize(
@@ -172,8 +209,10 @@ def test_frame_matches_three_decomposition_reference(k1, k2, m0_scale, span):
     h = build_hamiltonian(ModelParams(k1, k2))
     ts = np.random.default_rng(7).uniform(0.0, span, 64)
     frame = build_frame(h, ts, m0_scale=m0_scale)
+    eta, deta = _eta_and_rate(h, ts, m0_scale)
+    got_all = {"eta": eta, "deta": deta, "Gamma": frame.Gamma, "Lambda": frame.Lambda}
     for name, ref in _reference_frame(h, ts, m0_scale).items():
-        got = getattr(frame, name)
+        got = got_all[name]
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from eplab import numerics
+from eplab.dilation import metric_M
 from eplab.model import ModelParams, build_hamiltonian
 from eplab.numerics import (
     NumericsError,
@@ -94,6 +95,80 @@ def test_psd_sqrt_metric_violation():
     stack[1] = np.diag([1.0, -0.5])
     with pytest.raises(NumericsError, match="metric violation in frame 1"):
         psd_sqrt(stack)
+
+
+def _hermitian(rng, n):
+    x = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+    return (x + x.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _eigh3_stacks():
+    """Named Hermitian stacks (N, 3, 3): the M - I frames of `dilate` at the
+    criterion-7 points and of `pulses` at the criterion-8 cases, random
+    stacks, near-double and double eigenvalues, near-scalar matrices and
+    both ends of the float range."""
+    rng = np.random.default_rng(28)
+    unitaries = np.linalg.qr(_hermitian(rng, 200))[0]
+    stacks = {"random": _hermitian(rng, 500), "random real": _hermitian(rng, 500).real}
+    for gap in (1e-4, 1e-8, 1e-12, 0.0):
+        for far in (3.0, -3.0):  # the isolated eigenvalue above or below the pair
+            spectrum = np.array([1.0, 1.0 + gap, 1.0 + far])
+            stacks[f"gap {gap:g}, far {far:g}"] = (
+                unitaries * spectrum
+            ) @ unitaries.conj().swapaxes(-1, -2)
+    stacks["7 I + 1e-15 X"] = 7.0 * np.eye(3) + 1e-15 * _hermitian(rng, 200)
+    for tiny in (1e-160, 1e-170, 1e-310):  # squares of B under- or not representable
+        stacks[f"I + {tiny:g} X"] = np.eye(3) + tiny * _hermitian(rng, 200)
+    stacks["1e300 X"] = 1e300 * _hermitian(rng, 200)
+    stacks["6e307 (I + X / 10)"] = 6e307 * (np.eye(3) + 0.1 * _hermitian(rng, 200))  # tr A overflows
+    stacks["subnormal"] = 1e-310 * _hermitian(rng, 200)
+    for k1, k2, m0_scale, span, samples in (
+        (0.0, 1.0, 12.0, 2.0, 2000),
+        (0.3, 1.0, 12.0, 2.0, 2000),
+        (0.0, 0.8, 12.0, 2.0, 2000),
+        (0.0, 1.0, 1.3, 0.08, 151),
+        (0.0, 1.3, 1.5, 0.05, 151),
+        (0.3, 0.5, 2.0, 0.3, 151),
+    ):
+        h = build_hamiltonian(ModelParams(k1, k2))
+        m = metric_M(h, np.linspace(0.0, span, samples), m0_scale)
+        stacks[f"M - I at ({k1}, {k2}), m0 {m0_scale}"] = m - np.eye(3)
+    return stacks
+
+
+EIGH3_STACKS = _eigh3_stacks()
+
+
+@pytest.mark.parametrize("name", list(EIGH3_STACKS))
+def test_eigh3_closed_form_matches_lapack(name):
+    a = EIGH3_STACKS[name]
+    vals, vecs = numerics._eigh3_closed_form(np.moveaxis(a, 0, -1))
+    vals, vecs = vals.T, np.moveaxis(vecs, -1, 0)
+    # checked at a largest |entry| in [1/2, 1), rescaled by an exact power of
+    # two; a subnormal eigenvalue carries up to half a unit of the subnormal
+    # grid, which the rescaling turns into `floor`
+    shift = -np.frexp(np.abs(a).max(axis=(-2, -1)))[1]
+    a = np.ldexp(a.real, shift[:, None, None]) + 1j * np.ldexp(a.imag, shift[:, None, None])
+    vals = np.ldexp(vals, shift[:, None])
+    floor = 2.0 * np.ldexp(np.finfo(float).smallest_subnormal, shift)
+    back = (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    assert np.all(np.abs(back - a).max(axis=(-2, -1)) <= 1e-14 + floor)
+    assert np.abs(vecs.conj().swapaxes(-1, -2) @ vecs - np.eye(3)).max() <= 1e-14
+    assert np.all(np.diff(vals, axis=-1) >= 0.0)
+    assert np.all(np.abs(vals - np.linalg.eigvalsh(a)).max(axis=-1) <= 1e-14 + floor)
+
+
+def test_eigh3_closed_form_scalar_and_nonfinite_inputs():
+    # an exact scalar or zero matrix gives V = I and its own eigenvalues
+    stack = np.stack([np.zeros((3, 3)), -2.5 * np.eye(3), 1e-310 * np.eye(3)], axis=-1)
+    vals, vecs = numerics._eigh3_closed_form(stack)
+    assert np.array_equal(vals, np.diagonal(stack).T)
+    assert np.array_equal(vecs, np.broadcast_to(np.eye(3)[..., None], (3, 3, 3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        stack = np.zeros((3, 3, 4), dtype=complex)
+        stack[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            numerics._eigh3_closed_form(stack)
 
 
 def _traceless_norms(stack):
