@@ -111,13 +111,15 @@ def _metric(h, t, m0_scale) -> tuple[np.ndarray, int | None]:
         e = expm(1j * t[..., None, None] * np.asarray(h, dtype=complex))
         m = m0_scale * _matmul(_dag(e), e)
         bad = np.flatnonzero(~np.isfinite(m).all(axis=(-2, -1)))
-        return (m + _dag(m)) / 2.0, (int(bad[0]) if bad.size else None)
+        return m / 2.0 + _dag(m) / 2.0, (int(bad[0]) if bad.size else None)
 
 
-def _metric_overflow(t, m: np.ndarray, frame: int) -> NumericsError:
+def _metric_overflow(
+    t, m: np.ndarray, frame: int, what: str = "M(t) is not finite"
+) -> NumericsError:
     """The overflow error of `metric_M`, naming the model time of `frame`."""
     when = np.broadcast_to(np.asarray(t, dtype=float), m.shape[:-2]).flat[frame]
-    return NumericsError(f"dilation metric overflows at model time {when:.6g}: M(t) is not finite")
+    return NumericsError(f"dilation metric overflows at model time {when:.6g}: {what}")
 
 
 def _check_m0_scale(m0_scale: float) -> None:
@@ -185,7 +187,9 @@ def _eigenbasis(
 
     The window rule: the earliest model time with lambda below
     POSITIVITY_MARGIN raises, checked up to the first overflowing metric,
-    so the earlier failure is raised. The Sylvester solve of
+    so the earlier failure is raised. A finite M whose eigenvalues or M H
+    overflow (m0_scale near the largest double) raises the overflow error
+    at its frame, by the same earlier-failure rule. The Sylvester solve of
     eta X + X eta = dM/dt = i (M H - H^dag M) for d(eta)/dt is elementwise
     in the basis V,
 
@@ -198,23 +202,29 @@ def _eigenbasis(
     h = np.asarray(h, dtype=complex)
     m, over = _metric(h, t, m0_scale)
     flat = m.reshape(-1, 3, 3)[:over]
-    vals, vecs = _eigh3_closed_form(np.moveaxis(flat - np.eye(3), 0, -1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        vals, vecs = _eigh3_closed_form(np.moveaxis(flat - np.eye(3), 0, -1))
+        roots = np.sqrt(vals.T)
+        vecs = np.moveaxis(vecs, -1, 0)
+        vecs_dag = _dag(vecs)
+        h_vecs = _matmul(h, vecs)
+        hv = _matmul(vecs_dag, h_vecs)
+        p = _matmul(vecs_dag, _matmul(flat, h_vecs))
+        rate = (p - _dag(p)) * (1j / (roots[:, :, None] + roots[:, None, :]))
     lost = np.flatnonzero(vals[0] < POSITIVITY_MARGIN)
-    if lost.size:
+    # a finite M can still overflow its eigenvalues or M H
+    big = np.flatnonzero(~(np.isfinite(roots).all(axis=1) & np.isfinite(rate).all(axis=(1, 2))))
+    if lost.size and not (big.size and big[0] < lost[0]):
         raise NumericsError(
             f"dilation window exceeded at model time {np.ravel(t)[lost[0]]:.6g}: "
             "M - I lost positivity"
         )
+    if big.size:
+        raise _metric_overflow(t, m, big[0], "M(t) is finite, but its frame overflows")
     if over is not None:
         raise _metric_overflow(t, m, over)
-    roots = np.sqrt(vals.T.reshape(m.shape[:-1]))
-    vecs = np.moveaxis(vecs, -1, 0).reshape(m.shape)
-    vecs_dag = _dag(vecs)
-    h_vecs = _matmul(h, vecs)
-    hv = _matmul(vecs_dag, h_vecs)
-    p = _matmul(vecs_dag, _matmul(m, h_vecs))
-    rate = (p - _dag(p)) * (1j / (roots[..., :, None] + roots[..., None, :]))
-    return m, vecs, roots, hv, rate
+    shape = m.shape
+    return m, vecs.reshape(shape), roots.reshape(shape[:-1]), hv.reshape(shape), rate.reshape(shape)
 
 
 def build_frame(

@@ -22,6 +22,12 @@ The solver runs its Gauss-Newton starts in lockstep, one map call per
 iteration: it evaluates every live start's line-search candidates
 together with their finite-difference Jacobian probes, so the accepted
 candidate's rows are the residual and Jacobian of the next iteration.
+A round lasts as long as its slowest start, so a start that creeps (its
+step lowers the residual norm by less than `_CREEP_DROP` of the new
+norm) stops once its norm is above that of a start already stopped. This
+stop is off while a stopped start fits exactly: the map aliases, so two
+points can fit the same noiseless ratios, and a start still creeping
+toward the true point must be left to reach it.
 
 Tomography maximizes the multinomial likelihood over rho = T^dag T /
 tr(T^dag T), T a full 3x3 complex matrix, by a damped Newton
@@ -358,6 +364,11 @@ _ROUNDING_STOP = 64 * np.finfo(float).eps
 # line-search step fractions 1, 1/2, ..., 2^-19: every halving above 1e-6
 _LAMBDAS = 0.5 ** np.arange(20)
 
+# a start creeps when its accepted step lowers its residual norm by less
+# than this fraction of the new norm; `_descend` stops a creeping start
+# whose norm is above that of a start already stopped above `stop`
+_CREEP_DROP = 1e-3
+
 
 def _descend(
     starts, ratios: np.ndarray, us: np.ndarray, stop: float
@@ -376,7 +387,14 @@ def _descend(
     point would give. That is one map call to begin with and one per
     iteration. A start stops after 60 iterations, when its Jacobian is
     not finite, when no candidate lowers the norm, when the accepted step
-    is shorter than 1e-13, or when its residual norm is at most `stop`.
+    is shorter than 1e-13, when its residual norm is at most `stop`, or
+    when it creeps behind the leader: its accepted step lowered the norm
+    by less than `_CREEP_DROP` of the new norm, and the norm is still
+    above the leader's, the smallest norm among the stopped starts. The
+    last stop needs a leader above `stop`. With an exact-fit leader the
+    map may alias: at the grid point (0.05, 1.45) a start fits the alias
+    (0.051719, 1.440137) to 1e-15 while the start heading for the true
+    point still creeps at 2.7e-3, and stopping it would flip the winner.
     Returns the end points and their residual norms.
     """
     eps = 1e-7
@@ -410,10 +428,15 @@ def _descend(
         moved = lower.any(axis=0)
         cols = np.arange(len(live))[moved]
         live, first = live[moved], first[moved]
-        x[live] = cand[first, cols]
-        rnorm[live] = cnorm[first, cols]
+        new = cnorm[first, cols]
+        creep = rnorm[live] - new < _CREEP_DROP * new
+        x[live], rnorm[live] = cand[first, cols], new
         short = np.linalg.norm(_LAMBDAS[first, None] * step[cols], axis=1) < 1e-13
-        keep = ~short & (rnorm[live] > stop)
+        keep = ~short & (new > stop)
+        # the leader: the smallest norm among the stopped starts
+        lead = np.delete(rnorm, live[keep]).min(initial=np.inf)
+        if lead > stop:
+            keep &= ~(creep & (new > lead))
         live, first, cols = live[keep], first[keep], cols[keep]
         if not len(live):
             break
@@ -432,11 +455,13 @@ def solve_eigenvalues(
     Damped Gauss-Newton over the model parameters (k1, k2) on the box
     0 <= k1, k2 <= K_MAX, from the four `_K_STARTS` in one lockstep round
     of `_descend`; a start also stops once its residual norm is at
-    rounding level (`_ROUNDING_STOP`). Points outside the box or with a
-    complex spectrum are dead, so every end is a readable point. The end
-    with the smallest residual wins, ties going to the earlier start; if
-    its residual exceeds `residual_tol` a NumericsError lists every
-    start's residual. Non-finite ratios raise ValueError.
+    rounding level (`_ROUNDING_STOP`), or once it creeps with a norm above
+    that of a start already stopped short of an exact fit (see `_descend`).
+    Points outside the box or with a complex spectrum are dead, so every
+    end is a readable point. The end with the smallest residual wins,
+    ties going to the earlier start; if its residual exceeds
+    `residual_tol` a NumericsError lists every start's residual.
+    Non-finite ratios raise ValueError.
 
     The ratio map is not injective: with signed k, distant points such
     as (0.3, 0.5) and about (-0.173, -1.375) fit the same ratios, which

@@ -476,6 +476,14 @@ def test_tomography_eigenindex_out_of_range(capsys, index):
         # 2 pi s is subnormal: unchecked, the sample times overflow and 1202
         # nan are written with exit 0
         (("pulses", "--scale", "5e-324"), "rate s = 5e-324 Hz gives sample times"),
+        # M(0) = 1e308 I is finite, but M H overflows at the first frame.
+        # Symmetrising M as (M + M^dag) / 2 overflowed where M did not, and
+        # the eigensolver's input check raised "matrix has non-finite entries"
+        (("dilate", "--m0-scale", "1e308"),
+         "dilation metric overflows at model time 0.0005: M(t) is finite, but its frame overflows"),
+        # M H stays finite up to model time 1.2445: its NaN frames printed
+        # RuntimeWarnings and then "cannot convert float NaN to integer"
+        (("dilate", "--m0-scale", "1e307"), "dilation metric overflows at model time 1.2445"),
     ],
 )
 def test_bad_dilation_inputs_are_domain_errors(capsys, argv, message):

@@ -305,13 +305,7 @@ def test_lockstep_solver_matches_scalar_reference_on_noisy_ratios():
     # k1 = 0 fold where the (E1, E2) reference stalls
     rng = np.random.default_rng(20)
     for _ in range(20):
-        p = ModelParams(rng.uniform(0.05, 0.45), rng.uniform(0.3, 0.7))
-        vals = spectrum(p).eigenvalues.real
-        ratios = []
-        for psi, s in zip(_eigenvectors(vals, p.k1, p.k2).T, DEFAULT_SETTINGS):
-            pops = simulate_counts(psi, s, 100_000, rng=rng).populations
-            ratios.append(pops[1] / pops[2])
-        ratios = np.array(ratios)
+        ratios = _noisy_ratios(rng)
         got = solve_eigenvalues(ratios, residual_tol=1e6)
         assert np.abs(got - _scalar_solve(ratios)).max() < 1e-8
 
@@ -327,7 +321,8 @@ def test_lockstep_solver_with_custom_settings():
 
 
 # ratios of a noisy `eigensolve` (1e5 shots) at which the start (0.1, 1.3)
-# creeps from about iteration 10 on and runs to the 60-iteration cap
+# creeps from about iteration 10 on: without the creep stop it runs to the
+# 60-iteration cap, with it the solve ends after 8 iterations
 _STALLED_RATIOS = np.array([5.409332545776727, 1.0232572498816555, 0.33026559604694256])
 
 
@@ -354,9 +349,10 @@ def test_solver_makes_one_map_call_per_iteration(monkeypatch):
     assert np.abs(got - vals).max() < 1e-12
     assert 0 < counts["map"] <= 60 + 1
     assert counts["unitary"] == 3
-    # a start that runs to the iteration cap reaches the bound
+    # a start that runs to the iteration cap reaches the bound: at (0.2,
+    # 0.025) the winner fits exactly, which leaves the creep stop off
     counts["map"] = 0
-    solve_eigenvalues(_STALLED_RATIOS, residual_tol=1.0)
+    solve_eigenvalues(ratios_from_energies(spectrum(ModelParams(0.2, 0.025)).eigenvalues.real))
     assert counts["map"] == 60 + 1
 
 
@@ -383,10 +379,52 @@ def test_ratio_residuals_are_row_independent():
     assert np.array_equal(readout._ratio_residuals(k[order], ratios, us), one_by_one[order])
 
 
+def _no_rule_descend(starts, ratios, us, stop):
+    """Oracle for the creep stop: `_descend` as it was before it, one map
+    call per iteration and every other stop unchanged."""
+    eps = 1e-7
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    def probed(c):
+        h = np.where(c + eps > readout.K_MAX, -eps, eps)
+        probes = np.stack([c + u * h for u in unit])
+        r = readout._ratio_residuals(probes.reshape(-1, 2), ratios, us)
+        return r.reshape(probes.shape[:-1] + (3,)), h
+
+    x = np.array(starts, dtype=float)
+    r, h = probed(x)
+    rnorm = np.linalg.norm(r[0], axis=1)
+    live = np.arange(len(x))
+    for _ in range(60):
+        jac = ((r[1:] - r[0]) / h.T[:, :, None]).transpose(1, 2, 0)
+        go = np.isfinite(jac).all(axis=(1, 2))
+        live, r0, jac = live[go], r[0][go], jac[go]
+        if not len(live):
+            break
+        step = -(np.linalg.pinv(jac, rtol=None) @ r0[:, :, None])[:, :, 0]
+        cand = x[live] + readout._LAMBDAS[:, None, None] * step
+        rc, hc = probed(cand)
+        cnorm = np.linalg.norm(rc[0], axis=2)
+        lower = cnorm < rnorm[live]
+        first = lower.argmax(axis=0)
+        moved = lower.any(axis=0)
+        cols = np.arange(len(live))[moved]
+        live, first = live[moved], first[moved]
+        x[live] = cand[first, cols]
+        rnorm[live] = cnorm[first, cols]
+        short = np.linalg.norm(readout._LAMBDAS[first, None] * step[cols], axis=1) < 1e-13
+        keep = ~short & (rnorm[live] > stop)
+        live, first, cols = live[keep], first[keep], cols[keep]
+        if not len(live):
+            break
+        r, h = rc[:, first, cols], hc[first, cols]
+    return x, rnorm
+
+
 def _two_call_descend(starts, ratios, us, stop):
     """Reference for `_descend`: the earlier loop, which evaluates the
     residual and Jacobian probes at each iterate in one map call and the
-    line-search candidates in a second."""
+    line-search candidates in a second, with the same creep stop."""
     eps, lambdas = 1e-7, readout._LAMBDAS
     x = np.array(starts, dtype=float)
     rnorm = np.empty(len(x))
@@ -413,35 +451,52 @@ def _two_call_descend(starts, ratios, us, stop):
         moved = lower.any(axis=0)
         cols = np.arange(len(live))[moved]
         live, first = live[moved], first[moved]
+        before = rnorm.copy()
         x[live] = cand[first, cols]
         rnorm[live] = cnorm[first, cols]
         short = np.linalg.norm(lambdas[first, None] * step[cols], axis=1) < 1e-13
         live = live[~short & (rnorm[live] > stop)]
+        stopped = np.ones(len(x), dtype=bool)
+        stopped[live] = False
+        lead = rnorm[stopped].min(initial=np.inf)
+        if lead > stop:
+            creeping = before - rnorm < readout._CREEP_DROP * rnorm
+            live = live[~(creeping & (rnorm > lead))[live]]
         if not len(live):
             break
     return x, rnorm
 
 
-def _descend_cases():
+def _noisy_ratios(rng):
+    """The ratios of a 1e5-shot `eigensolve` at a point drawn from `rng`
+    over the criterion-12 window."""
+    p = ModelParams(rng.uniform(0.05, 0.45), rng.uniform(0.3, 0.7))
+    vectors = _eigenvectors(spectrum(p).eigenvalues.real, p.k1, p.k2)
+    pops = [
+        simulate_counts(psi, s, 100_000, rng=rng).populations
+        for psi, s in zip(vectors.T, DEFAULT_SETTINGS)
+    ]
+    return np.array([q[1] / q[2] for q in pops])
+
+
+def _noiseless_cases():
     grid = [
         (float(k1), float(k2))
         for k1 in np.linspace(0.05, 0.45, 5) for k2 in np.linspace(0.3, 0.7, 5)
     ]
     for k1, k2 in grid:
         yield ratios_from_energies(spectrum(ModelParams(k1, k2)).eigenvalues.real), DEFAULT_SETTINGS
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        p = ModelParams(rng.uniform(0.05, 0.45), rng.uniform(0.3, 0.7))
-        vectors = _eigenvectors(spectrum(p).eigenvalues.real, p.k1, p.k2)
-        pops = [
-            simulate_counts(psi, s, 100_000, rng=rng).populations
-            for psi, s in zip(vectors.T, DEFAULT_SETTINGS)
-        ]
-        yield np.array([q[1] / q[2] for q in pops]), DEFAULT_SETTINGS
     settings = TOMOGRAPHY_SETTINGS[2:9:3]
     for k1, k2 in grid[::4]:
         vals = spectrum(ModelParams(k1, k2)).eigenvalues.real
         yield ratios_from_energies(vals, settings), settings
+
+
+def _descend_cases():
+    yield from _noiseless_cases()
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        yield _noisy_ratios(rng), DEFAULT_SETTINGS
     yield _STALLED_RATIOS, DEFAULT_SETTINGS
 
 
@@ -452,6 +507,76 @@ def test_one_call_descent_matches_the_two_call_reference_bit_for_bit():
         x, rnorm = readout._descend(readout._K_STARTS, ratios, us, stop)
         want_x, want_rnorm = _two_call_descend(readout._K_STARTS, ratios, us, stop)
         assert np.array_equal(x, want_x) and np.array_equal(rnorm, want_rnorm)
+
+
+def _winner(descend, ratios, settings=DEFAULT_SETTINGS):
+    """The (k1, k2) end point `solve_eigenvalues` would read, by `descend`."""
+    us = readout._setting_unitaries(settings)
+    stop = readout._ROUNDING_STOP * max(np.linalg.norm(ratios), 1.0)
+    x, rnorm = descend(readout._K_STARTS, ratios, us, stop)
+    return x[rnorm.argmin()]
+
+
+def test_creep_stop_keeps_the_noiseless_winners():
+    # the noiseless descent cases, an 11x11 grid over the box with its
+    # k1 = 0 edge, and the point (0.05, 1.45) of the 61x61 grid: there a
+    # start fits the alias (0.051719, 1.440137) exactly while the true start
+    # still creeps, so a creep stop behind an exact-fit leader would flip
+    # the winner to the alias
+    cases = list(_noiseless_cases())
+    alias = ModelParams(*np.linspace(0.0, readout.K_MAX, 61)[[2, 58]])
+    cases.append((ratios_from_energies(spectrum(alias).eigenvalues.real), DEFAULT_SETTINGS))
+    for k1 in np.linspace(0.0, readout.K_MAX, 11):
+        for k2 in np.linspace(0.0, readout.K_MAX, 11):
+            vals = spectrum(ModelParams(k1, k2)).eigenvalues
+            if (vals.imag == 0.0).all():
+                cases.append((ratios_from_energies(vals.real), DEFAULT_SETTINGS))
+    assert len(cases) == 33 + 94
+    for ratios, settings in cases:
+        got = _winner(readout._descend, ratios, settings)
+        want = _winner(_no_rule_descend, ratios, settings)
+        assert np.abs(got - want).max() <= 1e-11
+
+
+def test_creep_stop_keeps_the_noisy_winners():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        ratios = _noisy_ratios(rng)
+        got = _winner(readout._descend, ratios)
+        assert np.abs(got - _winner(_no_rule_descend, ratios)).max() <= 1e-9
+
+
+def _map_calls(monkeypatch, descend, cases) -> int:
+    calls = [0]
+    real = readout._ratio_residuals
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(readout, "_ratio_residuals", counted)
+        for ratios, settings in cases:
+            _winner(descend, ratios, settings)
+    return calls[0]
+
+
+def test_creep_stop_ends_the_stalled_solve_early(monkeypatch):
+    # the creeping start trails the start that stopped at the winning point
+    want = _winner(_no_rule_descend, _STALLED_RATIOS)
+    got = _winner(readout._descend, _STALLED_RATIOS)
+    assert np.abs(got - want).max() <= 1e-8
+    assert _map_calls(monkeypatch, _no_rule_descend, [(_STALLED_RATIOS, DEFAULT_SETTINGS)]) == 61
+    assert _map_calls(monkeypatch, readout._descend, [(_STALLED_RATIOS, DEFAULT_SETTINGS)]) <= 10
+
+
+def test_creep_stop_cuts_the_map_calls_of_the_descend_cases(monkeypatch):
+    # a deterministic guard on the rule's saving (535 -> 467 calls when it
+    # landed): a change that disables it fails here without any timing
+    cases = list(_descend_cases())
+    assert len(cases) == 43
+    without = _map_calls(monkeypatch, _no_rule_descend, cases)
+    assert _map_calls(monkeypatch, readout._descend, cases) <= 0.9 * without
 
 
 def test_solver_noise_robustness():
